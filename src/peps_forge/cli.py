@@ -208,13 +208,10 @@ def cmd_cost_model(args) -> int:
         delta = args.delta if args.delta is not None else 1.0
         phys_dim = args.d if args.d is not None else 2
         degree = args.k if args.k is not None else 2
+    s, m = dynamics.required_alternations(max(kappa, 1.0), num_vertices, eps)
     model = dynamics.cost_model(
         num_vertices, num_edges, kappa, eps, delta, phys_dim, degree
     )
-    if 0.0 < eps < 1.0:
-        s, m = dynamics.required_alternations(max(kappa, 1.0), num_vertices, eps)
-    else:
-        s = m = None  # the alternation budget is only defined for a real failure budget
     _dump(
         {
             "num_vertices": num_vertices,

@@ -60,22 +60,23 @@ class MeasurementOutcome:
 
 def measure_zero_energy(
     state: np.ndarray,
-    h: LocalHamiltonian,
+    kernel: np.ndarray,
     rng: np.random.Generator,
     zero_tol: float = ZERO_TOL,
 ) -> MeasurementOutcome:
-    """Projectively measure zero vs. nonzero energy of ``h`` on ``state``.
+    """Projectively measure zero vs. nonzero energy on ``state``.
 
-    Exactly one uniform variate is consumed per call, so outcome sequences
-    are reproducible from the generator state. Branches with Born
+    ``kernel`` is the unit zero-energy state of the measured Hamiltonian;
+    :class:`PreparedInstance` certifies that each step's kernel is this one
+    vector. Exactly one uniform variate is consumed per call, so outcome
+    sequences are reproducible from the generator state. Branches with Born
     probability below ``zero_tol`` are never selected.
     """
     state = np.asarray(state, dtype=complex)
-    basis = h.kernel_basis(zero_tol)
-    amps = basis.conj().T @ state
-    inside = basis @ amps
+    amp = np.vdot(kernel, state)
+    inside = amp * kernel
     resid = state - inside
-    p_zero = float(np.vdot(inside, inside).real)
+    p_zero = float(abs(amp) ** 2)
     p_nonzero = float(np.vdot(resid, resid).real)
     draw = rng.random()
     if p_zero <= zero_tol:
@@ -400,8 +401,8 @@ def required_alternations(
     ``m = ceil(kappa^2 |V| / (2 e eps))``; ``m`` is the per-vertex cap used
     by bounded-mode runs.
     """
-    if kappa < 1.0:
-        raise InvalidInputError(f"condition number must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise InvalidInputError(f"condition number must be finite and >= 1, got {kappa}")
     if num_vertices < 2:
         raise InvalidInputError(f"need at least 2 vertices, got {num_vertices}")
     if not 0.0 < eps < 1.0:
@@ -444,8 +445,8 @@ def cost_model(
         ("phys_dim", phys_dim),
         ("degree", degree),
     ]:
-        if val <= 0:
-            raise InvalidInputError(f"{name} must be positive, got {val}")
+        if not 0 < val < math.inf:
+            raise InvalidInputError(f"{name} must be positive and finite, got {val}")
     measurements = kappa**2 * num_vertices**2 / (math.e * eps) + num_vertices
     runtime = (
         num_vertices**2 * num_edges**2 * kappa**2 / (eps * gap)
@@ -474,7 +475,9 @@ class PreparedInstance:
 
     Building one runs the pre-flight required by the driver: each step
     Hamiltonian must have a unique zero-energy ground state matching the
-    contraction oracle. The preparation is reusable across seeds.
+    contraction oracle. Measurements then project onto the certified
+    targets, so no Hamiltonian is touched after preparation. The
+    preparation is reusable across seeds.
     """
 
     def __init__(
@@ -598,9 +601,9 @@ def run_algorithm(
     zero_tol = prepared.zero_tol
     for t in range(n):
         rng = _vertex_rng(seed, t)
-        h_prev = prepared.hamiltonians[t]
-        h_next = prepared.hamiltonians[t + 1]
-        out = measure_zero_energy(state, h_next, rng, zero_tol)
+        psi_prev = prepared.targets[t]
+        psi_next = prepared.targets[t + 1]
+        out = measure_zero_energy(state, psi_next, rng, zero_tol)
         first_shot = (
             out.probability if out.label == "zero" else 1.0 - out.probability
         )
@@ -611,9 +614,9 @@ def run_algorithm(
         while out.label == "nonzero":
             if cap is not None and alternations >= cap:
                 break
-            undo = measure_zero_energy(state, h_prev, rng, zero_tol)
+            undo = measure_zero_energy(state, psi_prev, rng, zero_tol)
             outcomes.append(undo.label)
-            out = measure_zero_energy(undo.state, h_next, rng, zero_tol)
+            out = measure_zero_energy(undo.state, psi_next, rng, zero_tol)
             outcomes.append(out.label)
             state = out.state
             alternations += 1
@@ -672,20 +675,19 @@ def repair_loop_trials(
     """
     if not 0 <= step < prepared.graph.num_vertices:
         raise InvalidInputError(f"step {step} out of range")
-    h_prev = prepared.hamiltonians[step]
-    h_next = prepared.hamiltonians[step + 1]
     start = prepared.targets[step]
+    target = prepared.targets[step + 1]
     zero_tol = prepared.zero_tol
     rng = np.random.default_rng(seed)
     terminated = np.zeros(trials, dtype=bool)
     used = np.zeros(trials, dtype=np.int64)
     for i in range(trials):
-        out = measure_zero_energy(start, h_next, rng, zero_tol)
+        out = measure_zero_energy(start, target, rng, zero_tol)
         count = 1
         alternations = 0
         while out.label == "nonzero" and alternations < max_alternations:
-            undo = measure_zero_energy(out.state, h_prev, rng, zero_tol)
-            out = measure_zero_energy(undo.state, h_next, rng, zero_tol)
+            undo = measure_zero_energy(out.state, start, rng, zero_tol)
+            out = measure_zero_energy(undo.state, target, rng, zero_tol)
             count += 2
             alternations += 1
         terminated[i] = out.label == "zero"
@@ -728,7 +730,7 @@ def verify_failure_tail(
             min_s_margin = min(min_s_margin, margin)
     return {
         "pairs_checked": len(p_grid) * len(m_grid),
-        "s_pairs_checked": len(p_grid) * len(s_grid),
+        "s_pairs_checked": len(p_grid_s) * len(s_grid),
         "min_exp_bound_margin": min_margin,
         "min_s_bound_margin": min_s_margin,
     }

@@ -19,6 +19,13 @@ onto the orthogonal complement of ``(M_u (x) M_v)(omega_e (x) C^rest)``,
 where ``omega_e`` is the edge's entangled pair and ``rest`` collects the
 other virtual factors of the two registers. This is the unique two-register
 projector family whose kernel is exactly the locally reachable subspace.
+
+The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
+computes ``H x`` term by term on the register tensor, and
+:func:`ground_analysis` finds the lowest two eigenvalues and the zero-energy
+state with ARPACK on that product. The dense ``global_matrix`` and its full
+eigensystem ``spectral`` remain as an independent oracle for tests at small
+dimension.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from . import linalg
 from .errors import (
@@ -185,8 +193,10 @@ def _term_sort_key(term: LocalTerm) -> tuple:
 class LocalHamiltonian:
     """Sum of local terms at one step of the growth procedure.
 
-    The dense global matrix and its eigensystem are assembled lazily and
-    cached; instances are otherwise immutable.
+    :meth:`apply` multiplies a state by the sum without forming it. The
+    dense global matrix and its eigensystem are an oracle for tests: they
+    are assembled only when read, then cached; instances are otherwise
+    immutable.
     """
 
     def __init__(self, graph: InteractionGraph, step: int, terms: list[LocalTerm]):
@@ -208,12 +218,25 @@ class LocalHamiltonian:
     def spectral(self) -> linalg.SpectralDecomposition:
         return linalg.hermitian_eig(self.global_matrix)
 
-    def kernel_basis(self, zero_tol: float = ZERO_TOL) -> np.ndarray:
-        """Orthonormal columns spanning the zero-energy subspace."""
-        return self.spectral.kernel_basis(zero_tol)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``H @ x`` summed term by term on the register tensor.
 
-    def expectation(self, state: np.ndarray) -> float:
-        return float(np.vdot(state, self.global_matrix @ state).real)
+        Each term is contracted with its support registers by ``tensordot``
+        at O(N r_u r_v) cost. Identically zero terms, such as the penalty
+        terms of the canonical gauge, are skipped.
+        """
+        dims = self.graph.register_dims
+        tensor = np.asarray(x, dtype=complex).reshape(dims)
+        out = np.zeros_like(tensor)
+        for term in self.terms:
+            if not term.matrix.any():
+                continue
+            support = list(term.support)
+            k = len(support)
+            op = term.matrix.reshape([dims[s] for s in support] * 2)
+            y = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), support))
+            out += np.moveaxis(y, list(range(k)), support)
+        return out.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -280,33 +303,69 @@ def advance_step(
     return LocalHamiltonian(graph=g, step=t + 1, terms=kept + new_terms)
 
 
+def _lowest_eigenpair(dim: int, matvec) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and unit eigenvector of a Hermitian operator.
+
+    One single-vector ARPACK solve from a fixed start vector. ARPACK's
+    stopping test is relative to the Ritz value, so it runs on the operator
+    plus the identity: an eigenvalue near zero then converges to machine
+    precision absolutely instead of over-converging relative to zero.
+    ``eigs`` is called directly because for complex input ``eigsh`` forwards
+    to it without ``rng``, and ARPACK would draw restart vectors from fresh
+    entropy.
+    """
+    op = LinearOperator((dim, dim), matvec=lambda x: matvec(x) + x, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    try:
+        w, v = eigs(op, k=1, which="SR", v0=v0, rng=np.random.default_rng(0))
+    except ArpackError as exc:
+        raise NumericalFailureError(f"ARPACK solve did not converge: {exc}") from exc
+    return float(w[0].real) - 1.0, v[:, 0] / np.linalg.norm(v[:, 0])
+
+
 def ground_analysis(h: LocalHamiltonian, zero_tol: float = ZERO_TOL) -> GroundAnalysis:
-    """Exact diagonalization summary with uniqueness checks.
+    """Lowest two eigenvalues and the zero-energy state, matrix-free.
+
+    ``lambda0`` and its eigenvector ``psi0`` come from a Krylov solve on
+    :meth:`LocalHamiltonian.apply`; ``lambda1`` from a second solve with
+    ``psi0`` deflated, ``(1 - P) H (1 - P) + s P`` with ``P = |psi0><psi0|``
+    and ``s`` above ``||H||``. A second zero-energy state then appears as
+    the deflated operator's lowest eigenvalue, which a single-vector
+    two-eigenvalue solve can miss.
 
     Raises :class:`NumericalFailureError` when the ground energy is not
-    zero (the parent construction guarantees a zero-energy kernel) and
-    :class:`DegenerateGroundSpaceError` when the kernel is degenerate,
-    which means the injectivity assumption fails for this instance and
-    vertex order.
+    zero (the parent construction guarantees a zero-energy kernel) or the
+    solver fails, and :class:`DegenerateGroundSpaceError` when the kernel
+    is degenerate, which means the injectivity assumption fails for this
+    instance and vertex order.
     """
-    spec = h.spectral
-    lam = spec.eigenvalues
-    degeneracy = int(np.count_nonzero(lam < zero_tol))
-    if degeneracy == 0:
+    dim = h.graph.global_dim
+    check_dim(dim, f"Hamiltonian at step {h.step}")
+    lambda0, psi = _lowest_eigenpair(dim, h.apply)
+    if lambda0 >= zero_tol:
         raise NumericalFailureError(
-            f"step {h.step}: ground energy {lam[0]:.3e} is not zero"
+            f"step {h.step}: ground energy {lambda0:.3e} is not zero"
         )
-    if degeneracy > 1:
+    s = 1.0 + sum(np.linalg.norm(term.matrix, 2) for term in h.terms)  # > ||H||
+
+    def deflated(x: np.ndarray) -> np.ndarray:
+        c = np.vdot(psi, x)
+        y = h.apply(x - c * psi)
+        return y - np.vdot(psi, y) * psi + (s * c) * psi
+
+    lambda1, _ = _lowest_eigenpair(dim, deflated)
+    if lambda1 < zero_tol:
         raise DegenerateGroundSpaceError(
-            f"step {h.step}: ground space is {degeneracy}-fold degenerate; "
-            "the intermediate state is not unique for this vertex order"
+            f"step {h.step}: ground space is degenerate (second eigenvalue "
+            f"{lambda1:.3e}); the intermediate state is not unique for this "
+            "vertex order"
         )
     return GroundAnalysis(
-        lambda0=float(lam[0]),
-        lambda1=float(lam[1]),
-        gap=float(lam[1] - lam[0]),
-        ground_degeneracy=degeneracy,
-        ground_state=spec.eigenvectors[:, 0],
+        lambda0=lambda0,
+        lambda1=lambda1,
+        gap=lambda1 - lambda0,
+        ground_degeneracy=1,
+        ground_state=psi,
     )
 
 

@@ -105,9 +105,18 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; Python's ``json`` also reads ``Infinity`` and ``NaN``."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -189,15 +198,12 @@ def _parse_tensors(doc, where: str = "/tensors") -> TensorSpec:
                 raise ConfigError(f"{here}/{i}", "ragged matrix rows")
             cells = []
             for j, cell in enumerate(row):
-                if (
-                    not isinstance(cell, list)
-                    or len(cell) != 2
-                    or not all(
-                        isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in cell
-                    )
+                if not isinstance(cell, list) or len(cell) != 2 or not all(
+                    _is_number(x) for x in cell
                 ):
-                    raise ConfigError(f"{here}/{i}/{j}", f"expected [re, im], got {cell!r}")
+                    raise ConfigError(
+                        f"{here}/{i}/{j}", f"expected finite [re, im], got {cell!r}"
+                    )
                 cells.append((float(cell[0]), float(cell[1])))
             rows.append(tuple(cells))
         entries.append(tuple(rows))
@@ -579,6 +585,8 @@ def sweep(
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
     graph, tensors = build_instance(cfg)

@@ -1,8 +1,11 @@
-"""Global-dimension cap for dense simulation.
+"""Global-dimension cap for exact state-vector simulation.
 
-Everything in this package stores states and operators densely, so the
-product of register dimensions is capped. The default suits desk-scale
-experiments; set ``PEPS_FORGE_DIM_CAP`` to override.
+States are stored as dense vectors over the product of the register
+dimensions, so that product is capped. Step Hamiltonians are applied term
+by term and never stored as matrices (the dense ``global_matrix`` is a test
+oracle), so memory grows with a few such vectors, not with their square.
+The default suits desk-scale experiments; set ``PEPS_FORGE_DIM_CAP`` to
+override.
 """
 
 from __future__ import annotations

@@ -111,6 +111,13 @@ class TestSweepCommand:
         )
         assert a == b
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_invalid(self, capsys, jobs):
+        code, _ = run_cli(
+            capsys, "sweep", "--config", CHAIN2, "--trials", "2", "--jobs", jobs
+        )
+        assert code == 2
+
 
 class TestVerifyCommands:
     def test_lemma1_fixture_passes(self, capsys):
@@ -151,6 +158,14 @@ class TestVerifyCommands:
         assert doc["passed"] is True
         assert abs(doc["empirical_frequency"] - 0.75) <= doc["four_sigma"]
         assert doc["grid_checks"]["min_s_bound_margin"] >= -1e-12
+
+    def test_lemma2_counts_every_s_pair(self, capsys):
+        # the s-bound grid is 20 values of p by 100 values of s
+        code, out = run_cli(capsys, "verify-lemma2", "--p", "0.5", "--m", "1")
+        assert code == 0
+        grid = json.loads(out)["grid_checks"]
+        assert grid["pairs_checked"] == 9 * 50
+        assert grid["s_pairs_checked"] == 20 * 100
 
     def test_lemma2_failure_exit_code(self, capsys, monkeypatch):
         def broken(p, m, trials, rng):
@@ -217,14 +232,22 @@ class TestCostModel:
         code, _ = run_cli(capsys, "cost-model", "--V", "4")
         assert code == 2
 
-    def test_full_failure_budget_smallest_case(self, capsys):
-        code, out = run_cli(
-            capsys, "cost-model", "--V", "2", "--kappa", "1", "--eps", "1"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["measurement_bound"] == pytest.approx(4.0 / math.e + 2.0, rel=1e-12)
-        assert doc["s"] is None and doc["m"] is None
+    def test_full_failure_budget_rejected(self, capsys):
+        # like run, cost-model takes a failure budget in (0, 1) only
+        for eps in ("1", "1.5", "0", "-0.1", "nan"):
+            code, _ = run_cli(
+                capsys, "cost-model", "--V", "2", "--kappa", "1", "--eps", eps
+            )
+            assert code == 2, eps
+        code, _ = run_cli(capsys, "cost-model", "--config", CHAIN3, "--eps", "1.5")
+        assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--delta"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flags_invalid(self, capsys, flag, value):
+        argv = {"--V": "4", "--kappa": "2", "--eps": "0.1", flag: value}
+        code, _ = run_cli(capsys, "cost-model", *[x for kv in argv.items() for x in kv])
+        assert code == 2
 
 
 class TestExitCodes:
@@ -242,6 +265,18 @@ class TestExitCodes:
         monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
         code, _ = run_cli(capsys, "run", "--config", CHAIN3, "--seed", "1")
         assert code == 3
+
+    def test_non_finite_config_number_invalid(self, capsys, tmp_path):
+        config = {
+            "graph": {"topology": "chain", "length": 3},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 3},
+            "seed": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config).replace("2.0", "Infinity"))
+        code, _ = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
 
     def test_argparse_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -45,27 +45,25 @@ class TestMeasureZeroEnergy:
         prep = _chain2_prepared()
         rng = np.random.default_rng(0)
         state = prep.targets[0]
-        out = measure_zero_energy(state, prep.hamiltonians[0], rng)
+        out = measure_zero_energy(state, prep.targets[0], rng)
         assert out.label == "zero"
         assert out.probability == pytest.approx(1.0, abs=1e-10)
         assert abs(abs(np.vdot(out.state, state)) - 1.0) <= 1e-10
 
     def test_orthogonal_state_always_nonzero(self):
         prep = _chain2_prepared()
-        h0 = prep.hamiltonians[0]
-        excited = h0.spectral.eigenvectors[:, -1]
+        excited = prep.hamiltonians[0].spectral.eigenvectors[:, -1]
         for seed in range(10):
-            out = measure_zero_energy(excited, h0, np.random.default_rng(seed))
+            out = measure_zero_energy(excited, prep.targets[0], np.random.default_rng(seed))
             assert out.label == "nonzero"
             assert out.probability == pytest.approx(1.0, abs=1e-10)
 
     def test_born_rule_branch_probability(self):
         prep = _chain2_prepared()
-        h0 = prep.hamiltonians[0]
-        kernel = h0.kernel_basis()[:, 0]
-        excited = h0.spectral.eigenvectors[:, -1]
+        kernel = prep.targets[0]
+        excited = prep.hamiltonians[0].spectral.eigenvectors[:, -1]
         state = math.sqrt(0.36) * kernel + math.sqrt(0.64) * excited
-        zero_first = measure_zero_energy(state, h0, np.random.default_rng(3))
+        zero_first = measure_zero_energy(state, kernel, np.random.default_rng(3))
         assert {
             "zero": zero_first.probability,
             "nonzero": 1.0 - zero_first.probability,
@@ -74,15 +72,14 @@ class TestMeasureZeroEnergy:
     def test_born_rule_frequency(self):
         # seeded frequency over 10^4 measurements within 4 binomial sigmas
         prep = _chain2_prepared()
-        h0 = prep.hamiltonians[0]
-        kernel = h0.kernel_basis()[:, 0]
-        excited = h0.spectral.eigenvectors[:, -1]
+        kernel = prep.targets[0]
+        excited = prep.hamiltonians[0].spectral.eigenvectors[:, -1]
         p = 0.36
         state = math.sqrt(p) * kernel + math.sqrt(1 - p) * excited
         rng = np.random.default_rng(12345)
         trials = 10_000
         hits = sum(
-            measure_zero_energy(state, h0, rng).label == "zero"
+            measure_zero_energy(state, kernel, rng).label == "zero"
             for _ in range(trials)
         )
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -90,12 +87,12 @@ class TestMeasureZeroEnergy:
 
     def test_repeated_measurement_is_stable(self):
         prep = _chain2_prepared(kappa_seed=5)
-        h1 = prep.hamiltonians[1]
+        kernel = prep.targets[1]
         rng = np.random.default_rng(7)
         state = prep.targets[0]
         for _ in range(20):
-            out = measure_zero_energy(state, h1, rng)
-            again = measure_zero_energy(out.state, h1, rng)
+            out = measure_zero_energy(state, kernel, rng)
+            again = measure_zero_energy(out.state, kernel, rng)
             assert again.label == out.label
             assert again.probability == pytest.approx(1.0, abs=1e-9)
             state = prep.targets[0]
@@ -104,8 +101,8 @@ class TestMeasureZeroEnergy:
         prep = _chain2_prepared(kappa_seed=6)
         rng = np.random.default_rng(8)
         state = prep.targets[0]
-        for h in prep.hamiltonians:
-            out = measure_zero_energy(state, h, rng)
+        for kernel in prep.targets:
+            out = measure_zero_energy(state, kernel, rng)
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -214,8 +211,7 @@ class TestJordanPlane:
         plane = jordan_plane_from_states(prep.targets[1], prep.targets[2])
         # measuring the next Hamiltonian from the perpendicular of the old
         # target must succeed with probability 1 - p
-        h2 = prep.hamiltonians[2]
-        out = measure_zero_energy(plane.psi_t_perp, h2, np.random.default_rng(0))
+        out = measure_zero_energy(plane.psi_t_perp, prep.targets[2], np.random.default_rng(0))
         prob_hit = out.probability if out.label == "zero" else 1 - out.probability
         assert prob_hit == pytest.approx(1.0 - plane.p, abs=1e-10)
 
@@ -224,8 +220,8 @@ class TestJordanPlane:
         prep = _chain2_prepared(kappa_seed=9)
         plane = jordan_plane_from_states(prep.targets[1], prep.targets[2])
         p = plane.p
-        kernel_old = prep.hamiltonians[1].kernel_basis()
-        kernel_new = prep.hamiltonians[2].kernel_basis()
+        kernel_old = prep.hamiltonians[1].spectral.kernel_basis()
+        kernel_new = prep.hamiltonians[2].spectral.kernel_basis()
 
         def branch_probability(state, kernel):
             return float(np.linalg.norm(kernel.conj().T @ state) ** 2)

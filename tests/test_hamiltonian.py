@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import ArpackNoConvergence
+
 from _helpers import CHAIN2, CHAIN3, RING4, random_instance
-from peps_forge import linalg, network
+from peps_forge import hamiltonian, linalg, network
+from peps_forge.dynamics import PreparedInstance, repair_loop_trials, run_algorithm
 from peps_forge.errors import (
     DegenerateGroundSpaceError,
     InvalidInputError,
@@ -158,8 +161,8 @@ class TestAssembleStep:
         tensors = [canonicalize(v, np.eye(g.register_dim(v))) for v in range(3)]
         h0 = assemble_step(g, tensors, 0)
         h_final = assemble_step(g, tensors, 3)
-        p0 = h0.kernel_basis()
-        p3 = h_final.kernel_basis()
+        p0 = h0.spectral.kernel_basis()
+        p3 = h_final.spectral.kernel_basis()
         assert p0.shape == p3.shape
         overlap = np.abs(p0.conj().T @ p3)
         assert overlap.max() >= 1.0 - 1e-10
@@ -266,6 +269,71 @@ class TestGroundAnalysis:
             ground_analysis(h)
 
 
+def _dense_free(h: LocalHamiltonian) -> bool:
+    """Neither the dense matrix nor its eigensystem has been built."""
+    return not {"global_matrix", "spectral"} & set(vars(h))
+
+
+class TestMatrixFree:
+    def test_apply_matches_global_matrix(self, fixture_zoo):
+        rng = np.random.default_rng(5)
+        for name, (_, _, graph, tensors) in fixture_zoo.items():
+            dim = graph.global_dim
+            for t in range(graph.num_vertices + 1):
+                h = assemble_step(graph, tensors, t)
+                x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                assert np.abs(h.apply(x) - h.global_matrix @ x).max() <= 1e-12, (name, t)
+
+    def test_apply_keeps_nonzero_single_register_terms(self):
+        graph, tensors = random_instance(CHAIN3, 2.0, 61)
+        terms = list(assemble_step(graph, tensors, 2).terms)
+        terms.append(penalty_term(1, np.diag([1.0, 0.0, 1.0, 0.0]), 3.0))
+        h = LocalHamiltonian(graph=graph, step=2, terms=terms)
+        x = np.random.default_rng(6).standard_normal(graph.global_dim) + 0j
+        assert np.abs(h.apply(x) - h.global_matrix @ x).max() <= 1e-12
+
+    def test_spectrum_matches_dense_oracle(self, fixture_zoo):
+        for name, (_, _, graph, tensors) in fixture_zoo.items():
+            for t in range(graph.num_vertices + 1):
+                h = assemble_step(graph, tensors, t)
+                ga = ground_analysis(h)
+                assert _dense_free(h), (name, t)
+                lam = h.spectral.eigenvalues
+                assert ga.lambda0 == pytest.approx(lam[0], abs=1e-8), (name, t)
+                assert ga.lambda1 == pytest.approx(lam[1], abs=1e-8), (name, t)
+                assert ga.gap == pytest.approx(lam[1] - lam[0], abs=1e-8), (name, t)
+
+    def test_two_fold_kernel_at_dim_64_rejected(self):
+        # chain of 4 (register dims 2, 4, 4, 2): edge (0, 1) is penalized only
+        # off span{|00>, |11>} of its bond pair, so the kernel is two-fold
+        g = InteractionGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+        assert g.global_dim == 64
+        loose = linalg.embed_term(np.diag([0.0, 1.0, 1.0, 0.0]), (0, 1), (2, 2, 2))
+        terms = [LocalTerm(support=(0, 1), matrix=loose, kind="parent")]
+        terms += [edge_term_on_registers(g, eid) for eid in (1, 2)]
+        h = LocalHamiltonian(graph=g, step=1, terms=terms)
+        with pytest.raises(DegenerateGroundSpaceError):
+            ground_analysis(h)
+        assert _dense_free(h)
+        assert np.count_nonzero(h.spectral.eigenvalues < 1e-9) == 2
+
+    def test_solver_failure_is_a_numerical_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(hamiltonian, "eigs", no_convergence)
+        graph, tensors = random_instance(CHAIN3, 2.0, 62)
+        with pytest.raises(NumericalFailureError):
+            ground_analysis(assemble_step(graph, tensors, 1))
+
+    def test_driver_builds_no_dense_matrix(self, fixture_zoo):
+        cfg, _, graph, tensors = fixture_zoo["grid2x2"]
+        prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+        run_algorithm(prep, cfg.eps, seed=3)
+        repair_loop_trials(prep, 1, 5, 20, seed=4)
+        assert all(_dense_free(h) for h in prep.hamiltonians)
+
+
 class TestHamiltonianExport:
     def test_terms_to_json_shape(self):
         graph, tensors = random_instance(CHAIN2, 2.0, 60)
@@ -286,6 +354,6 @@ class TestHamiltonianExport:
         _, _, graph, tensors = fixture_zoo["grid2x2"]
         h0 = assemble_step(graph, tensors, 0)
         state = network.pair_state(graph)
-        assert abs(h0.expectation(state)) <= 1e-12
+        assert np.linalg.norm(h0.apply(state)) <= 1e-12
         ga = ground_analysis(h0)
         assert abs(np.vdot(ga.ground_state, state)) ** 2 >= 1.0 - 1e-10

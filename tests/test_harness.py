@@ -92,6 +92,39 @@ class TestConfigSchema:
             parse_config(doc)
         assert err.value.location == location
 
+    @pytest.mark.parametrize(
+        "path,location",
+        [
+            (("tensors", "kappa_max"), "/tensors/kappa_max"),
+            (("c",), "/c"),
+            (("eps",), "/eps"),
+            (("tolerances", "zero_tol"), "/tolerances/zero_tol"),
+        ],
+    )
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_numbers_rejected(self, tmp_path, path, location, literal):
+        # Python's json reads these literals; the schema must not
+        doc = _minimal_doc()
+        doc["tolerances"] = {"zero_tol": 1e-9}
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = "PLACEHOLDER"
+        text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert err.value.location == location
+
+    def test_non_finite_explicit_entry_rejected(self):
+        cfg, _ = load_fixture("chain2")
+        doc = config_to_dict(cfg)
+        doc["tensors"]["entries"][1][1][0] = [float("nan"), 0.0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.location == "/tensors/entries/1/1/0"
+
     def test_ring_length_two_rejected(self):
         doc = _minimal_doc()
         doc["graph"] = {"topology": "ring", "length": 2}
