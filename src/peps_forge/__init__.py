@@ -47,7 +47,6 @@ from .hamiltonian import (
     GroundAnalysis,
     LocalHamiltonian,
     LocalTerm,
-    advance_step,
     assemble_step,
     edge_term,
     edge_term_on_registers,

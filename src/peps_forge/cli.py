@@ -78,6 +78,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_lemma1(args) -> int:
+    if args.trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {args.trials}")
     cfg = harness.load_config(args.config)
     if cfg.tensors.source == "random":
         tensor_seeds = [cfg.tensors.seed + i for i in range(args.trials)]

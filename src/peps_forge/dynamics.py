@@ -473,9 +473,10 @@ def cost_model_for_graph(
 class PreparedInstance:
     """Instance with every step Hamiltonian analyzed and every target known.
 
-    Building one runs the pre-flight required by the driver: each step
-    Hamiltonian must have a unique zero-energy ground state matching the
-    contraction oracle. Measurements then project onto the certified
+    Building one runs the pre-flight required by the driver: each step's
+    contraction target must be certified as the unique zero-energy ground
+    state of the step Hamiltonian (see :func:`ground_analysis`), which also
+    yields the step's gap. Measurements then project onto the certified
     targets, so no Hamiltonian is touched after preparation. The
     preparation is reusable across seeds.
     """
@@ -496,22 +497,16 @@ class PreparedInstance:
         self.hamiltonians: list[LocalHamiltonian] = [
             assemble_step(graph, tensors, t, c=c) for t in range(n + 1)
         ]
-        self.analyses: list[GroundAnalysis] = [
-            ground_analysis(h, zero_tol=zero_tol) for h in self.hamiltonians
-        ]
         self.targets: list[np.ndarray] = []
         self.z_values: list[float] = []
         for t in range(n + 1):
             psi, z = contract_partial(graph, tensors, t)
             self.targets.append(psi)
             self.z_values.append(z)
-        for t in range(n + 1):
-            fid = abs(np.vdot(self.analyses[t].ground_state, self.targets[t])) ** 2
-            if fid < 1.0 - 1e-9:
-                raise NumericalFailureError(
-                    f"step {t}: ground state disagrees with the contraction "
-                    f"oracle (fidelity {fid:.12f})"
-                )
+        self.analyses: list[GroundAnalysis] = [
+            ground_analysis(h, zero_tol=zero_tol, kernel=psi)
+            for h, psi in zip(self.hamiltonians, self.targets)
+        ]
         self.overlaps: list[float] = [
             float(abs(np.vdot(self.targets[t + 1], self.targets[t])) ** 2)
             for t in range(n)

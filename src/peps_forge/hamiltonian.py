@@ -21,11 +21,13 @@ other virtual factors of the two registers. This is the unique two-register
 projector family whose kernel is exactly the locally reachable subspace.
 
 The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
-computes ``H x`` term by term on the register tensor, and
-:func:`ground_analysis` finds the lowest two eigenvalues and the zero-energy
-state with ARPACK on that product. The dense ``global_matrix`` and its full
-eigensystem ``spectral`` remain as an independent oracle for tests at small
-dimension.
+computes ``H x`` with one matrix product per nonzero term on the register
+tensor. :func:`ground_analysis` certifies a given zero-energy state (the
+contraction target) by its residual ``||H psi||`` and finds the gap with one
+ARPACK solve on that product with the state deflated; called without a
+state, it first finds one with a second solve, as an independent oracle. The
+dense ``global_matrix`` and its full eigensystem ``spectral`` remain as an
+oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from . import linalg
@@ -50,6 +53,9 @@ from .network import InteractionGraph, PepsTensor, check_tensors
 
 #: Gram-matrix condition number beyond which an image basis is rejected
 GRAM_COND_LIMIT = 1e12
+
+#: largest certified infidelity between a zero-energy state and the kernel
+KERNEL_INFIDELITY_TOL = 1e-9
 
 TERM_KINDS = ("edge_pair", "parent", "boundary", "penalty")
 
@@ -203,6 +209,23 @@ class LocalHamiltonian:
         self.graph = graph
         self.step = step
         self.terms = tuple(sorted(terms, key=_term_sort_key))
+        # per nonzero term: the transposed matrix, the support-first register
+        # permutation, the permuted register shape and the inverse permutation
+        dims = graph.register_dims
+        self._plan = []
+        for term in self.terms:
+            if not term.matrix.any():
+                continue
+            rest = [r for r in range(len(dims)) if r not in term.support]
+            perm = [*term.support, *rest]
+            self._plan.append(
+                (
+                    np.ascontiguousarray(term.matrix, dtype=complex).T,
+                    perm,
+                    [dims[r] for r in perm],
+                    np.argsort(perm),
+                )
+            )
 
     @cached_property
     def global_matrix(self) -> np.ndarray:
@@ -221,21 +244,22 @@ class LocalHamiltonian:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``H @ x`` summed term by term on the register tensor.
 
-        Each term is contracted with its support registers by ``tensordot``
-        at O(N r_u r_v) cost. Identically zero terms, such as the penalty
-        terms of the canonical gauge, are skipped.
+        Each nonzero term costs one transpose-copy of the state with its
+        support registers first, one matrix product at O(N r_u r_v), and one
+        transposed add. Identically zero terms, such as the penalty terms of
+        the canonical gauge, were dropped when the Hamiltonian was built.
         """
-        dims = self.graph.register_dims
-        tensor = np.asarray(x, dtype=complex).reshape(dims)
+        tensor = np.asarray(x, dtype=complex).reshape(self.graph.register_dims)
         out = np.zeros_like(tensor)
-        for term in self.terms:
-            if not term.matrix.any():
-                continue
-            support = list(term.support)
-            k = len(support)
-            op = term.matrix.reshape([dims[s] for s in support] * 2)
-            y = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), support))
-            out += np.moveaxis(y, list(range(k)), support)
+        for op_t, perm, shape, inverse in self._plan:
+            block = tensor.transpose(perm).reshape(len(op_t), -1)
+            # (M @ block).T = block.T @ M.T on F-contiguous views, no copies.
+            # scipy's zgemm rather than numpy's matmul: numpy and scipy each
+            # bundle their own OpenBLAS, and ARPACK runs on scipy's; with
+            # both products on one pool, the other pool's idle threads do not
+            # spin against it between matrix-vector products.
+            product = zgemm(1.0, block.T, op_t)
+            out += product.T.reshape(shape).transpose(inverse)
         return out.reshape(-1)
 
 
@@ -273,36 +297,6 @@ def assemble_step(
     return LocalHamiltonian(graph=g, step=t, terms=terms)
 
 
-def advance_step(
-    g: InteractionGraph,
-    tensors: list[PepsTensor],
-    prev: LocalHamiltonian,
-    c: float = 1.0,
-) -> LocalHamiltonian:
-    """Incrementally update ``prev`` by processing the next vertex in order.
-
-    Removes every term touching the vertex's incident edges and replaces
-    them with parent terms built from its positive map, then adds the
-    vertex's penalty term. Produces term-for-term the same Hamiltonian as
-    :func:`assemble_step` at ``prev.step + 1``.
-    """
-    t = prev.step
-    if t >= g.num_vertices:
-        raise InvalidInputError(f"cannot advance past step {g.num_vertices}")
-    v = g.order[t]
-    incident = set(g.incident_edges(v))
-    kept = [
-        term
-        for term in prev.terms
-        if term.kind == "penalty" or g.edge_id(*term.support) not in incident
-    ]
-    processed = frozenset(g.order[: t + 1])
-    new_terms = [parent_term(g, tensors, eid, processed) for eid in sorted(incident)]
-    r = g.register_dim(v)
-    new_terms.append(penalty_term(v, np.eye(r, dtype=complex), c))
-    return LocalHamiltonian(graph=g, step=t + 1, terms=kept + new_terms)
-
-
 def _lowest_eigenpair(dim: int, matvec) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit eigenvector of a Hermitian operator.
 
@@ -323,29 +317,45 @@ def _lowest_eigenpair(dim: int, matvec) -> tuple[float, np.ndarray]:
     return float(w[0].real) - 1.0, v[:, 0] / np.linalg.norm(v[:, 0])
 
 
-def ground_analysis(h: LocalHamiltonian, zero_tol: float = ZERO_TOL) -> GroundAnalysis:
-    """Lowest two eigenvalues and the zero-energy state, matrix-free.
+def ground_analysis(
+    h: LocalHamiltonian, zero_tol: float = ZERO_TOL, kernel: np.ndarray | None = None
+) -> GroundAnalysis:
+    """Certified zero-energy state and gap, matrix-free.
 
-    ``lambda0`` and its eigenvector ``psi0`` come from a Krylov solve on
-    :meth:`LocalHamiltonian.apply`; ``lambda1`` from a second solve with
-    ``psi0`` deflated, ``(1 - P) H (1 - P) + s P`` with ``P = |psi0><psi0|``
-    and ``s`` above ``||H||``. A second zero-energy state then appears as
+    ``kernel`` is a candidate zero-energy state, such as the contraction
+    target of the step; without one, ``psi0`` comes from a Krylov solve on
+    :meth:`LocalHamiltonian.apply` (the independent oracle path). Either
+    way the state ``psi`` must have residual ``r = ||H psi|| <= zero_tol``,
+    and ``lambda0`` is its energy. ``lambda1`` comes from one solve with
+    ``psi`` deflated, ``(1 - P) H (1 - P) + s P`` with ``P = |psi><psi|``
+    and ``s`` above ``||H||``: a second zero-energy state then appears as
     the deflated operator's lowest eigenvalue, which a single-vector
-    two-eigenvalue solve can miss.
+    two-eigenvalue solve can miss. Since ``lambda1`` is at most the second
+    eigenvalue of ``H``, ``(r / lambda1)**2`` bounds the infidelity between
+    ``psi`` and the true kernel vector; it must not exceed
+    :data:`KERNEL_INFIDELITY_TOL`.
 
-    Raises :class:`NumericalFailureError` when the ground energy is not
-    zero (the parent construction guarantees a zero-energy kernel) or the
-    solver fails, and :class:`DegenerateGroundSpaceError` when the kernel
-    is degenerate, which means the injectivity assumption fails for this
-    instance and vertex order.
+    Raises :class:`NumericalFailureError` when the state is not a
+    zero-energy state (the parent construction guarantees one), the
+    infidelity bound fails or the solver fails, and
+    :class:`DegenerateGroundSpaceError` when the kernel is degenerate,
+    which means the injectivity assumption fails for this instance and
+    vertex order.
     """
     dim = h.graph.global_dim
     check_dim(dim, f"Hamiltonian at step {h.step}")
-    lambda0, psi = _lowest_eigenpair(dim, h.apply)
-    if lambda0 >= zero_tol:
+    if kernel is None:
+        _, psi = _lowest_eigenpair(dim, h.apply)
+    else:
+        psi = np.asarray(kernel, dtype=complex)
+        psi = psi / np.linalg.norm(psi)
+    h_psi = h.apply(psi)
+    residual = float(np.linalg.norm(h_psi))
+    if residual > zero_tol:
         raise NumericalFailureError(
-            f"step {h.step}: ground energy {lambda0:.3e} is not zero"
+            f"step {h.step}: no zero-energy state (residual ||H psi|| = {residual:.3e})"
         )
+    lambda0 = float(np.vdot(psi, h_psi).real)
     s = 1.0 + sum(np.linalg.norm(term.matrix, 2) for term in h.terms)  # > ||H||
 
     def deflated(x: np.ndarray) -> np.ndarray:
@@ -359,6 +369,12 @@ def ground_analysis(h: LocalHamiltonian, zero_tol: float = ZERO_TOL) -> GroundAn
             f"step {h.step}: ground space is degenerate (second eigenvalue "
             f"{lambda1:.3e}); the intermediate state is not unique for this "
             "vertex order"
+        )
+    infidelity = (residual / lambda1) ** 2
+    if infidelity > KERNEL_INFIDELITY_TOL:
+        raise NumericalFailureError(
+            f"step {h.step}: zero-energy state is certified only to infidelity "
+            f"{infidelity:.3e} (residual {residual:.3e}, gap {lambda1:.3e})"
         )
     return GroundAnalysis(
         lambda0=lambda0,

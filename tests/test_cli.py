@@ -127,6 +127,22 @@ class TestVerifyCommands:
         assert doc["passed"] is True
         assert doc["min_overlap_margin"] >= -1e-10
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_lemma1_trials_below_one_invalid(self, capsys, tmp_path, trials):
+        config = {
+            "graph": {"topology": "chain", "length": 3},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 5.0, "seed": 3},
+            "seed": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli(
+            capsys, "verify-lemma1", "--config", str(path), "--trials", trials
+        )
+        assert code == 2
+        assert out == ""
+
     def test_lemma1_random_instances(self, capsys, tmp_path):
         config = {
             "graph": {"topology": "chain", "length": 3},

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-from _helpers import CHAIN2, CHAIN3, RING4, random_instance
+from _helpers import CHAIN2, CHAIN3, RING4, random_complex, random_instance
 from peps_forge import hamiltonian, linalg, network
 from peps_forge.dynamics import PreparedInstance, repair_loop_trials, run_algorithm
 from peps_forge.errors import (
@@ -20,7 +20,6 @@ from peps_forge.errors import (
 from peps_forge.hamiltonian import (
     LocalHamiltonian,
     LocalTerm,
-    advance_step,
     assemble_step,
     edge_term,
     edge_term_on_registers,
@@ -190,20 +189,6 @@ class TestAssembleStep:
             assert len(h.terms) == len(graph.edges) + t
             assert h.step == t
 
-    @pytest.mark.parametrize("spec,kappa,seed", [(CHAIN3, 3.0, 43), (RING4, 2.0, 44)])
-    def test_incremental_matches_scratch(self, spec, kappa, seed):
-        graph, tensors = random_instance(spec, kappa, seed)
-        current = assemble_step(graph, tensors, 0)
-        for t in range(1, graph.num_vertices + 1):
-            current = advance_step(graph, tensors, current)
-            scratch = assemble_step(graph, tensors, t)
-            assert [t_.support for t_ in current.terms] == [
-                t_.support for t_ in scratch.terms
-            ]
-            assert _kinds(current) == _kinds(scratch)
-            for a, b in zip(current.terms, scratch.terms):
-                assert np.abs(a.matrix - b.matrix).max() <= 1e-12
-
     def test_custom_order_bookkeeping(self):
         graph, tensors = random_instance(CHAIN3, 2.0, 45, order=(2, 0, 1))
         h1 = assemble_step(graph, tensors, 1)
@@ -293,15 +278,22 @@ class TestMatrixFree:
         assert np.abs(h.apply(x) - h.global_matrix @ x).max() <= 1e-12
 
     def test_spectrum_matches_dense_oracle(self, fixture_zoo):
+        # the certified contraction target and the searched ground state give
+        # the same spectrum as the dense oracle and the same state
         for name, (_, _, graph, tensors) in fixture_zoo.items():
             for t in range(graph.num_vertices + 1):
                 h = assemble_step(graph, tensors, t)
-                ga = ground_analysis(h)
+                target, _ = network.contract_partial(graph, tensors, t)
+                searched = ground_analysis(h)
+                certified = ground_analysis(h, kernel=target)
                 assert _dense_free(h), (name, t)
                 lam = h.spectral.eigenvalues
-                assert ga.lambda0 == pytest.approx(lam[0], abs=1e-8), (name, t)
-                assert ga.lambda1 == pytest.approx(lam[1], abs=1e-8), (name, t)
-                assert ga.gap == pytest.approx(lam[1] - lam[0], abs=1e-8), (name, t)
+                for ga in (searched, certified):
+                    assert ga.lambda0 == pytest.approx(lam[0], abs=1e-8), (name, t)
+                    assert ga.lambda1 == pytest.approx(lam[1], abs=1e-8), (name, t)
+                    assert ga.gap == pytest.approx(lam[1] - lam[0], abs=1e-8), (name, t)
+                fid = abs(np.vdot(searched.ground_state, certified.ground_state)) ** 2
+                assert fid >= 1.0 - 1e-9, (name, t)
 
     def test_two_fold_kernel_at_dim_64_rejected(self):
         # chain of 4 (register dims 2, 4, 4, 2): edge (0, 1) is penalized only
@@ -314,6 +306,9 @@ class TestMatrixFree:
         h = LocalHamiltonian(graph=g, step=1, terms=terms)
         with pytest.raises(DegenerateGroundSpaceError):
             ground_analysis(h)
+        # the pair state is one of the two kernel vectors
+        with pytest.raises(DegenerateGroundSpaceError):
+            ground_analysis(h, kernel=network.pair_state(g))
         assert _dense_free(h)
         assert np.count_nonzero(h.spectral.eigenvalues < 1e-9) == 2
 
@@ -332,6 +327,44 @@ class TestMatrixFree:
         run_algorithm(prep, cfg.eps, seed=3)
         repair_loop_trials(prep, 1, 5, 20, seed=4)
         assert all(_dense_free(h) for h in prep.hamiltonians)
+
+
+class TestCertifiedKernel:
+    def test_preparation_runs_one_solve_per_step(self, monkeypatch, fixture_zoo):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, "eigs", counted)
+        for name, (cfg, _, graph, tensors) in fixture_zoo.items():
+            calls.clear()
+            PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+            assert len(calls) == graph.num_vertices + 1, name
+
+    def test_next_target_is_not_certified(self, prepared_zoo):
+        checked = 0
+        for name, prep in prepared_zoo.items():
+            for t, overlap in enumerate(prep.overlaps):
+                if overlap > 1.0 - 1e-6:
+                    continue  # the vertex map leaves the target unchanged
+                with pytest.raises(NumericalFailureError):
+                    ground_analysis(prep.hamiltonians[t], kernel=prep.targets[t + 1])
+                checked += 1
+        assert checked > 0
+
+    def test_loose_certificate_rejected(self):
+        graph, tensors = random_instance(CHAIN3, 3.0, 63)
+        h = assemble_step(graph, tensors, 2)
+        target, _ = network.contract_partial(graph, tensors, 2)
+        noise = random_complex(graph.global_dim, 1, np.random.default_rng(8))[:, 0]
+        kernel = target + 1e-3 * noise / np.linalg.norm(noise)
+        # the residual (~1e-3) passes zero_tol = 1e-2, but bounds 1 - fidelity
+        # only by ~(1e-3 / gap)^2, far above the certified 1e-9
+        assert 1e-4 < np.linalg.norm(h.apply(kernel)) < 1e-2
+        with pytest.raises(NumericalFailureError, match="infidelity"):
+            ground_analysis(h, zero_tol=1e-2, kernel=kernel)
 
 
 class TestHamiltonianExport:
