@@ -17,13 +17,11 @@ from .dynamics import (
     VertexRecord,
     cost_model,
     cost_model_for_graph,
-    jordan_plane,
     jordan_plane_from_states,
     markov_exact_distribution,
     markov_simulate,
     markov_trials,
     measure_zero_energy,
-    overlap_p,
     p_fail_bound,
     p_term,
     required_alternations,
@@ -60,7 +58,6 @@ from .harness import (
     SweepResult,
     SweepRow,
     build_instance,
-    generate_random_injective,
     load_config,
     load_fixture,
     parse_config,
@@ -70,11 +67,8 @@ from .harness import (
 from .linalg import (
     SingularDecomposition,
     SpectralDecomposition,
-    condition_number,
     embed_term,
     hermitian_eig,
-    kernel_projector,
-    kron,
     polar_decompose,
     svd,
 )
@@ -86,7 +80,6 @@ from .network import (
     pair_state,
     peps_state,
     restore_gauge,
-    z_ratio_bound,
 )
 
 __version__ = "0.1.0"

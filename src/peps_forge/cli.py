@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default: config seed)")
     p_sweep.add_argument("--mode", choices=harness.MODES, default="bounded")
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="must be >= 1; no effect, trials run serially"
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_l1 = sub.add_parser("verify-lemma1", help="overlap and norm-ratio bounds")

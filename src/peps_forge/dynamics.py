@@ -6,10 +6,16 @@ state is the target. A binary energy measurement of the next Hamiltonian
 either lands in the target (probability at least the inverse squared
 condition number of the newly applied map) or is undone by re-measuring the
 current Hamiltonian and retried. Because both zero-energy states live in a
-single two-dimensional invariant plane, the repair loop is a four-state
-Markov chain with closed-form termination statistics; this module provides
-the exact simulation, the plane construction, the closed forms, and the
-end-to-end driver with cost accounting.
+single two-dimensional invariant plane (Jordan's lemma), the repair loop is
+a four-state Markov chain whose only parameter is the certified overlap
+``p`` of the two targets, with closed-form termination statistics.
+
+The end-to-end driver runs that chain directly: one scalar
+:func:`markov_simulate` per vertex, with no state vectors. The
+full-Hilbert-space measurement (:func:`measure_zero_energy`) and repair
+loop (:func:`repair_loop_trials`) stay as the independent oracle the chain
+is tested against. This module also provides the plane construction, the
+closed forms and the cost accounting.
 """
 
 from __future__ import annotations
@@ -92,15 +98,6 @@ def measure_zero_energy(
     return MeasurementOutcome(
         label="nonzero", probability=p_nonzero, state=resid / math.sqrt(p_nonzero)
     )
-
-
-def overlap_p(g: InteractionGraph, tensors: list[PepsTensor], t: int) -> float:
-    """Squared overlap between the step-``t`` and step-``t+1`` target states."""
-    if not 0 <= t < g.num_vertices:
-        raise InvalidInputError(f"step {t} out of range 0..{g.num_vertices - 1}")
-    psi_t, _ = contract_partial(g, tensors, t)
-    psi_next, _ = contract_partial(g, tensors, t + 1)
-    return float(abs(np.vdot(psi_next, psi_t)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -260,17 +257,6 @@ def jordan_plane_from_states(
     )
 
 
-def jordan_plane(
-    g: InteractionGraph, tensors: list[PepsTensor], t: int
-) -> JordanPlane:
-    """Invariant plane of the step-``t`` and step-``t+1`` target states."""
-    if not 0 <= t < g.num_vertices:
-        raise InvalidInputError(f"step {t} out of range 0..{g.num_vertices - 1}")
-    psi_t, _ = contract_partial(g, tensors, t)
-    psi_next, _ = contract_partial(g, tensors, t + 1)
-    return jordan_plane_from_states(psi_t, psi_next)
-
-
 def _check_p(p: float) -> float:
     p = float(p)
     if not 0.0 < p <= 1.0:
@@ -313,32 +299,59 @@ def p_fail_bound(p: float, m: float) -> float:
     return bound
 
 
+def _lands(prob: float, rng: np.random.Generator, zero_tol: float) -> bool:
+    """One binary measurement in the plane, with the rules of :func:`measure_zero_energy`."""
+    draw = rng.random()
+    if prob <= zero_tol:
+        return False
+    if 1.0 - prob <= zero_tol:
+        return True
+    return draw < prob
+
+
 def markov_simulate(
-    p: float, max_alternations: int, rng: np.random.Generator
-) -> tuple[bool, int]:
-    """One trajectory of the four-state repair chain.
+    p: float,
+    max_alternations: int | None,
+    rng: np.random.Generator,
+    zero_tol: float = ZERO_TOL,
+) -> tuple[str, ...]:
+    """One trajectory of the four-state repair chain at overlap ``p``.
 
     Starts at the current target, measures the next Hamiltonian, and
-    alternates undo/retry until the new target is hit or the alternation
-    budget is exhausted. Returns (terminated, measurements used); the count
-    includes the first measurement and is at most ``2 * max_alternations + 1``.
+    alternates undo/retry until the new target is hit or
+    ``max_alternations`` undo/retry pairs are spent (``None``: until the
+    target is hit). The first measurement lands with probability ``p``; an
+    undo lands back on the old target with probability ``1 - p``; a retry
+    lands with ``p`` after an undo that landed and ``1 - p`` after one that
+    missed. Returns the outcome labels (``'zero'`` = landed,
+    ``'nonzero'`` = missed), first measurement first.
+
+    Each measurement consumes exactly one uniform variate and follows the
+    ``zero_tol`` rules of :func:`measure_zero_energy`, so on the same
+    generator the labels equal those of the full-space loop on the two
+    targets whose squared overlap is ``p``. A chain with ``p <= zero_tol``
+    never lands, so it needs a finite cap.
     """
-    p = _check_p(p)
-    if max_alternations < 0:
+    p = float(p)
+    if not 0.0 <= p <= 1.0 + zero_tol:
+        raise InvalidInputError(f"transition probability must be in [0, 1], got {p}")
+    if max_alternations is None:
+        if p <= zero_tol:
+            raise OrthogonalTargetsError(
+                f"overlap {p:.3e} is below zero_tol {zero_tol:.1e}: "
+                "the repair loop would never terminate"
+            )
+    elif max_alternations < 0:
         raise InvalidInputError("max_alternations must be >= 0")
-    if rng.random() < p:
-        return True, 1
-    used = 1
-    for _ in range(max_alternations):
-        # undo: from the failed branch, land back on the old target w.p. 1-p
-        on_old_target = rng.random() < 1.0 - p
-        used += 1
-        # retry: hit the new target w.p. p from the old target, 1-p otherwise
-        hit = rng.random() < (p if on_old_target else 1.0 - p)
-        used += 1
-        if hit:
-            return True, used
-    return False, used
+    hit = _lands(p, rng, zero_tol)
+    outcomes = ["zero" if hit else "nonzero"]
+    alternations = 0
+    while not hit and (max_alternations is None or alternations < max_alternations):
+        on_old_target = _lands(1.0 - p, rng, zero_tol)
+        hit = _lands(p if on_old_target else 1.0 - p, rng, zero_tol)
+        outcomes += ["zero" if on_old_target else "nonzero", "zero" if hit else "nonzero"]
+        alternations += 1
+    return tuple(outcomes)
 
 
 def markov_trials(
@@ -476,9 +489,13 @@ class PreparedInstance:
     Building one runs the pre-flight required by the driver: each step's
     contraction target must be certified as the unique zero-energy ground
     state of the step Hamiltonian (see :func:`ground_analysis`), which also
-    yields the step's gap. Measurements then project onto the certified
-    targets, so no Hamiltonian is touched after preparation. The
-    preparation is reusable across seeds.
+    yields the step's gap. The certified overlaps ``p_t`` of consecutive
+    targets are then all a run needs: :func:`run_algorithm` runs the
+    four-state chain on them and touches no Hamiltonian or state vector.
+    Every successful run ends in the last target, so its fidelity with the
+    directly contracted state, ``|<restore_gauge(psi_n)|reference_state>|^2``,
+    is computed here once as ``fidelity``. The preparation is reusable
+    across seeds.
     """
 
     def __init__(
@@ -515,6 +532,8 @@ class PreparedInstance:
         self.gaps: list[float] = [a.gap for a in self.analyses]
         self.min_gap: float = min(self.gaps)
         self.reference_state: np.ndarray = peps_state(graph, tensors)
+        restored = restore_gauge(graph, self.tensors, self.targets[n])
+        self.fidelity: float = float(abs(np.vdot(restored, self.reference_state)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -574,7 +593,13 @@ def run_algorithm(
     after the alternation cap (default from :func:`required_alternations`)
     and reports failure; ``until_success`` loops as long as needed. Every
     binary energy measurement, including the first per vertex, is counted.
-    Deterministic given ``seed``.
+
+    The measurements never leave the plane of the two certified targets, so
+    each vertex is one :func:`markov_simulate` chain at the overlap
+    ``prepared.overlaps[t]`` on its own stream ``_vertex_rng(seed, t)``; no
+    state vector is built. A successful run ends in the last target and
+    reports the instance constant ``prepared.fidelity``. Deterministic given
+    ``seed``.
     """
     if mode not in ("bounded", "until_success"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -589,44 +614,24 @@ def run_algorithm(
     else:
         cap = None
 
-    state = prepared.targets[0]
     records: list[VertexRecord] = []
     total = 0
     success = True
-    zero_tol = prepared.zero_tol
     for t in range(n):
-        rng = _vertex_rng(seed, t)
-        psi_prev = prepared.targets[t]
-        psi_next = prepared.targets[t + 1]
-        out = measure_zero_energy(state, psi_next, rng, zero_tol)
-        first_shot = (
-            out.probability if out.label == "zero" else 1.0 - out.probability
-        )
-        outcomes = [out.label]
-        state = out.state
-        alternations = 0
-        vertex_ok = out.label == "zero"
-        while out.label == "nonzero":
-            if cap is not None and alternations >= cap:
-                break
-            undo = measure_zero_energy(state, psi_prev, rng, zero_tol)
-            outcomes.append(undo.label)
-            out = measure_zero_energy(undo.state, psi_next, rng, zero_tol)
-            outcomes.append(out.label)
-            state = out.state
-            alternations += 1
-            vertex_ok = out.label == "zero"
+        p = prepared.overlaps[t]
+        outcomes = markov_simulate(p, cap, _vertex_rng(seed, t), prepared.zero_tol)
+        vertex_ok = outcomes[-1] == "zero"
         total += len(outcomes)
         vertex = g.order[t]
         records.append(
             VertexRecord(
                 step=t,
                 vertex=vertex,
-                outcomes=tuple(outcomes),
+                outcomes=outcomes,
                 measurements=len(outcomes),
-                alternations=alternations,
-                first_shot_probability=first_shot,
-                overlap=prepared.overlaps[t],
+                alternations=(len(outcomes) - 1) // 2,
+                first_shot_probability=p,
+                overlap=p,
                 kappa=prepared.tensors[vertex].kappa,
                 gap=prepared.gaps[t + 1],
                 succeeded=vertex_ok,
@@ -635,10 +640,6 @@ def run_algorithm(
         if not vertex_ok:
             success = False
             break
-    fidelity: float | None = None
-    if success:
-        restored = restore_gauge(g, prepared.tensors, state)
-        fidelity = float(abs(np.vdot(restored, prepared.reference_state)) ** 2)
     return RunReport(
         seed=int(seed),
         mode=mode,
@@ -648,7 +649,7 @@ def run_algorithm(
         min_gap=prepared.min_gap,
         gaps=tuple(prepared.gaps),
         success=success,
-        fidelity=fidelity,
+        fidelity=prepared.fidelity if success else None,
         total_measurements=total,
         vertices=tuple(records),
     )
@@ -703,6 +704,10 @@ def verify_failure_tail(
     of ``p_grid`` and ``m_grid``, and ``p_fail(p, s/p) <= 1/(2 e s)`` on the
     product of ``p_grid_s`` (default ``p_grid``) and ``s_grid``. Returns
     margin statistics; raises :class:`BoundViolationError` on any violation.
+
+    The second inequality is tight wherever ``1 - p = 1/(2s)``, so its
+    smallest margin is reported with the first ``[p, s]`` attaining it and
+    the ``tol`` by which a margin may fall below zero.
     """
     if p_grid_s is None:
         p_grid_s = p_grid
@@ -712,6 +717,7 @@ def verify_failure_tail(
             bound = p_fail_bound(p, m)  # raises if the closed form exceeds it
             min_margin = min(min_margin, bound - (1.0 - p_term(p, int(m))))
     min_s_margin = math.inf
+    argmin = None
     for p in p_grid_s:
         for s in s_grid:
             bound = p_fail_bound(p, s / p)
@@ -722,10 +728,13 @@ def verify_failure_tail(
                     f"failure tail {bound:.3e} exceeds 1/(2es) = {limit:.3e} "
                     f"at p={p}, s={s}"
                 )
-            min_s_margin = min(min_s_margin, margin)
+            if margin < min_s_margin:
+                min_s_margin, argmin = margin, [p, s]
     return {
         "pairs_checked": len(p_grid) * len(m_grid),
         "s_pairs_checked": len(p_grid_s) * len(s_grid),
         "min_exp_bound_margin": min_margin,
         "min_s_bound_margin": min_s_margin,
+        "min_s_bound_argmin": argmin,
+        "tol": tol,
     }

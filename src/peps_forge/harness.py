@@ -13,12 +13,11 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .dynamics import (
     PreparedInstance,
@@ -400,20 +399,6 @@ def random_injective_matrix(
     return (left * sigmas) @ right.conj().T
 
 
-def generate_random_injective(
-    phys_dim: int,
-    bond_dim: int,
-    degree: int,
-    kappa_max: float,
-    rng: np.random.Generator,
-    vertex: int = 0,
-) -> PepsTensor:
-    """Sample one canonicalized injective vertex map for a degree-``k`` vertex."""
-    return canonicalize(
-        vertex, random_injective_matrix(phys_dim, bond_dim**degree, kappa_max, rng)
-    )
-
-
 def _tensor_rng(seed: int, vertex: int) -> np.random.Generator:
     # spawn-key namespace 1 = tensor generation (0 = measurement streams)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, vertex)))
@@ -579,9 +564,9 @@ def sweep(
 
     Trial ``i`` uses seed ``base_seed + i`` (default base: the config seed),
     so any row can be reproduced with a single ``run`` at its listed seed.
-    Trials are independent; with ``jobs > 1`` they execute on a thread pool
-    and the rows are sorted afterwards, so the output does not depend on
-    scheduling.
+    Trials run serially in seed order. ``jobs`` must be >= 1 and has no
+    effect: a trial is a short scalar loop in the interpreter, which a
+    thread pool slows down rather than speeds up.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
@@ -611,13 +596,7 @@ def sweep(
             gaps=tuple(prepared.gaps),
         )
 
-    seeds = [start + i for i in range(trials)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(s) for s in seeds]
-    rows.sort(key=lambda r: (r.instance, r.seed))
+    rows = [one(start + i) for i in range(trials)]
     successes = sum(r.success for r in rows)
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
@@ -732,15 +711,15 @@ def chi_square_vs_markov(
         del obs_list[-1], exp_list[-1]
     exp_arr = np.asarray(exp_list, dtype=float)
     exp_arr *= sum(obs_list) / exp_arr.sum()
-    chi2, pvalue = stats.chisquare(np.asarray(obs_list, dtype=float), exp_arr)
+    chi2 = float(np.sum((np.asarray(obs_list, dtype=float) - exp_arr) ** 2 / exp_arr))
     return {
         "overlap": p,
         "trials": trials,
         "bins": len(obs_list),
         "observed": obs_list,
         "expected": exp_arr.tolist(),
-        "chi2": float(chi2),
-        "pvalue": float(pvalue),
+        "chi2": chi2,
+        "pvalue": float(chdtrc(len(obs_list) - 1, chi2)),
     }
 
 

@@ -1,14 +1,14 @@
 """Dense complex linear-algebra kernel.
 
 All higher-level modules funnel their numerics through the handful of
-operations here: SVD, Hermitian eigendecomposition, polar decomposition,
-kernel projectors and register embeddings. Matrices are plain complex
+operations here: SVD, Hermitian eigendecomposition, polar decomposition
+and register embeddings. Matrices are plain complex
 ``numpy`` arrays; every function validates its preconditions and raises a
 typed error instead of propagating raw LAPACK failures.
 
 Index convention: a tensor product of registers is flattened in mixed-radix
 order with register 0 as the most significant digit. ``numpy.kron`` follows
-the same convention, so ``kron(a, b)`` acts on registers ``(0, 1)``.
+the same convention, so ``numpy.kron(a, b)`` acts on registers ``(0, 1)``.
 """
 
 from __future__ import annotations
@@ -143,41 +143,6 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     psd = (dec.vh.conj().T * dec.sigma) @ dec.vh
     psd = (psd + psd.conj().T) / 2
     return isometry, psd
-
-
-def condition_number(a: np.ndarray) -> float:
-    """Ratio of the largest to the smallest singular value.
-
-    Raises :class:`InjectivityError` when the smallest singular value is
-    below the rank tolerance.
-    """
-    dec = svd(a)
-    if dec.sigma_min <= RANK_RTOL * dec.sigma_max or dec.sigma_max == 0.0:
-        raise InjectivityError(
-            f"condition number undefined for rank-deficient matrix: "
-            f"sigma_min={dec.sigma_min:.3e}, sigma_max={dec.sigma_max:.3e}"
-        )
-    return dec.sigma_max / dec.sigma_min
-
-
-def kernel_projector(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue < zero_tol.
-
-    ``h`` must be Hermitian and positive semidefinite within tolerance.
-    """
-    dec = hermitian_eig(h)
-    scale = max(1.0, float(abs(dec.eigenvalues[-1])))
-    if dec.eigenvalues[0] < -zero_tol * scale:
-        raise InvalidInputError(
-            f"matrix is not PSD: smallest eigenvalue {dec.eigenvalues[0]:.3e}"
-        )
-    basis = dec.kernel_basis(zero_tol)
-    return basis @ basis.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor is the most significant register."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _embedding_layout(

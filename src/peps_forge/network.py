@@ -26,7 +26,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    BoundViolationError,
     GaugeRestoreError,
     InjectivityError,
     InvalidInputError,
@@ -314,29 +313,6 @@ def contract_partial(
             f"partial contraction collapsed to zero norm at prefix {num_processed}"
         )
     return state / math.sqrt(z), z
-
-
-def z_ratio_bound(
-    g: InteractionGraph, tensors: list[PepsTensor], t: int, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Ratio of consecutive squared norms and its proven lower bound.
-
-    The ratio ``z_{t+1}/z_t`` can never drop below the squared smallest
-    singular value of the map applied at step ``t+1``; a violation indicates
-    an implementation bug and raises :class:`BoundViolationError`.
-    """
-    if not 0 <= t < g.num_vertices:
-        raise InvalidInputError(f"step {t} out of range 0..{g.num_vertices - 1}")
-    _, z_t = contract_partial(g, tensors, t)
-    _, z_next = contract_partial(g, tensors, t + 1)
-    ratio = z_next / z_t
-    bound = tensors[g.order[t]].sigma_min ** 2
-    if ratio < bound - tol:
-        raise BoundViolationError(
-            f"norm-ratio bound violated at step {t}: ratio={ratio:.12e} < "
-            f"sigma_min^2={bound:.12e}"
-        )
-    return ratio, bound
 
 
 def restore_gauge(

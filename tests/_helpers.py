@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from peps_forge.dynamics import (
+    PreparedInstance,
+    _vertex_rng,
+    measure_zero_energy,
+    required_alternations,
+)
 from peps_forge.harness import (
     GraphSpec,
     InstanceConfig,
     TensorSpec,
     build_instance,
 )
+from peps_forge.network import restore_gauge
 
 CHAIN2 = GraphSpec(topology="chain", length=2)
 CHAIN3 = GraphSpec(topology="chain", length=3)
@@ -59,3 +68,74 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(random_complex(n, n, rng))
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases.conj()
+
+
+@dataclass(frozen=True)
+class VectorRun:
+    """What the full-space reference driver observed in one run."""
+
+    outcomes: tuple[tuple[str, ...], ...]
+    first_shot_probabilities: tuple[float, ...]
+    success: bool
+    total_measurements: int
+    fidelity: float | None
+
+
+def vector_driver(
+    prepared: PreparedInstance,
+    eps: float,
+    seed: int,
+    mode: str = "bounded",
+    max_alternations: int | None = None,
+) -> VectorRun:
+    """Reference driver on state vectors: every measurement is a projection.
+
+    Carries the register state through :func:`measure_zero_energy` on the
+    certified targets with the per-vertex streams of ``run_algorithm``, and
+    restores the gauge of the final state, as the driver did before it ran
+    in the plane.
+    """
+    n = prepared.graph.num_vertices
+    if max_alternations is not None:
+        cap = max_alternations
+    elif mode == "bounded":
+        _, cap = required_alternations(prepared.kappa_max, n, eps)
+    else:
+        cap = None
+    zero_tol = prepared.zero_tol
+    state = prepared.targets[0]
+    outcomes, first_shots = [], []
+    total = 0
+    success = True
+    for t in range(n):
+        rng = _vertex_rng(seed, t)
+        psi_prev, psi_next = prepared.targets[t], prepared.targets[t + 1]
+        out = measure_zero_energy(state, psi_next, rng, zero_tol)
+        first_shots.append(
+            out.probability if out.label == "zero" else 1.0 - out.probability
+        )
+        labels = [out.label]
+        state = out.state
+        alternations = 0
+        while out.label == "nonzero" and (cap is None or alternations < cap):
+            undo = measure_zero_energy(state, psi_prev, rng, zero_tol)
+            out = measure_zero_energy(undo.state, psi_next, rng, zero_tol)
+            labels += [undo.label, out.label]
+            state = out.state
+            alternations += 1
+        outcomes.append(tuple(labels))
+        total += len(labels)
+        if out.label != "zero":
+            success = False
+            break
+    fidelity = None
+    if success:
+        restored = restore_gauge(prepared.graph, prepared.tensors, state)
+        fidelity = float(abs(np.vdot(restored, prepared.reference_state)) ** 2)
+    return VectorRun(
+        outcomes=tuple(outcomes),
+        first_shot_probabilities=tuple(first_shots),
+        success=success,
+        total_measurements=total,
+        fidelity=fidelity,
+    )

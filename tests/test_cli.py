@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peps_forge
 from peps_forge import cli, dynamics
 from peps_forge.harness import fixture_path
 
@@ -183,6 +188,15 @@ class TestVerifyCommands:
         assert grid["pairs_checked"] == 9 * 50
         assert grid["s_pairs_checked"] == 20 * 100
 
+    def test_lemma2_reports_the_tight_s_bound(self, capsys):
+        # 1/(2es) is attained where 1 - p = 1/(2s); (0.5, 1) is the first such pair
+        code, out = run_cli(capsys, "verify-lemma2", "--p", "0.5", "--m", "1")
+        assert code == 0
+        grid = json.loads(out)["grid_checks"]
+        assert grid["min_s_bound_margin"] == 0.0
+        assert grid["min_s_bound_argmin"] == [0.5, 1]
+        assert grid["tol"] == 1e-12
+
     def test_lemma2_failure_exit_code(self, capsys, monkeypatch):
         def broken(p, m, trials, rng):
             return np.zeros(trials, dtype=bool), np.ones(trials, dtype=np.int64)
@@ -298,3 +312,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", CHAIN3, "--mode", "warp"])
         assert exc.value.code == 2
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats alone costs about half a second of every command's start
+    src = str(Path(peps_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, peps_forge.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

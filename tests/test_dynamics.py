@@ -7,18 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import CHAIN2, CHAIN3, CHAIN4, RING4, random_instance
+from _helpers import CHAIN2, CHAIN3, CHAIN4, RING4, random_instance, vector_driver
+from peps_forge import dynamics, network
 from peps_forge.dynamics import (
     PreparedInstance,
     cost_model,
     cost_model_for_graph,
-    jordan_plane,
     jordan_plane_from_states,
     markov_exact_distribution,
     markov_simulate,
     markov_trials,
     measure_zero_energy,
-    overlap_p,
     p_fail_bound,
     p_term,
     repair_loop_trials,
@@ -28,6 +27,7 @@ from peps_forge.dynamics import (
     verify_lemma1,
 )
 from peps_forge.errors import InvalidInputError, OrthogonalTargetsError
+from peps_forge.harness import FIXTURE_NAMES
 from peps_forge.network import InteractionGraph, canonicalize
 
 
@@ -107,26 +107,27 @@ class TestMeasureZeroEnergy:
 
 
 class TestOverlap:
+    """The certified overlaps the driver runs on."""
+
     def test_identity_map_gives_one(self):
         g = InteractionGraph.build(2, [(0, 1)])
         tensors = [canonicalize(v, np.eye(2)) for v in range(2)]
-        assert overlap_p(g, tensors, 0) == pytest.approx(1.0, abs=1e-10)
+        assert PreparedInstance(g, tensors).overlaps[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_scaling_cancels(self):
         g = InteractionGraph.build(2, [(0, 1)])
         tensors = [canonicalize(0, np.eye(2)), canonicalize(1, 5.0 * np.eye(2))]
-        assert overlap_p(g, tensors, 1) == pytest.approx(1.0, abs=1e-10)
+        assert PreparedInstance(g, tensors).overlaps[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_hand_computed_diagonal_case(self):
         g = InteractionGraph.build(2, [(0, 1)])
         tensors = [canonicalize(0, np.eye(2)), canonicalize(1, np.diag([3.0, 1.0]))]
-        assert overlap_p(g, tensors, 1) == pytest.approx(0.8, rel=1e-12)
+        assert PreparedInstance(g, tensors).overlaps[1] == pytest.approx(0.8, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_condition_number_bound(self, seed):
         graph, tensors = random_instance(CHAIN3, 5.0, 70 + seed)
-        for t in range(graph.num_vertices):
-            p = overlap_p(graph, tensors, t)
+        for t, p in enumerate(PreparedInstance(graph, tensors).overlaps):
             kappa = tensors[graph.order[t]].kappa
             assert p >= 1.0 / kappa**2 - 1e-10
 
@@ -196,8 +197,9 @@ class TestJordanPlane:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_instance_relations(self, seed):
         graph, tensors = random_instance(CHAIN3, 5.0, 90 + seed)
+        prep = PreparedInstance(graph, tensors)
         for t in range(graph.num_vertices):
-            plane = jordan_plane(graph, tensors, t)
+            plane = jordan_plane_from_states(prep.targets[t], prep.targets[t + 1])
             if plane.trivial:
                 continue
             assert plane.max_relation_residual <= 1e-9
@@ -312,27 +314,40 @@ class TestFailureBound:
         assert stats["min_s_bound_margin"] >= -1e-12
 
 
+class _CountingGenerator:
+    """A generator that records how many uniforms were drawn."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.inner.random()
+
+
 class TestMarkovChain:
     def test_certain_success_one_measurement(self):
         for seed in range(5):
-            terminated, used = markov_simulate(1.0, 3, np.random.default_rng(seed))
-            assert terminated and used == 1
+            outcomes = markov_simulate(1.0, 3, np.random.default_rng(seed))
+            assert outcomes == ("zero",)
 
     def test_measurement_budget_respected(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             p = rng.uniform(0.05, 0.95)
             m = int(rng.integers(0, 6))
-            terminated, used = markov_simulate(p, m, rng)
+            outcomes = markov_simulate(p, m, rng)
+            used = len(outcomes)
             assert used <= 2 * m + 1
             assert used % 2 == 1
-            if not terminated:
+            if outcomes[-1] != "zero":
                 assert used == 2 * m + 1
 
     def test_scalar_frequency_matches_closed_form(self):
         rng = np.random.default_rng(11)
         trials = 20_000
-        hits = sum(markov_simulate(0.5, 1, rng)[0] for _ in range(trials))
+        hits = sum(markov_simulate(0.5, 1, rng)[-1] == "zero" for _ in range(trials))
         expected = 0.75
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) <= 4 * sigma
@@ -357,6 +372,66 @@ class TestMarkovChain:
                 observed = np.sum(terminated & (used == cat))
             sigma = math.sqrt(max(prob * (1 - prob), 1e-12) * trials)
             assert abs(observed - prob * trials) <= 5 * sigma
+
+    @pytest.mark.parametrize("p", [0.0, 5e-10, 1e-9])
+    def test_overlap_below_zero_tol_never_lands(self, p):
+        for seed in range(20):
+            rng = _CountingGenerator(seed)
+            outcomes = markov_simulate(p, 3, rng, zero_tol=1e-9)
+            assert outcomes[0] == outcomes[2] == outcomes[4] == outcomes[6] == "nonzero"
+            assert outcomes[1::2] == ("zero",) * 3  # every undo lands w.p. 1 - p
+            assert rng.draws == len(outcomes) == 7
+
+    @pytest.mark.parametrize("p", [1.0, 1.0 - 5e-10, 1.0 + 1e-12])
+    def test_overlap_within_zero_tol_of_one_always_lands(self, p):
+        for seed in range(20):
+            rng = _CountingGenerator(seed)
+            assert markov_simulate(p, 3, rng, zero_tol=1e-9) == ("zero",)
+            assert rng.draws == 1
+
+    def test_one_draw_per_measurement(self):
+        for seed in range(200):
+            for cap in (0, 2, None):
+                rng = _CountingGenerator(seed)
+                outcomes = markov_simulate(0.3, cap, rng)
+                assert rng.draws == len(outcomes)
+
+    def test_draw_order_is_first_shot_then_undo_retry_pairs(self):
+        # labels replayed from the same uniforms with the four chain rules
+        for seed in range(200):
+            p = 0.37
+            outcomes = markov_simulate(p, 4, np.random.default_rng(seed))
+            draws = np.random.default_rng(seed).random(len(outcomes))
+            expected = ["zero" if draws[0] < p else "nonzero"]
+            for undo, retry in zip(draws[1::2], draws[2::2]):
+                on_old = undo < 1.0 - p
+                expected += ["zero" if on_old else "nonzero"]
+                expected += ["zero" if retry < (p if on_old else 1.0 - p) else "nonzero"]
+            assert outcomes == tuple(expected)
+
+    def test_no_cap_runs_until_success(self):
+        rng = np.random.default_rng(21)
+        lengths = []
+        for _ in range(500):
+            outcomes = markov_simulate(0.02, None, rng)
+            assert outcomes[-1] == "zero"
+            assert "zero" not in outcomes[0::2][:-1]
+            lengths.append(len(outcomes))
+        # at p = 0.02 a cap of 10 alternations would have stopped some runs
+        assert max(lengths) > 21
+
+    def test_no_cap_below_zero_tol_rejected(self):
+        with pytest.raises(OrthogonalTargetsError):
+            markov_simulate(1e-10, None, np.random.default_rng(0))
+        assert markov_simulate(1e-10, 0, np.random.default_rng(0)) == ("nonzero",)
+
+    def test_invalid_arguments_rejected(self):
+        rng = np.random.default_rng(0)
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(InvalidInputError):
+                markov_simulate(p, 1, rng)
+        with pytest.raises(InvalidInputError):
+            markov_simulate(0.5, -1, rng)
 
     def test_exact_distribution_consistency(self):
         for p in (0.2, 0.5, 0.8):
@@ -523,6 +598,59 @@ class TestRunAlgorithm:
         assert report.fidelity >= 1.0 - 1e-8
 
 
+class TestPlaneDriver:
+    """``run_algorithm`` against the full-space reference driver, seed for seed."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"max_alternations": 0}, {"max_alternations": 1}, {"mode": "until_success"}],
+        ids=["default-cap", "cap-0", "cap-1", "until-success"],
+    )
+    def test_matches_vector_driver(self, name, kw, prepared_zoo):
+        prep = prepared_zoo[name]
+        for seed in range(200):
+            report = run_algorithm(prep, 0.1, seed, **kw)
+            ref = vector_driver(prep, 0.1, seed, **kw)
+            assert tuple(r.outcomes for r in report.vertices) == ref.outcomes
+            assert report.success == ref.success
+            assert report.total_measurements == ref.total_measurements
+            for record, first_shot in zip(report.vertices, ref.first_shot_probabilities):
+                assert record.first_shot_probability == pytest.approx(first_shot, abs=1e-12)
+            if ref.success:
+                assert report.fidelity == pytest.approx(ref.fidelity, abs=1e-12)
+            else:
+                assert report.fidelity is None
+
+    def test_no_state_vector_is_touched(self, prepared_zoo, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner in (dynamics, network):
+            monkeypatch.setattr(
+                owner, "restore_gauge", counting("restore_gauge", owner.restore_gauge)
+            )
+        monkeypatch.setattr(
+            dynamics,
+            "measure_zero_energy",
+            counting("measure_zero_energy", dynamics.measure_zero_energy),
+        )
+        prep = prepared_zoo["grid2x2"]
+        for seed in range(20):
+            assert run_algorithm(prep, 0.1, seed, mode="until_success").success
+            run_algorithm(prep, 0.1, seed, max_alternations=0)
+        assert calls == []
+        # the oracle still measures on vectors
+        repair_loop_trials(prep, 1, 2, 3, seed=0)
+        assert "measure_zero_energy" in calls
+
+
 class TestRepairLoopTrials:
     def test_budget_and_termination_shape(self):
         prep = _chain2_prepared()
@@ -573,6 +701,13 @@ class TestPreparedInstance:
     def test_overlap_consistency(self, prepared_zoo):
         prep = prepared_zoo["ring4"]
         for t, p in enumerate(prep.overlaps):
-            assert p == pytest.approx(
-                overlap_p(prep.graph, prep.tensors, t), abs=1e-12
-            )
+            psi_t, _ = network.contract_partial(prep.graph, prep.tensors, t)
+            psi_next, _ = network.contract_partial(prep.graph, prep.tensors, t + 1)
+            assert p == pytest.approx(abs(np.vdot(psi_next, psi_t)) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fidelity_is_the_restored_last_target(self, name, prepared_zoo):
+        prep = prepared_zoo[name]
+        restored = network.restore_gauge(prep.graph, prep.tensors, prep.targets[-1])
+        assert prep.fidelity == abs(np.vdot(restored, prep.reference_state)) ** 2
+        assert prep.fidelity >= 1.0 - 1e-8

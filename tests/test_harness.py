@@ -18,7 +18,6 @@ from peps_forge.harness import (
     chi_square_vs_markov,
     config_to_dict,
     edge_order_of,
-    generate_random_injective,
     instance_label,
     load_config,
     load_fixture,
@@ -31,6 +30,7 @@ from peps_forge.harness import (
     to_explicit_config,
     topology_edges,
 )
+from peps_forge.network import canonicalize
 
 
 def _minimal_doc() -> dict:
@@ -194,17 +194,15 @@ class TestRandomInjective:
     def test_isometry_at_kappa_one(self):
         rng = np.random.default_rng(0)
         m = random_injective_matrix(4, 4, 1.0, rng)
-        from peps_forge.linalg import condition_number
-
-        assert condition_number(m) == pytest.approx(1.0, abs=1e-10)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert sigma[0] / sigma[-1] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_kappa_within_budget(self, seed):
         rng = np.random.default_rng(seed)
         m = random_injective_matrix(6, 4, 3.0, rng)
-        from peps_forge.linalg import condition_number
-
-        kappa = condition_number(m)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        kappa = sigma[0] / sigma[-1]
         assert 1.0 <= kappa <= 3.0 + 1e-9
 
     def test_square_canonical_factor_positive(self):
@@ -215,9 +213,9 @@ class TestRandomInjective:
         _, psd = polar_decompose(m)
         assert np.linalg.eigvalsh(psd).min() > 0
 
-    def test_spec_signature_wrapper(self):
+    def test_canonicalized_degree_three_map(self):
         rng = np.random.default_rng(4)
-        tensor = generate_random_injective(9, 2, 3, 2.0, rng, vertex=5)
+        tensor = canonicalize(5, random_injective_matrix(9, 2**3, 2.0, rng))
         assert tensor.vertex == 5
         assert tensor.matrix.shape == (9, 8)
         assert tensor.kappa <= 2.0 + 1e-9
@@ -377,6 +375,19 @@ class TestReports:
 
 
 class TestChiSquareHelper:
+    def test_pvalue_matches_scipy_stats(self, prepared_zoo):
+        # chain3 at its smallest overlap, as criterion 6 picks it; the
+        # p-value was 0.5978077866316802 when computed with scipy.stats
+        from scipy import stats as scipy_stats
+
+        prep = prepared_zoo["chain3"]
+        step = int(np.argmin(prep.overlaps))
+        got = chi_square_vs_markov(prep, step, max_alternations=6, trials=2000, seed=31)
+        oracle = scipy_stats.chisquare(got["observed"], got["expected"])
+        assert got["chi2"] == pytest.approx(oracle.statistic, rel=1e-12)
+        assert got["pvalue"] == pytest.approx(oracle.pvalue, abs=1e-12)
+        assert got["pvalue"] == pytest.approx(0.5978077866316802, abs=1e-12)
+
     def test_fixture_statistics_fit(self, prepared_zoo):
         prep = prepared_zoo["chain3"]
         step = int(np.argmin(prep.overlaps))

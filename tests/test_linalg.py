@@ -10,6 +10,12 @@ import pytest
 from _helpers import haar_unitary, random_complex, random_hermitian
 from peps_forge import linalg
 from peps_forge.errors import InjectivityError, InvalidInputError
+from peps_forge.network import canonicalize
+
+
+def _kernel_projector(h: np.ndarray) -> np.ndarray:
+    basis = linalg.hermitian_eig(h).kernel_basis()
+    return basis @ basis.conj().T
 
 
 class TestSvd:
@@ -114,11 +120,13 @@ class TestPolarDecompose:
 
 
 class TestConditionNumber:
+    """``PepsTensor.kappa``, the condition number Lemma 1 and the budget use."""
+
     def test_identity(self):
-        assert linalg.condition_number(np.eye(3)) == pytest.approx(1.0)
+        assert canonicalize(0, np.eye(3)).kappa == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert linalg.condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0)
+        assert canonicalize(0, np.diag([2.0, 1.0])).kappa == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_gram_matrix_oracle(self, seed):
@@ -126,7 +134,7 @@ class TestConditionNumber:
         a = random_complex(5, 3, rng)
         gram_eigs = np.linalg.eigvalsh(a.conj().T @ a)
         oracle = math.sqrt(gram_eigs[-1] / gram_eigs[0])
-        assert abs(linalg.condition_number(a) - oracle) <= 1e-9 * oracle
+        assert abs(canonicalize(0, a).kappa - oracle) <= 1e-9 * oracle
 
     @pytest.mark.parametrize("seed", range(3))
     def test_invariant_under_isometries(self, seed):
@@ -134,21 +142,23 @@ class TestConditionNumber:
         a = random_complex(4, 4, rng) + 2.0 * np.eye(4)
         u = haar_unitary(4, rng)
         v = haar_unitary(4, rng)
-        kappa = linalg.condition_number(a)
-        assert linalg.condition_number(u @ a @ v) == pytest.approx(kappa, rel=1e-9)
+        kappa = canonicalize(0, a).kappa
+        assert canonicalize(0, u @ a @ v).kappa == pytest.approx(kappa, rel=1e-9)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(InjectivityError):
-            linalg.condition_number(np.diag([1.0, 0.0]))
+            canonicalize(0, np.diag([1.0, 0.0]))
 
 
 class TestKernelProjector:
+    """Projectors built from ``SpectralDecomposition.kernel_basis``."""
+
     def test_zero_matrix_gives_identity(self):
-        proj = linalg.kernel_projector(np.zeros((3, 3)))
+        proj = _kernel_projector(np.zeros((3, 3)))
         assert np.abs(proj - np.eye(3)).max() <= 1e-12
 
     def test_diagonal(self):
-        proj = linalg.kernel_projector(np.diag([0.0, 1.0]))
+        proj = _kernel_projector(np.diag([0.0, 1.0]))
         assert np.abs(proj - np.diag([1.0, 0.0])).max() <= 1e-12
 
     def test_pair_complement_projector_kernel(self):
@@ -156,7 +166,7 @@ class TestKernelProjector:
         omega = np.zeros(4, dtype=complex)
         omega[[0, 3]] = 1.0 / math.sqrt(2)
         h = np.eye(4) - np.outer(omega, omega.conj())
-        proj = linalg.kernel_projector(h)
+        proj = _kernel_projector(h)
         assert np.abs(proj - np.outer(omega, omega.conj())).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
@@ -165,26 +175,19 @@ class TestKernelProjector:
         basis = haar_unitary(6, rng)
         lam = np.array([0.0, 0.0, 0.4, 1.0, 1.5, 2.0])
         h = (basis * lam) @ basis.conj().T
-        proj = linalg.kernel_projector(h)
+        proj = _kernel_projector(h)
         assert np.abs(proj @ proj - proj).max() <= 1e-10
         assert np.linalg.norm(proj @ h, ord=2) <= 1e-9 + 1e-10
         assert np.trace(proj).real == pytest.approx(2.0, abs=1e-9)
 
-    def test_rejects_negative_spectrum(self):
-        with pytest.raises(InvalidInputError):
-            linalg.kernel_projector(np.diag([-1.0, 1.0]))
-
 
 class TestKronAndEmbed:
-    def test_kron_identity(self):
-        assert np.abs(linalg.kron(np.eye(2), np.eye(2)) - np.eye(4)).max() == 0.0
-
     def test_kron_permutation_on_basis_state(self):
         # first register is the most significant digit
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         state = np.zeros(4)
         state[0] = 1.0  # |00>
-        flipped = linalg.kron(x, np.eye(2)) @ state
+        flipped = linalg.embed_term(x, (0,), (2, 2)) @ state
         expected = np.zeros(4)
         expected[2] = 1.0  # |10>
         assert np.allclose(flipped, expected)
@@ -211,16 +214,16 @@ class TestKronAndEmbed:
         rng = np.random.default_rng(3)
         a = random_hermitian(2, rng)
         b = random_hermitian(3, rng)
-        embedded = linalg.embed_term(linalg.kron(a, b), (0, 1), (2, 3))
-        assert np.abs(embedded - linalg.kron(a, b)).max() <= 1e-12
+        embedded = linalg.embed_term(np.kron(a, b), (0, 1), (2, 3))
+        assert np.abs(embedded - np.kron(a, b)).max() <= 1e-12
 
     def test_embed_support_order_swap(self):
         rng = np.random.default_rng(4)
         a = random_hermitian(2, rng)
         b = random_hermitian(3, rng)
         dims = (2, 3)
-        forward = linalg.embed_term(linalg.kron(a, b), (0, 1), dims)
-        swapped = linalg.embed_term(linalg.kron(b, a), (1, 0), dims)
+        forward = linalg.embed_term(np.kron(a, b), (0, 1), dims)
+        swapped = linalg.embed_term(np.kron(b, a), (1, 0), dims)
         assert np.abs(forward - swapped).max() <= 1e-12
 
     def test_embed_dimension_mismatch(self):

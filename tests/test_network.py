@@ -9,6 +9,7 @@ import pytest
 
 from _helpers import CHAIN3, RING4, haar_unitary, random_instance
 from peps_forge import hamiltonian, network
+from peps_forge.dynamics import verify_lemma1
 from peps_forge.errors import (
     BoundViolationError,
     CapacityError,
@@ -172,19 +173,21 @@ class TestContractPartial:
 
 
 class TestZRatioBound:
+    """Norm ratios z_{t+1}/z_t and their bound, as ``verify_lemma1`` reports them."""
+
     def test_identity_ratio_one(self):
         g = InteractionGraph.build(2, [(0, 1)])
         tensors = [canonicalize(v, np.eye(2)) for v in range(2)]
-        ratio, bound = network.z_ratio_bound(g, tensors, 0)
-        assert ratio == pytest.approx(1.0, abs=1e-10)
-        assert bound == pytest.approx(1.0, abs=1e-10)
+        step = verify_lemma1(g, tensors).steps[0]
+        assert step.z_ratio == pytest.approx(1.0, abs=1e-10)
+        assert step.z_bound == pytest.approx(1.0, abs=1e-10)
 
     def test_scaled_identity_ratio(self):
         g = InteractionGraph.build(2, [(0, 1)])
         tensors = [canonicalize(0, 2.0 * np.eye(2)), canonicalize(1, np.eye(2))]
-        ratio, bound = network.z_ratio_bound(g, tensors, 0)
-        assert ratio == pytest.approx(4.0, rel=1e-10)
-        assert bound == pytest.approx(4.0, rel=1e-10)
+        step = verify_lemma1(g, tensors).steps[0]
+        assert step.z_ratio == pytest.approx(4.0, rel=1e-10)
+        assert step.z_bound == pytest.approx(4.0, rel=1e-10)
 
     def test_hand_computed_diagonal_case(self):
         # applying diag(3,1) to the entangled pair: z goes 1 -> (9+1)/2
@@ -194,16 +197,15 @@ class TestZRatioBound:
         _, z2 = network.contract_partial(g, tensors, 2)
         assert z1 == pytest.approx(1.0, abs=1e-12)
         assert z2 == pytest.approx(5.0, rel=1e-12)
-        ratio, bound = network.z_ratio_bound(g, tensors, 1)
-        assert ratio == pytest.approx(5.0, rel=1e-12)
-        assert bound == pytest.approx(1.0, rel=1e-12)
+        step = verify_lemma1(g, tensors).steps[1]
+        assert step.z_ratio == pytest.approx(5.0, rel=1e-12)
+        assert step.z_bound == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_satisfy_bound(self, seed):
         graph, tensors = random_instance(CHAIN3, 5.0, 100 + seed)
-        for t in range(graph.num_vertices):
-            ratio, bound = network.z_ratio_bound(graph, tensors, t)
-            assert ratio >= bound - 1e-10
+        for step in verify_lemma1(graph, tensors).steps:
+            assert step.z_ratio >= step.z_bound - 1e-10
 
     def test_violation_raises(self, monkeypatch):
         graph, tensors = random_instance(CHAIN3, 5.0, 3)
@@ -212,7 +214,7 @@ class TestZRatioBound:
             type(broken), "sigma_min", property(lambda self: 1e9)
         )
         with pytest.raises(BoundViolationError):
-            network.z_ratio_bound(graph, tensors, 0)
+            verify_lemma1(graph, tensors)
 
 
 class TestRestoreGauge:
