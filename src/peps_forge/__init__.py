@@ -69,7 +69,6 @@ from .linalg import (
     SpectralDecomposition,
     embed_term,
     hermitian_eig,
-    polar_decompose,
     svd,
 )
 from .network import (

@@ -118,6 +118,8 @@ def cmd_verify_lemma1(args) -> int:
 
 
 def cmd_verify_lemma2(args) -> int:
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     terminated, _ = dynamics.markov_trials(args.p, args.m, args.trials, rng)
     frequency = float(terminated.mean())

@@ -599,10 +599,12 @@ def run_algorithm(
     ``prepared.overlaps[t]`` on its own stream ``_vertex_rng(seed, t)``; no
     state vector is built. A successful run ends in the last target and
     reports the instance constant ``prepared.fidelity``. Deterministic given
-    ``seed``.
+    ``seed``, which must be >= 0.
     """
     if mode not in ("bounded", "until_success"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     g = prepared.graph
     n = g.num_vertices
     if not 0.0 < eps < 1.0:

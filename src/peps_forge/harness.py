@@ -562,8 +562,9 @@ def sweep(
 ) -> SweepResult:
     """Run one instance across consecutive seeds and aggregate statistics.
 
-    Trial ``i`` uses seed ``base_seed + i`` (default base: the config seed),
-    so any row can be reproduced with a single ``run`` at its listed seed.
+    Trial ``i`` uses seed ``base_seed + i`` (default base: the config seed;
+    it must be >= 0), so any row can be reproduced with a single ``run`` at
+    its listed seed.
     Trials run serially in seed order. ``jobs`` must be >= 1 and has no
     effect: a trial is a short scalar loop in the interpreter, which a
     thread pool slows down rather than speeds up.
@@ -572,6 +573,8 @@ def sweep(
         raise InvalidInputError("trials must be >= 1")
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    if base_seed is not None and base_seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {base_seed}")
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
     graph, tensors = build_instance(cfg)

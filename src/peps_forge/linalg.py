@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 All higher-level modules funnel their numerics through the handful of
-operations here: SVD, Hermitian eigendecomposition, polar decomposition
-and register embeddings. Matrices are plain complex
-``numpy`` arrays; every function validates its preconditions and raises a
-typed error instead of propagating raw LAPACK failures.
+operations here: SVD, Hermitian eigendecomposition and register
+embeddings. Matrices are plain complex ``numpy`` arrays; every function
+validates its preconditions and raises a typed error instead of
+propagating raw LAPACK failures.
 
 Index convention: a tensor product of registers is flattened in mixed-radix
 order with register 0 as the most significant digit. ``numpy.kron`` follows
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InjectivityError, InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 
 #: relative threshold separating genuine rank deficiency from float noise
 RANK_RTOL = 1e-8
@@ -118,31 +118,6 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecompos
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition did not converge: {exc}") from exc
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``a = isometry @ psd`` with ``psd = sqrt(a^dag a)`` positive definite.
-
-    ``a`` must be tall or square (rows >= cols) with full column rank;
-    rank deficiency raises :class:`InjectivityError` because downstream it
-    always means a vertex map lost injectivity.
-    """
-    a = as_matrix(a)
-    rows, cols = a.shape
-    if rows < cols:
-        raise InvalidInputError(
-            f"polar decomposition expects rows >= cols, got {rows}x{cols}"
-        )
-    dec = svd(a)
-    if dec.sigma_min <= RANK_RTOL * dec.sigma_max or dec.sigma_max == 0.0:
-        raise InjectivityError(
-            f"matrix is rank deficient: sigma_min={dec.sigma_min:.3e}, "
-            f"sigma_max={dec.sigma_max:.3e}"
-        )
-    isometry = dec.u @ dec.vh
-    psd = (dec.vh.conj().T * dec.sigma) @ dec.vh
-    psd = (psd + psd.conj().T) / 2
-    return isometry, psd
 
 
 def _embedding_layout(

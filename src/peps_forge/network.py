@@ -14,6 +14,11 @@ Register layout: vertex ``v``'s register is the tensor product of one
 ``D``-dimensional factor per incident edge, ordered by ascending neighbor
 id. Global states flatten registers in vertex order, vertex 0 most
 significant (see :mod:`peps_forge.linalg`).
+
+Per-graph and per-map constants are computed once: a graph caches its
+incident edges, register dimensions and (read-only) pair state, and
+:func:`canonicalize` takes the polar factors and singular values of a map
+from a single SVD.
 """
 
 from __future__ import annotations
@@ -150,32 +155,45 @@ class InteractionGraph:
 
         This order defines the mixed-radix layout of the vertex register.
         """
-        inc = []
+        return self._incident[v]
+
+    @cached_property
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
         for eid, (u, w) in enumerate(self.edges):
-            if u == v:
-                inc.append((w, eid))
-            elif w == v:
-                inc.append((u, eid))
-        inc.sort()
-        return tuple(eid for _, eid in inc)
+            inc[u].append((w, eid))
+            inc[w].append((u, eid))
+        return tuple(tuple(eid for _, eid in sorted(pairs)) for pairs in inc)
 
     def register_dim(self, v: int) -> int:
-        return math.prod(self.bond_dims[e] for e in self.incident_edges(v))
+        return self.register_dims[v]
 
     @cached_property
     def register_dims(self) -> tuple[int, ...]:
-        return tuple(self.register_dim(v) for v in range(self.num_vertices))
+        return tuple(
+            math.prod(self.bond_dims[e] for e in inc) for inc in self._incident
+        )
 
     @cached_property
     def global_dim(self) -> int:
         return math.prod(self.register_dims)
 
-    def factor_position(self, v: int, edge_id: int) -> int:
-        """Position of ``edge_id`` inside vertex ``v``'s register layout."""
-        inc = self.incident_edges(v)
-        if edge_id not in inc:
-            raise InvalidInputError(f"edge {edge_id} is not incident to vertex {v}")
-        return inc.index(edge_id)
+    @cached_property
+    def _pair_state(self) -> np.ndarray:
+        """Read-only pair state; :func:`pair_state` checks the cap first."""
+        # global slot layout: per vertex, one axis per incident edge
+        slot_of: dict[tuple[int, int], int] = {}
+        for v, inc in enumerate(self._incident):
+            for eid in inc:
+                slot_of[(v, eid)] = len(slot_of)
+        operands: list = []
+        for eid, (u, v) in enumerate(self.edges):
+            d = self.bond_dims[eid]
+            operands.append(np.eye(d, dtype=complex) / math.sqrt(d))
+            operands.append([slot_of[(u, eid)], slot_of[(v, eid)]])
+        state = np.einsum(*operands, list(range(len(slot_of)))).reshape(-1)
+        state.setflags(write=False)
+        return state
 
     def edge_id(self, u: int, v: int) -> int:
         pair = (min(u, v), max(u, v))
@@ -217,18 +235,31 @@ class PepsTensor:
 def canonicalize(vertex: int, matrix: np.ndarray) -> PepsTensor:
     """Polar-decompose a vertex map and package it for simulation.
 
-    Raises :class:`InjectivityError` when the map is not injective (rank
-    deficient), since the whole construction relies on left-invertibility.
+    One thin SVD ``matrix = u @ diag(sigma) @ vh`` gives all three fields:
+    the isometry ``u @ vh``, the positive factor ``vh^dag @ diag(sigma) @
+    vh`` (symmetrized) and the singular values. The map must be tall or
+    square; rank deficiency raises :class:`InjectivityError`, since the
+    whole construction relies on left-invertibility.
     """
     m = linalg.as_matrix(matrix, f"tensor at vertex {vertex}")
-    isometry, psd = linalg.polar_decompose(m)
-    sing = linalg.svd(m).sigma
+    rows, cols = m.shape
+    if rows < cols:
+        raise InvalidInputError(
+            f"tensor at vertex {vertex} must have rows >= cols, got {rows}x{cols}"
+        )
+    dec = linalg.svd(m)
+    if dec.sigma_min <= linalg.RANK_RTOL * dec.sigma_max or dec.sigma_max == 0.0:
+        raise InjectivityError(
+            f"tensor at vertex {vertex} is rank deficient: "
+            f"sigma_min={dec.sigma_min:.3e}, sigma_max={dec.sigma_max:.3e}"
+        )
+    psd = (dec.vh.conj().T * dec.sigma) @ dec.vh
     return PepsTensor(
         vertex=vertex,
         matrix=m,
-        isometry=isometry,
-        positive_factor=psd,
-        singular_values=sing,
+        isometry=dec.u @ dec.vh,
+        positive_factor=(psd + psd.conj().T) / 2,
+        singular_values=dec.sigma,
     )
 
 
@@ -267,25 +298,11 @@ def pair_state(g: InteractionGraph) -> np.ndarray:
     """Normalized product of maximally entangled pairs, one per edge.
 
     This is the unique zero-energy state of the initial Hamiltonian made of
-    edge pair-terms.
+    edge pair-terms. The array is built once per graph and is read-only;
+    the dimension cap is checked on every call.
     """
     check_dim(g.global_dim, "pair state")
-    # global slot layout: per vertex, one axis per incident edge
-    slot_of: dict[tuple[int, int], int] = {}
-    slot = 0
-    for v in range(g.num_vertices):
-        for eid in g.incident_edges(v):
-            slot_of[(v, eid)] = slot
-            slot += 1
-    operands: list = []
-    for eid, (u, v) in enumerate(g.edges):
-        d = g.bond_dims[eid]
-        pair = np.eye(d, dtype=complex) / math.sqrt(d)
-        operands.append(pair)
-        operands.append([slot_of[(u, eid)], slot_of[(v, eid)]])
-    out_axes = list(range(slot))
-    state = np.einsum(*operands, out_axes).reshape(-1)
-    return state
+    return g._pair_state
 
 
 def contract_partial(

@@ -64,6 +64,19 @@ def random_complex(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def two_svd_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference polar form of a vertex map from two SVDs.
+
+    One SVD yields the isometry and the symmetrized positive factor; a
+    second SVD of the same matrix yields the singular values.
+    """
+    a = np.asarray(a, dtype=complex)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    psd = (vh.conj().T * s) @ vh
+    sigma = np.linalg.svd(a, full_matrices=False)[1]
+    return u @ vh, (psd + psd.conj().T) / 2, sigma
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(random_complex(n, n, rng))
     phases = np.diagonal(r) / np.abs(np.diagonal(r))

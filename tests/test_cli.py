@@ -308,6 +308,22 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--config", CHAIN2, "--seed", "-1"),
+            ("sweep", "--config", CHAIN2, "--trials", "3", "--seed", "-5"),
+            ("verify-lemma2", "--seed", "-1", "--trials", "100"),
+        ],
+        ids=["run", "sweep", "verify-lemma2"],
+    )
+    def test_negative_seed_invalid(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "seed" in captured.err
+
     def test_argparse_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", CHAIN3, "--mode", "warp"])

@@ -502,6 +502,10 @@ class TestRunAlgorithm:
         assert report.fidelity >= 1.0 - 1e-8
         assert report.alternation_cap is None
 
+    def test_negative_seed_rejected(self, prepared_zoo):
+        with pytest.raises(InvalidInputError, match="seed"):
+            run_algorithm(prepared_zoo["chain2"], 0.1, seed=-1)
+
     def test_deterministic_reports(self):
         graph, tensors = random_instance(RING4, 5.0, 408)
         prep = PreparedInstance(graph, tensors)

@@ -208,9 +208,7 @@ class TestRandomInjective:
     def test_square_canonical_factor_positive(self):
         rng = np.random.default_rng(3)
         m = random_injective_matrix(4, 4, 2.0, rng)
-        from peps_forge.linalg import polar_decompose
-
-        _, psd = polar_decompose(m)
+        psd = canonicalize(0, m).positive_factor
         assert np.linalg.eigvalsh(psd).min() > 0
 
     def test_canonicalized_degree_three_map(self):
@@ -355,6 +353,12 @@ class TestSweep:
             sweep(cfg, trials=0)
         with pytest.raises(InvalidInputError):
             sweep(cfg, trials=1, mode="other")
+
+    def test_negative_base_seed_rejected(self, fixture_zoo, monkeypatch):
+        cfg, _, _, _ = fixture_zoo["chain2"]
+        monkeypatch.setattr(harness, "build_instance", None)  # fails before building
+        with pytest.raises(InvalidInputError, match="seed"):
+            sweep(cfg, trials=1, base_seed=-1)
 
 
 class TestReports:

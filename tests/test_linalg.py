@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import haar_unitary, random_complex, random_hermitian
+from _helpers import haar_unitary, random_complex, random_hermitian, two_svd_polar
 from peps_forge import linalg
 from peps_forge.errors import InjectivityError, InvalidInputError
 from peps_forge.network import canonicalize
@@ -84,24 +84,27 @@ class TestHermitianEig:
 
 
 class TestPolarDecompose:
+    """The polar factors ``canonicalize`` takes from its one SVD."""
+
     def test_positive_definite_input_gives_identity_isometry(self):
         rng = np.random.default_rng(1)
         m = random_complex(3, 3, rng)
         pd = m @ m.conj().T + 3.0 * np.eye(3)
-        isometry, psd = linalg.polar_decompose(pd)
-        assert np.abs(isometry - np.eye(3)).max() <= 1e-10
-        assert np.abs(psd - pd).max() <= 1e-9
+        t = canonicalize(0, pd)
+        assert np.abs(t.isometry - np.eye(3)).max() <= 1e-10
+        assert np.abs(t.positive_factor - pd).max() <= 1e-9
 
     def test_scaled_identity(self):
-        isometry, psd = linalg.polar_decompose(2.0 * np.eye(2))
-        assert np.abs(isometry - np.eye(2)).max() <= 1e-12
-        assert np.abs(psd - np.diag([2.0, 2.0])).max() <= 1e-12
+        t = canonicalize(0, 2.0 * np.eye(2))
+        assert np.abs(t.isometry - np.eye(2)).max() <= 1e-12
+        assert np.abs(t.positive_factor - np.diag([2.0, 2.0])).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_tall_reconstruction(self, seed):
         rng = np.random.default_rng(seed)
         a = random_complex(6, 4, rng)
-        isometry, psd = linalg.polar_decompose(a)
+        t = canonicalize(0, a)
+        isometry, psd = t.isometry, t.positive_factor
         assert np.abs(isometry @ psd - a).max() <= 1e-10 * np.abs(a).max()
         assert np.abs(isometry.conj().T @ isometry - np.eye(4)).max() <= 1e-10
         eigs = np.linalg.eigvalsh(psd)
@@ -112,11 +115,42 @@ class TestPolarDecompose:
     def test_rank_deficient_rejected(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(InjectivityError):
-            linalg.polar_decompose(a)
+            canonicalize(0, a)
 
     def test_wide_rejected(self):
         with pytest.raises(InvalidInputError):
-            linalg.polar_decompose(np.ones((2, 3)))
+            canonicalize(0, np.ones((2, 3)))
+
+    def test_one_svd_per_map(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        canonicalize(0, random_complex(6, 4, np.random.default_rng(2)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (6, 4), (9, 8)])
+    def test_fields_match_two_svd_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        a = random_complex(*shape, rng)
+        t = canonicalize(3, a)
+        isometry, psd, sigma = two_svd_polar(a)
+        assert np.array_equal(t.matrix, a)
+        assert np.array_equal(t.isometry, isometry)
+        assert np.array_equal(t.positive_factor, psd)
+        assert np.array_equal(t.singular_values, sigma)
+
+    def test_fixture_fields_match_two_svd_reference(self, fixture_zoo):
+        for name, (_, _, _, tensors) in fixture_zoo.items():
+            for t in tensors:
+                isometry, psd, sigma = two_svd_polar(t.matrix)
+                assert np.array_equal(t.isometry, isometry), name
+                assert np.array_equal(t.positive_factor, psd), name
+                assert np.array_equal(t.singular_values, sigma), name
 
 
 class TestConditionNumber:

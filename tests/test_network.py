@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from _helpers import CHAIN3, RING4, haar_unitary, random_instance
 from peps_forge import hamiltonian, network
-from peps_forge.dynamics import verify_lemma1
+from peps_forge.dynamics import PreparedInstance, verify_lemma1
 from peps_forge.errors import (
     BoundViolationError,
     CapacityError,
@@ -63,6 +64,25 @@ class TestInteractionGraph:
         g = InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[2, 3])
         assert g.register_dims == (2, 6, 3)
         assert g.global_dim == 36
+
+    def test_cached_layout_matches_edge_scan(self, fixture_zoo):
+        graphs = [graph for _, _, graph, _ in fixture_zoo.values()]
+        graphs += [
+            InteractionGraph.build(4, [(2, 3), (0, 2), (1, 2)], bond_dim=[2, 3, 2]),
+            InteractionGraph.build(5, [(0, 4), (1, 3), (0, 1)]),
+        ]
+        for g in graphs:
+            for v in range(g.num_vertices):
+                scanned = sorted(
+                    (b if a == v else a, eid)
+                    for eid, (a, b) in enumerate(g.edges)
+                    if v in (a, b)
+                )
+                incident = tuple(eid for _, eid in scanned)
+                assert g.incident_edges(v) == incident
+                dim = math.prod(g.bond_dims[e] for e in incident)
+                assert g.register_dim(v) == dim
+                assert g.register_dims[v] == dim
 
 
 class TestCanonicalize:
@@ -121,6 +141,46 @@ class TestPairState:
         h0 = hamiltonian.assemble_step(graph, tensors, 0)
         state = network.pair_state(graph)
         assert np.linalg.norm(h0.apply(state)) <= 1e-12
+
+    def test_cached_and_read_only(self):
+        graph, _ = random_instance(RING4, 2.0, 3)
+        first = network.pair_state(graph)
+        second = network.pair_state(graph)
+        assert np.array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        with pytest.raises(ValueError):
+            second *= 2.0
+
+    @pytest.mark.parametrize("consumer", ["verify_lemma1", "PreparedInstance"])
+    def test_built_once_per_graph(self, consumer, monkeypatch):
+        builds = []
+        build = vars(InteractionGraph)["_pair_state"].func
+
+        def counting_build(self):
+            builds.append(self)
+            return build(self)
+
+        prop = functools.cached_property(counting_build)
+        prop.__set_name__(InteractionGraph, "_pair_state")
+        monkeypatch.setattr(InteractionGraph, "_pair_state", prop)
+        graph, tensors = random_instance(RING4, 2.0, 11)
+        if consumer == "verify_lemma1":
+            verify_lemma1(graph, tensors)
+        else:
+            PreparedInstance(graph, tensors)
+        assert builds == [graph]
+
+    def test_cap_checked_after_caching(self, monkeypatch):
+        graph, tensors = random_instance(RING4, 2.0, 5)
+        network.pair_state(graph)
+        network.contract_partial(graph, tensors, 1)
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
+        with pytest.raises(CapacityError):
+            network.pair_state(graph)
+        with pytest.raises(CapacityError):
+            network.contract_partial(graph, tensors, 1)
 
     def test_interleaved_registers(self):
         # star around vertex 1: its register interleaves edges to 0 and 2

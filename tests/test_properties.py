@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peps_forge.dynamics import PreparedInstance
-from peps_forge.harness import GraphSpec, InstanceConfig, TensorSpec, build_instance
+from peps_forge import network
+from peps_forge.dynamics import PreparedInstance, verify_lemma1
+from peps_forge.harness import (
+    GraphSpec,
+    InstanceConfig,
+    TensorSpec,
+    build_instance,
+    topology_edges,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
 def instances(draw):
     """Random chain, ring or custom graph (isolated vertices allowed) with a
-    random vertex order, bond dimension 2 or 3 and global dimension <= 729."""
+    random vertex order, bond dimension 2 or 3, global dimension <= 729 and
+    physical dimensions up to one above the register dimension."""
     bond_dim = draw(st.sampled_from([2, 3]))
     max_edges = 4 if bond_dim == 2 else 3  # global dimension is bond_dim**(2 E)
     topology = draw(st.sampled_from(["chain", "ring", "custom"]))
@@ -31,21 +43,45 @@ def instances(draw):
             st.lists(st.sampled_from(pairs), min_size=1, max_size=max_edges, unique=True)
         )
         spec = GraphSpec(topology="custom", num_vertices=n, edges=tuple(sorted(edges)))
+    kappa_max = draw(st.floats(1.0, 4.0))
+    tensor_seed = draw(st.integers(0, 2**16))
+    order = tuple(draw(st.permutations(range(n))))
+    _, edge_list = topology_edges(spec)
+    registers = [bond_dim ** sum(v in e for e in edge_list) for v in range(n)]
+    extra = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    physical = tuple(r + x for r, x in zip(registers, extra))
     cfg = InstanceConfig(
         graph=spec,
         bond_dim=bond_dim,
         tensors=TensorSpec(
             source="random",
-            kappa_max=draw(st.floats(1.0, 4.0)),
-            seed=draw(st.integers(0, 2**16)),
+            kappa_max=kappa_max,
+            physical_dims=physical if math.prod(physical) <= 4096 else None,
+            seed=tensor_seed,
         ),
         seed=0,
-        order=tuple(draw(st.permutations(range(n)))),
+        order=order,
     )
     return build_instance(cfg)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+def einsum_pair_state(graph) -> np.ndarray:
+    """Pair state from one einsum whose labels come from a fresh edge scan."""
+    labels = {}
+    for v in range(graph.num_vertices):
+        at_v = sorted(
+            (b if a == v else a, e) for e, (a, b) in enumerate(graph.edges) if v in (a, b)
+        )
+        for _, e in at_v:
+            labels[v, e] = len(labels)
+    operands = []
+    for e, (a, b) in enumerate(graph.edges):
+        d = graph.bond_dims[e]
+        operands += [np.eye(d, dtype=complex) / math.sqrt(d), [labels[a, e], labels[b, e]]]
+    return np.einsum(*operands, list(range(len(labels)))).reshape(-1)
+
+
+@PROPERTY_SETTINGS
 @given(instances())
 def test_matrix_free_layer_matches_dense_oracle(instance):
     graph, tensors = instance
@@ -58,3 +94,20 @@ def test_matrix_free_layer_matches_dense_oracle(instance):
         assert np.abs(h.apply(x) - dense @ x).max() <= 1e-12, t
         lam = np.linalg.eigvalsh(dense)
         assert prep.gaps[t] == pytest.approx(lam[1] - lam[0], abs=1e-8), t
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_contraction_invariants(instance):
+    """Pair state layout, Lemma 1 margins and gauge invariance on one instance."""
+    graph, tensors = instance
+    assert np.array_equal(network.pair_state(graph), einsum_pair_state(graph))
+
+    report = verify_lemma1(graph, tensors)
+    assert report.min_overlap_margin >= -1e-10
+    assert report.min_z_margin >= -1e-10
+
+    psi_n, _ = network.contract_partial(graph, tensors, graph.num_vertices)
+    restored = network.restore_gauge(graph, tensors, psi_n)
+    reference = network.peps_state(graph, tensors)
+    assert abs(np.vdot(restored, reference)) ** 2 >= 1.0 - 1e-10
