@@ -45,11 +45,7 @@ def _dump(doc, out_path: str | None) -> None:
 
 
 def _prepared_from_config(path: str, seed_override: int | None, eps_override: float | None):
-    cfg = harness.load_config(path)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_override)
-    if eps_override is not None:
-        cfg = dataclasses.replace(cfg, eps=eps_override)
+    cfg = harness.with_overrides(harness.load_config(path), seed_override, eps_override)
     graph, tensors = harness.build_instance(cfg)
     prepared = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
     return cfg, prepared

@@ -489,9 +489,12 @@ class PreparedInstance:
     Building one runs the pre-flight required by the driver: each step's
     contraction target must be certified as the unique zero-energy ground
     state of the step Hamiltonian (see :func:`ground_analysis`), which also
-    yields the step's gap. The certified overlaps ``p_t`` of consecutive
-    targets are then all a run needs: :func:`run_algorithm` runs the
-    four-state chain on them and touches no Hamiltonian or state vector.
+    yields the step's gap. Consecutive step Hamiltonians differ only in the
+    terms around one vertex, so each step's gap solve starts from the
+    previous step's ``excited_state``; step 0 starts from a fixed random
+    vector. The certified overlaps ``p_t`` of consecutive targets are then
+    all a run needs: :func:`run_algorithm` runs the four-state chain on them
+    and touches no Hamiltonian or state vector.
     Every successful run ends in the last target, so its fidelity with the
     directly contracted state, ``|<restore_gauge(psi_n)|reference_state>|^2``,
     is computed here once as ``fidelity``. The preparation is reusable
@@ -520,10 +523,12 @@ class PreparedInstance:
             psi, z = contract_partial(graph, tensors, t)
             self.targets.append(psi)
             self.z_values.append(z)
-        self.analyses: list[GroundAnalysis] = [
-            ground_analysis(h, zero_tol=zero_tol, kernel=psi)
-            for h, psi in zip(self.hamiltonians, self.targets)
-        ]
+        self.analyses: list[GroundAnalysis] = []
+        for h, psi in zip(self.hamiltonians, self.targets):
+            start = self.analyses[-1].excited_state if self.analyses else None
+            self.analyses.append(
+                ground_analysis(h, zero_tol=zero_tol, kernel=psi, start=start)
+            )
         self.overlaps: list[float] = [
             float(abs(np.vdot(self.targets[t + 1], self.targets[t])) ** 2)
             for t in range(n)

@@ -24,8 +24,10 @@ The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
 computes ``H x`` with one matrix product per nonzero term on the register
 tensor. :func:`ground_analysis` certifies a given zero-energy state (the
 contraction target) by its residual ``||H psi||`` and finds the gap with one
-ARPACK solve on that product with the state deflated; called without a
-state, it first finds one with a second solve, as an independent oracle. The
+ARPACK solve on that product with the state deflated, stopped at
+:data:`KRYLOV_TOL` and optionally warm-started from a neighbouring step's
+excitation; called without a state, it first finds one with a second solve,
+as an independent oracle. scipy is imported on first use of this layer. The
 dense ``global_matrix`` and its full eigensystem ``spectral`` remain as an
 oracle for tests at small dimension.
 """
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import zgemm
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from . import linalg
 from .errors import (
@@ -56,6 +56,9 @@ GRAM_COND_LIMIT = 1e12
 
 #: largest certified infidelity between a zero-energy state and the kernel
 KERNEL_INFIDELITY_TOL = 1e-9
+
+#: ARPACK stopping tolerance, relative to the Ritz value of ``H + 1``
+KRYLOV_TOL = 1e-10
 
 TERM_KINDS = ("edge_pair", "parent", "boundary", "penalty")
 
@@ -209,6 +212,11 @@ class LocalHamiltonian:
         self.graph = graph
         self.step = step
         self.terms = tuple(sorted(terms, key=_term_sort_key))
+        # imported on first use, not with the package: loading scipy costs
+        # commands that never build a Hamiltonian most of their start-up
+        from scipy.linalg.blas import zgemm
+
+        self._zgemm = zgemm
         # per nonzero term: the transposed matrix, the support-first register
         # permutation, the permuted register shape and the inverse permutation
         dims = graph.register_dims
@@ -258,20 +266,26 @@ class LocalHamiltonian:
             # bundle their own OpenBLAS, and ARPACK runs on scipy's; with
             # both products on one pool, the other pool's idle threads do not
             # spin against it between matrix-vector products.
-            product = zgemm(1.0, block.T, op_t)
+            product = self._zgemm(1.0, block.T, op_t)
             out += product.T.reshape(shape).transpose(inverse)
         return out.reshape(-1)
 
 
 @dataclass(frozen=True)
 class GroundAnalysis:
-    """Spectral summary of one step Hamiltonian."""
+    """Spectral summary of one step Hamiltonian.
+
+    ``ground_state`` is the certified zero-energy state. ``excited_state``
+    is the unit Ritz vector of ``lambda1``, made exactly orthogonal to
+    ``ground_state``; it warm-starts the next step's ``lambda1`` solve.
+    """
 
     lambda0: float
     lambda1: float
     gap: float
     ground_degeneracy: int
     ground_state: np.ndarray
+    excited_state: np.ndarray
 
 
 def assemble_step(
@@ -297,28 +311,40 @@ def assemble_step(
     return LocalHamiltonian(graph=g, step=t, terms=terms)
 
 
-def _lowest_eigenpair(dim: int, matvec) -> tuple[float, np.ndarray]:
+def _lowest_eigenpair(
+    dim: int, matvec, start: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit eigenvector of a Hermitian operator.
 
-    One single-vector ARPACK solve from a fixed start vector. ARPACK's
-    stopping test is relative to the Ritz value, so it runs on the operator
-    plus the identity: an eigenvalue near zero then converges to machine
-    precision absolutely instead of over-converging relative to zero.
-    ``eigs`` is called directly because for complex input ``eigsh`` forwards
-    to it without ``rng``, and ARPACK would draw restart vectors from fresh
-    entropy.
+    One single-vector ARPACK solve from ``start``, or from a fixed random
+    vector without one. ARPACK's stopping test is relative to the Ritz
+    value, so it runs on the operator plus the identity: it stops once the
+    Ritz residual is at most ``KRYLOV_TOL * (lambda + 1)``, and since the
+    operator is Hermitian an eigenvalue then lies within that distance of
+    the Ritz value (in practice the error is quadratic in the residual).
+    ``eigs`` is called directly because for complex input ``eigsh``
+    forwards to it without ``rng``, and ARPACK would draw restart vectors
+    from fresh entropy.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+
     op = LinearOperator((dim, dim), matvec=lambda x: matvec(x) + x, dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    if start is None:
+        start = np.random.default_rng(0).standard_normal(dim).astype(complex)
     try:
-        w, v = eigs(op, k=1, which="SR", v0=v0, rng=np.random.default_rng(0))
+        w, v = eigs(
+            op, k=1, which="SR", v0=start, tol=KRYLOV_TOL, rng=np.random.default_rng(0)
+        )
     except ArpackError as exc:
         raise NumericalFailureError(f"ARPACK solve did not converge: {exc}") from exc
     return float(w[0].real) - 1.0, v[:, 0] / np.linalg.norm(v[:, 0])
 
 
 def ground_analysis(
-    h: LocalHamiltonian, zero_tol: float = ZERO_TOL, kernel: np.ndarray | None = None
+    h: LocalHamiltonian,
+    zero_tol: float = ZERO_TOL,
+    kernel: np.ndarray | None = None,
+    start: np.ndarray | None = None,
 ) -> GroundAnalysis:
     """Certified zero-energy state and gap, matrix-free.
 
@@ -334,6 +360,12 @@ def ground_analysis(
     eigenvalue of ``H``, ``(r / lambda1)**2`` bounds the infidelity between
     ``psi`` and the true kernel vector; it must not exceed
     :data:`KERNEL_INFIDELITY_TOL`.
+
+    ``start`` seeds the ``lambda1`` solve, for example with the
+    ``excited_state`` of the previous step, whose Hamiltonian differs only
+    around one vertex; without it the solve starts from a fixed random
+    vector. The start changes how many Krylov iterations the solve takes,
+    not what it certifies: both solves stop at :data:`KRYLOV_TOL`.
 
     Raises :class:`NumericalFailureError` when the state is not a
     zero-energy state (the parent construction guarantees one), the
@@ -363,7 +395,7 @@ def ground_analysis(
         y = h.apply(x - c * psi)
         return y - np.vdot(psi, y) * psi + (s * c) * psi
 
-    lambda1, _ = _lowest_eigenpair(dim, deflated)
+    lambda1, excited = _lowest_eigenpair(dim, deflated, start)
     if lambda1 < zero_tol:
         raise DegenerateGroundSpaceError(
             f"step {h.step}: ground space is degenerate (second eigenvalue "
@@ -376,12 +408,14 @@ def ground_analysis(
             f"step {h.step}: zero-energy state is certified only to infidelity "
             f"{infidelity:.3e} (residual {residual:.3e}, gap {lambda1:.3e})"
         )
+    excited = excited - np.vdot(psi, excited) * psi
     return GroundAnalysis(
         lambda0=lambda0,
         lambda1=lambda1,
         gap=lambda1 - lambda0,
         ground_degeneracy=1,
         ground_state=psi,
+        excited_state=excited / np.linalg.norm(excited),
     )
 
 

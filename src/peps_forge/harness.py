@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .dynamics import (
     PreparedInstance,
@@ -117,6 +116,13 @@ def _as_number(value, where: str) -> float:
     if not _is_number(value):
         raise ConfigError(where, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _as_eps(value) -> float:
+    eps = _as_number(value, "/eps")
+    if not 0.0 < eps < 1.0:
+        raise ConfigError("/eps", f"must be in (0, 1), got {eps}")
+    return eps
 
 
 def _parse_graph(doc, where: str = "/graph") -> GraphSpec:
@@ -244,9 +250,7 @@ def parse_config(doc: dict) -> InstanceConfig:
         order = tuple(
             _as_int(v, f"/order/{i}", 0) for i, v in enumerate(doc["order"])
         )
-    eps = _as_number(doc.get("eps", 0.1), "/eps")
-    if not 0.0 < eps < 1.0:
-        raise ConfigError("/eps", f"must be in (0, 1), got {eps}")
+    eps = _as_eps(doc.get("eps", 0.1))
     c = _as_number(doc.get("c", 1.0), "/c")
     if c <= 0.0:
         raise ConfigError("/c", f"must be positive, got {c}")
@@ -270,6 +274,17 @@ def parse_config(doc: dict) -> InstanceConfig:
         c=c,
         zero_tol=zero_tol,
     )
+
+
+def with_overrides(
+    cfg: InstanceConfig, seed: int | None = None, eps: float | None = None
+) -> InstanceConfig:
+    """``cfg`` with a new run seed and/or failure budget, checked by the schema's rules."""
+    if seed is not None:
+        cfg = replace(cfg, seed=_as_int(seed, "/seed", 0))
+    if eps is not None:
+        cfg = replace(cfg, eps=_as_eps(eps))
+    return cfg
 
 
 def config_to_dict(cfg: InstanceConfig) -> dict:
@@ -694,6 +709,8 @@ def chi_square_vs_markov(
     the step's overlap, merges sparse tail bins, and returns the chi-square
     p-value along with the binned counts.
     """
+    from scipy.special import chdtrc
+
     p = prepared.overlaps[step]
     cats, probs = markov_exact_distribution(p, max_alternations)
     terminated, used = repair_loop_trials(

@@ -134,15 +134,6 @@ class InteractionGraph:
             order=tuple(order),
         )
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return tuple(sorted(out))
-
     def degree(self, v: int) -> int:
         return len(self.incident_edges(v))
 
@@ -194,13 +185,6 @@ class InteractionGraph:
         state = np.einsum(*operands, list(range(len(slot_of)))).reshape(-1)
         state.setflags(write=False)
         return state
-
-    def edge_id(self, u: int, v: int) -> int:
-        pair = (min(u, v), max(u, v))
-        try:
-            return self.edges.index(pair)
-        except ValueError as exc:
-            raise InvalidInputError(f"no edge between {u} and {v}") from exc
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import peps_forge
-from peps_forge import cli, dynamics
+from peps_forge import cli, dynamics, harness
 from peps_forge.harness import fixture_path
 
 
@@ -324,6 +324,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert "seed" in captured.err
 
+    @pytest.mark.parametrize(
+        "override", [("--seed", "-1"), ("--eps", "1.5"), ("--eps", "nan")]
+    )
+    def test_invalid_run_override_rejected_before_building(
+        self, capsys, monkeypatch, override
+    ):
+        def unreachable(cfg):
+            raise AssertionError("the instance was built for an invalid override")
+
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        code = cli.main(["run", "--config", CHAIN3, *override])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert override[0].lstrip("-") in captured.err
+
     def test_argparse_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", CHAIN3, "--mode", "warp"])
@@ -331,12 +347,14 @@ class TestExitCodes:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats alone costs about half a second of every command's start
+    # importing scipy costs most of a command's start; the spectral layer and
+    # the chi-square p-value import what they need on first use
     src = str(Path(peps_forge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, peps_forge.cli; print('scipy.stats' in sys.modules)"
+    lazy = ["scipy.stats", "scipy.linalg", "scipy.sparse.linalg", "scipy.special"]
+    probe = f"import sys, peps_forge.cli; print([m for m in {lazy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

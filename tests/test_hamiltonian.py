@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg as sparse_linalg
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from _helpers import CHAIN2, CHAIN3, RING4, random_complex, random_instance
-from peps_forge import hamiltonian, linalg, network
+from peps_forge import linalg, network
 from peps_forge.dynamics import PreparedInstance, repair_loop_trials, run_algorithm
 from peps_forge.errors import (
     DegenerateGroundSpaceError,
@@ -18,6 +19,7 @@ from peps_forge.errors import (
     NumericalFailureError,
 )
 from peps_forge.hamiltonian import (
+    KRYLOV_TOL,
     LocalHamiltonian,
     LocalTerm,
     assemble_step,
@@ -28,6 +30,7 @@ from peps_forge.hamiltonian import (
     penalty_term,
     terms_to_json,
 )
+from peps_forge.harness import GraphSpec
 from peps_forge.network import InteractionGraph, canonicalize
 
 
@@ -316,7 +319,7 @@ class TestMatrixFree:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-        monkeypatch.setattr(hamiltonian, "eigs", no_convergence)
+        monkeypatch.setattr(sparse_linalg, "eigs", no_convergence)
         graph, tensors = random_instance(CHAIN3, 2.0, 62)
         with pytest.raises(NumericalFailureError):
             ground_analysis(assemble_step(graph, tensors, 1))
@@ -329,19 +332,62 @@ class TestMatrixFree:
         assert all(_dense_free(h) for h in prep.hamiltonians)
 
 
+@pytest.fixture(scope="module")
+def ring5_prepared():
+    """Two random ring5 preparations (dim 1024)."""
+    ring5 = GraphSpec(topology="ring", length=5)
+    return [PreparedInstance(*random_instance(ring5, 2.0, seed)) for seed in (71, 72)]
+
+
 class TestCertifiedKernel:
     def test_preparation_runs_one_solve_per_step(self, monkeypatch, fixture_zoo):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
             return eigs(*args, **kwargs)
 
-        monkeypatch.setattr(hamiltonian, "eigs", counted)
+        monkeypatch.setattr(sparse_linalg, "eigs", recorded)
         for name, (cfg, _, graph, tensors) in fixture_zoo.items():
             calls.clear()
-            PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+            prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
             assert len(calls) == graph.num_vertices + 1, name
+            assert all(kw["tol"] == KRYLOV_TOL for kw in calls), name
+            # each gap solve after the first starts from the previous excitation
+            for t in range(1, len(calls)):
+                assert np.array_equal(calls[t]["v0"], prep.analyses[t - 1].excited_state)
+
+    def test_warm_start_gives_the_cold_gap(self, prepared_zoo, ring5_prepared):
+        for prep in [*prepared_zoo.values(), *ring5_prepared]:
+            for t, (h, warm) in enumerate(zip(prep.hamiltonians, prep.analyses)):
+                cold = ground_analysis(h, zero_tol=prep.zero_tol, kernel=prep.targets[t])
+                assert warm.lambda1 == pytest.approx(cold.lambda1, abs=1e-12), t
+                assert warm.gap == pytest.approx(cold.gap, abs=1e-12), t
+
+    def test_excited_state_is_the_lambda1_ritz_vector(self, prepared_zoo, ring5_prepared):
+        for prep in [*prepared_zoo.values(), *ring5_prepared]:
+            for h, a in zip(prep.hamiltonians, prep.analyses):
+                e = a.excited_state
+                assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
+                assert abs(np.vdot(a.ground_state, e)) <= 1e-8
+                rayleigh = np.vdot(e, h.apply(e)).real
+                assert rayleigh == pytest.approx(a.lambda1, abs=1e-10)
+
+    def test_two_fold_kernel_rejected_from_a_warm_start(self):
+        # the dim-64 two-fold kernel of TestMatrixFree, with the gap solve
+        # started from the excitation of the neighbouring step 0
+        g = InteractionGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+        pair = network.pair_state(g)
+        h0 = LocalHamiltonian(
+            graph=g, step=0, terms=[edge_term_on_registers(g, eid) for eid in range(3)]
+        )
+        start = ground_analysis(h0, kernel=pair).excited_state
+        loose = linalg.embed_term(np.diag([0.0, 1.0, 1.0, 0.0]), (0, 1), (2, 2, 2))
+        terms = [LocalTerm(support=(0, 1), matrix=loose, kind="parent")]
+        terms += [edge_term_on_registers(g, eid) for eid in (1, 2)]
+        h1 = LocalHamiltonian(graph=g, step=1, terms=terms)
+        with pytest.raises(DegenerateGroundSpaceError):
+            ground_analysis(h1, kernel=pair, start=start)
 
     def test_next_target_is_not_certified(self, prepared_zoo):
         checked = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,9 @@ from peps_forge.harness import (
     InstanceConfig,
     TensorSpec,
     build_instance,
+    config_to_dict,
+    parse_config,
+    to_explicit_config,
     topology_edges,
 )
 
@@ -23,19 +27,27 @@ PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, d
 
 
 @st.composite
-def instances(draw):
-    """Random chain, ring or custom graph (isolated vertices allowed) with a
-    random vertex order, bond dimension 2 or 3, global dimension <= 729 and
-    physical dimensions up to one above the register dimension."""
+def configs(draw):
+    """Random-source config of a chain, ring, grid or custom graph (isolated
+    vertices allowed) with bond dimension 2 or 3, global dimension <= 729,
+    physical dimensions up to one above the register dimension, and random
+    vertex order, run seed, failure budget, penalty weight and zero
+    tolerance."""
     bond_dim = draw(st.sampled_from([2, 3]))
     max_edges = 4 if bond_dim == 2 else 3  # global dimension is bond_dim**(2 E)
-    topology = draw(st.sampled_from(["chain", "ring", "custom"]))
+    topology = draw(st.sampled_from(["chain", "ring", "grid", "custom"]))
     if topology == "chain":
         n = draw(st.integers(2, max_edges + 1))
         spec = GraphSpec(topology="chain", length=n)
     elif topology == "ring":
         n = draw(st.integers(3, max_edges))
         spec = GraphSpec(topology="ring", length=n)
+    elif topology == "grid":
+        rows = draw(st.integers(1, 2))
+        # a 1 x c grid has c - 1 edges, a 2 x 2 grid has 4
+        cols = draw(st.integers(2, max_edges + 1) if rows == 1 else st.integers(1, max_edges // 2))
+        n = rows * cols
+        spec = GraphSpec(topology="grid", rows=rows, cols=cols)
     else:
         n = draw(st.integers(2, 5))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -45,12 +57,12 @@ def instances(draw):
         spec = GraphSpec(topology="custom", num_vertices=n, edges=tuple(sorted(edges)))
     kappa_max = draw(st.floats(1.0, 4.0))
     tensor_seed = draw(st.integers(0, 2**16))
-    order = tuple(draw(st.permutations(range(n))))
+    order = draw(st.none() | st.permutations(range(n)).map(tuple))
     _, edge_list = topology_edges(spec)
     registers = [bond_dim ** sum(v in e for e in edge_list) for v in range(n)]
     extra = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     physical = tuple(r + x for r, x in zip(registers, extra))
-    cfg = InstanceConfig(
+    return InstanceConfig(
         graph=spec,
         bond_dim=bond_dim,
         tensors=TensorSpec(
@@ -59,10 +71,16 @@ def instances(draw):
             physical_dims=physical if math.prod(physical) <= 4096 else None,
             seed=tensor_seed,
         ),
-        seed=0,
+        seed=draw(st.integers(0, 2**32)),
         order=order,
+        eps=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        c=draw(st.floats(1e-3, 1e3)),
+        zero_tol=draw(st.floats(1e-14, 1e-2)),
     )
-    return build_instance(cfg)
+
+
+def instances():
+    return configs().map(build_instance)
 
 
 def einsum_pair_state(graph) -> np.ndarray:
@@ -111,3 +129,20 @@ def test_contraction_invariants(instance):
     restored = network.restore_gauge(graph, tensors, psi_n)
     reference = network.peps_state(graph, tensors)
     assert abs(np.vdot(restored, reference)) ** 2 >= 1.0 - 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(configs())
+def test_config_round_trip_is_lossless(cfg):
+    """Random-source and explicit-source configs survive serialization."""
+    graph, tensors = build_instance(cfg)
+    explicit = to_explicit_config(cfg, graph, tensors)
+    for c in (cfg, explicit):
+        doc = config_to_dict(c)
+        assert parse_config(doc) == c
+        again = parse_config(json.loads(json.dumps(doc)))
+        assert again == c
+        _, rebuilt = build_instance(again)
+        for a, b in zip(tensors, rebuilt, strict=True):
+            for field in ("matrix", "isometry", "positive_factor", "singular_values"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
