@@ -491,8 +491,9 @@ class PreparedInstance:
     state of the step Hamiltonian (see :func:`ground_analysis`), which also
     yields the step's gap. Consecutive step Hamiltonians differ only in the
     terms around one vertex, so each step's gap solve starts from the
-    previous step's ``excited_state``; step 0 starts from a fixed random
-    vector. The certified overlaps ``p_t`` of consecutive targets are then
+    previous step's ``excited_state`` with a fixed random vector mixed in
+    (see :func:`ground_analysis`); step 0 starts from that random vector
+    alone. The certified overlaps ``p_t`` of consecutive targets are then
     all a run needs: :func:`run_algorithm` runs the four-state chain on them
     and touches no Hamiltonian or state vector.
     Every successful run ends in the last target, so its fidelity with the

@@ -60,6 +60,9 @@ KERNEL_INFIDELITY_TOL = 1e-9
 #: ARPACK stopping tolerance, relative to the Ritz value of ``H + 1``
 KRYLOV_TOL = 1e-10
 
+#: weight of the fixed random vector added to a unit warm start
+START_NOISE = 0.1
+
 TERM_KINDS = ("edge_pair", "parent", "boundary", "penalty")
 
 
@@ -316,8 +319,14 @@ def _lowest_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit eigenvector of a Hermitian operator.
 
-    One single-vector ARPACK solve from ``start``, or from a fixed random
-    vector without one. ARPACK's stopping test is relative to the Ritz
+    One single-vector ARPACK solve from a fixed random vector or, given a
+    ``start``, from its unit vector plus :data:`START_NOISE` times the unit
+    random vector. A Krylov space never leaves an invariant subspace that holds its start,
+    and a warm start can lie in one: on a graph with several components the
+    step Hamiltonian is a sum of one operator per component, and an
+    excitation of one component spans an invariant subspace that misses
+    the new lowest excitation of another. The random part gives every
+    eigenvector a weight. ARPACK's stopping test is relative to the Ritz
     value, so it runs on the operator plus the identity: it stops once the
     Ritz residual is at most ``KRYLOV_TOL * (lambda + 1)``, and since the
     operator is Hermitian an eigenvalue then lies within that distance of
@@ -329,11 +338,12 @@ def _lowest_eigenpair(
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     op = LinearOperator((dim, dim), matvec=lambda x: matvec(x) + x, dtype=complex)
-    if start is None:
-        start = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    if start is not None:
+        v0 = start / np.linalg.norm(start) + START_NOISE * v0 / np.linalg.norm(v0)
     try:
         w, v = eigs(
-            op, k=1, which="SR", v0=start, tol=KRYLOV_TOL, rng=np.random.default_rng(0)
+            op, k=1, which="SR", v0=v0, tol=KRYLOV_TOL, rng=np.random.default_rng(0)
         )
     except ArpackError as exc:
         raise NumericalFailureError(f"ARPACK solve did not converge: {exc}") from exc
@@ -364,8 +374,13 @@ def ground_analysis(
     ``start`` seeds the ``lambda1`` solve, for example with the
     ``excited_state`` of the previous step, whose Hamiltonian differs only
     around one vertex; without it the solve starts from a fixed random
-    vector. The start changes how many Krylov iterations the solve takes,
-    not what it certifies: both solves stop at :data:`KRYLOV_TOL`.
+    vector. Both solves stop at :data:`KRYLOV_TOL`, and both find the true
+    ``lambda1`` only if their start has weight on its eigenvector. The
+    fixed random vector is therefore mixed into every start (see
+    :func:`_lowest_eigenpair`); otherwise a start confined to one
+    component of a disconnected graph would report a gap larger than the
+    true one. Warm and cold gaps agree to about 2e-14 on the test instances,
+    disconnected ones included.
 
     Raises :class:`NumericalFailureError` when the state is not a
     zero-energy state (the parent construction guarantees one), the

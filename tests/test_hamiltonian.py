@@ -20,6 +20,7 @@ from peps_forge.errors import (
 )
 from peps_forge.hamiltonian import (
     KRYLOV_TOL,
+    START_NOISE,
     LocalHamiltonian,
     LocalTerm,
     assemble_step,
@@ -339,6 +340,19 @@ def ring5_prepared():
     return [PreparedInstance(*random_instance(ring5, 2.0, seed)) for seed in (71, 72)]
 
 
+@pytest.fixture(scope="module")
+def two_component_prepared():
+    """chain3 + chain3 and chain3 + ring3 preparations (dims 256 and 1024)
+    in which the lowest excitation moves from one component to the other
+    between steps."""
+    chains = GraphSpec(topology="custom", num_vertices=6, edges=((0, 1), (1, 2), (3, 4), (4, 5)))
+    chain_ring = GraphSpec(
+        topology="custom", num_vertices=6, edges=((0, 1), (1, 2), (3, 4), (3, 5), (4, 5))
+    )
+    cases = [(chains, 8), (chain_ring, 4), (chain_ring, 7)]
+    return [PreparedInstance(*random_instance(spec, 3.0, seed)) for spec, seed in cases]
+
+
 class TestCertifiedKernel:
     def test_preparation_runs_one_solve_per_step(self, monkeypatch, fixture_zoo):
         calls = []
@@ -353,16 +367,54 @@ class TestCertifiedKernel:
             prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
             assert len(calls) == graph.num_vertices + 1, name
             assert all(kw["tol"] == KRYLOV_TOL for kw in calls), name
-            # each gap solve after the first starts from the previous excitation
+            # each gap solve after the first starts from the previous
+            # excitation plus START_NOISE times step 0's fixed random start
+            noise = calls[0]["v0"] / np.linalg.norm(calls[0]["v0"])
             for t in range(1, len(calls)):
-                assert np.array_equal(calls[t]["v0"], prep.analyses[t - 1].excited_state)
+                warm = prep.analyses[t - 1].excited_state + START_NOISE * noise
+                np.testing.assert_allclose(calls[t]["v0"], warm, rtol=0, atol=1e-15)
 
-    def test_warm_start_gives_the_cold_gap(self, prepared_zoo, ring5_prepared):
-        for prep in [*prepared_zoo.values(), *ring5_prepared]:
+    def test_warm_start_gives_the_cold_gap(
+        self, prepared_zoo, ring5_prepared, two_component_prepared
+    ):
+        for prep in [*prepared_zoo.values(), *ring5_prepared, *two_component_prepared]:
             for t, (h, warm) in enumerate(zip(prep.hamiltonians, prep.analyses)):
                 cold = ground_analysis(h, zero_tol=prep.zero_tol, kernel=prep.targets[t])
                 assert warm.lambda1 == pytest.approx(cold.lambda1, abs=1e-12), t
                 assert warm.gap == pytest.approx(cold.gap, abs=1e-12), t
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_start_inside_one_component_finds_the_other(self, seed):
+        # H = H_A (x) 1 + 1 (x) H_B on two disjoint edges of bond dimension
+        # 2 and 8; a start e_A (x) b spans, with H, an invariant subspace
+        # of dimension 64 that misses the lowest excitation g_A (x) e_B,
+        # which only roundoff (or the random part of the start) can reach
+        rng = np.random.default_rng(seed)
+
+        def psd_with_levels(n, first):
+            q = np.linalg.qr(random_complex(n, n, rng))[0]
+            levels = np.concatenate([[0.0, first], rng.uniform(1.0, 3.0, n - 2)])
+            return (q * levels) @ q.conj().T, q
+
+        h_a, q_a = psd_with_levels(4, 0.9)
+        h_b, q_b = psd_with_levels(64, 0.4)
+        g = InteractionGraph.build(4, [(0, 1), (2, 3)], bond_dim=[2, 8])
+        h = LocalHamiltonian(
+            graph=g,
+            step=4,
+            terms=[
+                LocalTerm(support=(0, 1), matrix=h_a, kind="parent"),
+                LocalTerm(support=(2, 3), matrix=h_b, kind="parent"),
+            ],
+        )
+        kernel = np.kron(q_a[:, 0], q_b[:, 0])
+        b = random_complex(64, 1, rng)[:, 0]
+        start = np.kron(q_a[:, 1], b / np.linalg.norm(b))
+        for ga in (
+            ground_analysis(h, kernel=kernel),
+            ground_analysis(h, kernel=kernel, start=start),
+        ):
+            assert ga.lambda1 == pytest.approx(0.4, abs=1e-12)
 
     def test_excited_state_is_the_lambda1_ritz_vector(self, prepared_zoo, ring5_prepared):
         for prep in [*prepared_zoo.values(), *ring5_prepared]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from peps_forge import network
 from peps_forge.dynamics import PreparedInstance, verify_lemma1
+from peps_forge.hamiltonian import ground_analysis
 from peps_forge.harness import (
     GraphSpec,
     InstanceConfig,
@@ -27,15 +29,14 @@ PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, d
 
 
 @st.composite
-def configs(draw):
-    """Random-source config of a chain, ring, grid or custom graph (isolated
-    vertices allowed) with bond dimension 2 or 3, global dimension <= 729,
-    physical dimensions up to one above the register dimension, and random
-    vertex order, run seed, failure budget, penalty weight and zero
-    tolerance."""
+def instance_configs(draw, topologies=("chain", "ring", "custom")):
+    """Random-source config of a graph from ``topologies`` (custom graphs may
+    have isolated vertices) with a random vertex order, bond dimension 2 or
+    3, global dimension <= 729 and physical dimensions up to one above the
+    register dimension; the run fields keep their defaults."""
     bond_dim = draw(st.sampled_from([2, 3]))
     max_edges = 4 if bond_dim == 2 else 3  # global dimension is bond_dim**(2 E)
-    topology = draw(st.sampled_from(["chain", "ring", "grid", "custom"]))
+    topology = draw(st.sampled_from(list(topologies)))
     if topology == "chain":
         n = draw(st.integers(2, max_edges + 1))
         spec = GraphSpec(topology="chain", length=n)
@@ -57,7 +58,7 @@ def configs(draw):
         spec = GraphSpec(topology="custom", num_vertices=n, edges=tuple(sorted(edges)))
     kappa_max = draw(st.floats(1.0, 4.0))
     tensor_seed = draw(st.integers(0, 2**16))
-    order = draw(st.none() | st.permutations(range(n)).map(tuple))
+    order = tuple(draw(st.permutations(range(n))))
     _, edge_list = topology_edges(spec)
     registers = [bond_dim ** sum(v in e for e in edge_list) for v in range(n)]
     extra = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -71,16 +72,55 @@ def configs(draw):
             physical_dims=physical if math.prod(physical) <= 4096 else None,
             seed=tensor_seed,
         ),
-        seed=draw(st.integers(0, 2**32)),
+        seed=0,
         order=order,
+    )
+
+
+def instances():
+    return instance_configs().map(build_instance)
+
+
+@st.composite
+def configs(draw):
+    """:func:`instance_configs` over every topology, with the vertex order
+    kept or absent and a random run seed, failure budget, penalty weight
+    and zero tolerance."""
+    cfg = draw(instance_configs(topologies=("chain", "ring", "grid", "custom")))
+    return replace(
+        cfg,
+        seed=draw(st.integers(0, 2**32)),
+        order=draw(st.none() | st.just(cfg.order)),
         eps=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         c=draw(st.floats(1e-3, 1e3)),
         zero_tol=draw(st.floats(1e-14, 1e-2)),
     )
 
 
-def instances():
-    return configs().map(build_instance)
+@st.composite
+def two_component_configs(draw):
+    """Disjoint union of two random chains or rings (bond dimension 2, at
+    most five edges) with random tensors and a random vertex order, which
+    interleaves the components."""
+    edges, n = [], 0
+    for _ in range(2):
+        size = draw(st.integers(2, 3))
+        ring = size == 3 and len(edges) < 3 and draw(st.booleans())
+        edges += [(n + i, n + i + 1) for i in range(size - 1)]
+        edges += [(n, n + size - 1)] if ring else []
+        n += size
+    spec = GraphSpec(topology="custom", num_vertices=n, edges=tuple(sorted(edges)))
+    return InstanceConfig(
+        graph=spec,
+        bond_dim=2,
+        tensors=TensorSpec(
+            source="random",
+            kappa_max=draw(st.floats(1.0, 4.0)),
+            seed=draw(st.integers(0, 2**16)),
+        ),
+        seed=0,
+        order=tuple(draw(st.permutations(range(n)))),
+    )
 
 
 def einsum_pair_state(graph) -> np.ndarray:
@@ -146,3 +186,13 @@ def test_config_round_trip_is_lossless(cfg):
         for a, b in zip(tensors, rebuilt, strict=True):
             for field in ("matrix", "isometry", "positive_factor", "singular_values"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@PROPERTY_SETTINGS
+@given(two_component_configs())
+def test_warm_started_gaps_match_cold_solves_on_two_components(cfg):
+    """A warm start from one component's excitation still finds the other's."""
+    prep = PreparedInstance(*build_instance(cfg))
+    for t, (h, warm) in enumerate(zip(prep.hamiltonians, prep.analyses)):
+        cold = ground_analysis(h, kernel=prep.targets[t])
+        assert warm.gap == pytest.approx(cold.gap, abs=1e-12), t
