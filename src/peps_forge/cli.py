@@ -208,7 +208,7 @@ def cmd_cost_model(args) -> int:
         delta = args.delta if args.delta is not None else 1.0
         phys_dim = args.d if args.d is not None else 2
         degree = args.k if args.k is not None else 2
-    s, m = dynamics.required_alternations(max(kappa, 1.0), num_vertices, eps)
+    s, m = dynamics.required_alternations(kappa, num_vertices, eps)
     model = dynamics.cost_model(
         num_vertices, num_edges, kappa, eps, delta, phys_dim, degree
     )

@@ -15,14 +15,16 @@ The end-to-end driver runs that chain directly: one scalar
 full-Hilbert-space measurement (:func:`measure_zero_energy`) and repair
 loop (:func:`repair_loop_trials`) stay as the independent oracle the chain
 is tested against. This module also provides the plane construction, the
-closed forms and the cost accounting.
+closed forms, the cost accounting and the driver's per-vertex random
+streams (numpy's, derived in integer arithmetic).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -299,7 +301,13 @@ def p_fail_bound(p: float, m: float) -> float:
     return bound
 
 
-def _lands(prob: float, rng: np.random.Generator, zero_tol: float) -> bool:
+class UniformSource(Protocol):
+    """What the chain draws from: ``random()`` returns a double in [0, 1)."""
+
+    def random(self) -> float: ...
+
+
+def _lands(prob: float, rng: UniformSource, zero_tol: float) -> bool:
     """One binary measurement in the plane, with the rules of :func:`measure_zero_energy`."""
     draw = rng.random()
     if prob <= zero_tol:
@@ -312,7 +320,7 @@ def _lands(prob: float, rng: np.random.Generator, zero_tol: float) -> bool:
 def markov_simulate(
     p: float,
     max_alternations: int | None,
-    rng: np.random.Generator,
+    rng: UniformSource,
     zero_tol: float = ZERO_TOL,
 ) -> tuple[str, ...]:
     """One trajectory of the four-state repair chain at overlap ``p``.
@@ -326,11 +334,12 @@ def markov_simulate(
     missed. Returns the outcome labels (``'zero'`` = landed,
     ``'nonzero'`` = missed), first measurement first.
 
-    Each measurement consumes exactly one uniform variate and follows the
-    ``zero_tol`` rules of :func:`measure_zero_energy`, so on the same
-    generator the labels equal those of the full-space loop on the two
-    targets whose squared overlap is ``p``. A chain with ``p <= zero_tol``
-    never lands, so it needs a finite cap.
+    Each measurement consumes exactly one ``rng.random()`` draw, the only
+    method ``rng`` needs, and follows the ``zero_tol`` rules of
+    :func:`measure_zero_energy`, so on the same stream the labels equal
+    those of the full-space loop on the two targets whose squared overlap is
+    ``p``. A chain with ``p <= zero_tol`` never lands, so it needs a finite
+    cap.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0 + zero_tol:
@@ -366,6 +375,8 @@ def markov_trials(
     p = _check_p(p)
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if max_alternations < 0:
+        raise InvalidInputError("max_alternations must be >= 0")
     terminated = rng.random(trials) < p
     used = np.ones(trials, dtype=np.int64)
     active = ~terminated
@@ -530,12 +541,14 @@ class PreparedInstance:
             self.analyses.append(
                 ground_analysis(h, zero_tol=zero_tol, kernel=psi, start=start)
             )
-        self.overlaps: list[float] = [
+        self.overlaps: tuple[float, ...] = tuple(
             float(abs(np.vdot(self.targets[t + 1], self.targets[t])) ** 2)
             for t in range(n)
-        ]
-        self.kappa_max: float = max(t.kappa for t in tensors)
-        self.gaps: list[float] = [a.gap for a in self.analyses]
+        )
+        #: condition number of the vertex map applied at each step
+        self.step_kappas: tuple[float, ...] = tuple(tensors[v].kappa for v in graph.order)
+        self.kappa_max: float = max(self.step_kappas)
+        self.gaps: tuple[float, ...] = tuple(a.gap for a in self.analyses)
         self.min_gap: float = min(self.gaps)
         self.reference_state: np.ndarray = peps_state(graph, tensors)
         restored = restore_gauge(graph, self.tensors, self.targets[n])
@@ -575,13 +588,121 @@ class RunReport:
     vertices: tuple[VertexRecord, ...]
 
 
-def _vertex_rng(seed: int, step: int) -> np.random.Generator:
-    """Independent, reproducible stream for one vertex's repair loop.
+# numpy's SeedSequence hash, frozen by its stream-compatibility policy (NEP 19)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# numpy's PCG64: a 128-bit LCG with the XSL-RR output function
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
-    The leading spawn-key element namespaces measurement streams away from
-    other streams derived from the same seed (e.g. tensor generation).
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n >= 0``, one zero word for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(const: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """``(xor, multiply)`` pairs of ``count`` successive SeedSequence hashes.
+
+    Each hash XORs its word with the current constant, steps the constant
+    by ``mult`` and multiplies by the new one, whatever the data.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, step)))
+    pairs = []
+    for _ in range(count):
+        pairs.append((const, const := (const * mult) & _MASK32))
+    return pairs
+
+
+def _hash(word: int, consts: tuple[int, int]) -> int:
+    v = ((word ^ consts[0]) * consts[1]) & _MASK32
+    return v ^ (v >> 16)
+
+
+#: ``generate_state(4, uint64)``: 8 words hashed from the cycled pool
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+@functools.cache
+def _spawn_hashes(prefix_words: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """Hashes that mix the words of ``step`` into a pool after ``prefix_words`` words.
+
+    Past the pool size, SeedSequence hashes each entropy word once per pool
+    word; before it, the pool words and their all-pairs mixing take 16
+    hashes. Either way ``L >= 4`` words take ``4 L`` hashes, so the
+    constants that follow the prefix depend on its length only.
+    """
+    words = _uint32_words(step)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (prefix_words + len(words)))
+    return tuple(
+        tuple(_hash(w, c) for c in consts[_POOL_SIZE * i : _POOL_SIZE * (i + 1)])
+        for i, w in enumerate(words, start=prefix_words)
+    )
+
+
+class _Pcg64:
+    """numpy's ``PCG64`` seeded from a SeedSequence pool; draws only ``random()``."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, pool: list[int]):
+        w = []  # _hash inlined: this runs once per vertex of every run
+        for x, (a, b) in zip(pool * 2, _STATE_HASHES):
+            v = ((x ^ a) * b) & _MASK32
+            w.append(v ^ (v >> 16))
+        # the 64-bit words (initstate, initseq) are little-endian word pairs
+        initstate = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
+        initseq = (w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]
+        self.inc = inc = ((initseq << 1) | 1) & _MASK128
+        self.state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+
+    def random(self) -> float:
+        """Next double in [0, 1), the value ``Generator.random()`` would draw."""
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _MASK64
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        return (x >> 11) * (1.0 / 9007199254740992.0)
+
+
+class _MeasurementStreams:
+    """The per-vertex measurement streams of one run seed.
+
+    Vertex ``t`` of a run with seed ``s`` draws from numpy's ``PCG64``
+    stream of ``SeedSequence(s, spawn_key=(0, t))``, bit for bit; the
+    leading spawn-key element namespaces measurement streams away from other
+    streams derived from the same seed (e.g. tensor generation).
+    SeedSequence mixes its entropy (the seed's words zero-padded to the pool
+    size, then the spawn key's words) into the pool one word at a time, so
+    the pool after the shared prefix ``[seed..., 0]`` is built once, by
+    numpy from those words, and each vertex only mixes in the words of
+    ``t``: a dozen integer hash steps instead of a SeedSequence and a
+    Generator.
+    """
+
+    __slots__ = ("pool", "prefix_words")
+
+    def __init__(self, seed: int):
+        words = _uint32_words(seed)
+        words += [0] * (_POOL_SIZE - len(words)) + [0]
+        self.prefix_words = len(words)
+        self.pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+
+    def vertex(self, step: int) -> _Pcg64:
+        pool = self.pool
+        for hashes in _spawn_hashes(self.prefix_words, step):
+            mixed = []
+            for x, h in zip(pool, hashes):
+                v = (_MIX_MULT_L * x - _MIX_MULT_R * h) & _MASK32
+                mixed.append(v ^ (v >> 16))
+            pool = mixed
+        return _Pcg64(pool)
 
 
 def run_algorithm(
@@ -602,10 +723,12 @@ def run_algorithm(
 
     The measurements never leave the plane of the two certified targets, so
     each vertex is one :func:`markov_simulate` chain at the overlap
-    ``prepared.overlaps[t]`` on its own stream ``_vertex_rng(seed, t)``; no
-    state vector is built. A successful run ends in the last target and
-    reports the instance constant ``prepared.fidelity``. Deterministic given
-    ``seed``, which must be >= 0.
+    ``prepared.overlaps[t]``; no state vector is built. A successful run
+    ends in the last target and reports the instance constant
+    ``prepared.fidelity``. Deterministic given ``seed``, which must be
+    >= 0: vertex ``t`` of a run with seed ``s`` draws from numpy's PCG64
+    stream of ``SeedSequence(s, spawn_key=(0, t))``, reproduced bit for bit
+    in integer arithmetic with the seed's share derived once per run.
     """
     if mode not in ("bounded", "until_success"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -622,12 +745,13 @@ def run_algorithm(
     else:
         cap = None
 
+    streams = _MeasurementStreams(seed)
     records: list[VertexRecord] = []
     total = 0
     success = True
     for t in range(n):
         p = prepared.overlaps[t]
-        outcomes = markov_simulate(p, cap, _vertex_rng(seed, t), prepared.zero_tol)
+        outcomes = markov_simulate(p, cap, streams.vertex(t), prepared.zero_tol)
         vertex_ok = outcomes[-1] == "zero"
         total += len(outcomes)
         vertex = g.order[t]
@@ -640,7 +764,7 @@ def run_algorithm(
                 alternations=(len(outcomes) - 1) // 2,
                 first_shot_probability=p,
                 overlap=p,
-                kappa=prepared.tensors[vertex].kappa,
+                kappa=prepared.step_kappas[t],
                 gap=prepared.gaps[t + 1],
                 succeeded=vertex_ok,
             )
@@ -655,7 +779,7 @@ def run_algorithm(
         alternation_cap=cap,
         kappa_max=prepared.kappa_max,
         min_gap=prepared.min_gap,
-        gaps=tuple(prepared.gaps),
+        gaps=prepared.gaps,
         success=success,
         fidelity=prepared.fidelity if success else None,
         total_measurements=total,

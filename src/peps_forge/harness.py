@@ -610,8 +610,8 @@ def sweep(
             bound_margin=bounds.measurement_bound - report.total_measurements,
             kappa=prepared.kappa_max,
             min_gap=prepared.min_gap,
-            overlaps=tuple(prepared.overlaps),
-            gaps=tuple(prepared.gaps),
+            overlaps=prepared.overlaps,
+            gaps=prepared.gaps,
         )
 
     rows = [one(start + i) for i in range(trials)]

@@ -8,7 +8,6 @@ import numpy as np
 
 from peps_forge.dynamics import (
     PreparedInstance,
-    _vertex_rng,
     measure_zero_energy,
     required_alternations,
 )
@@ -83,6 +82,11 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases.conj()
 
 
+def vertex_rng(seed: int, step: int) -> np.random.Generator:
+    """numpy's own construction of the stream ``run_algorithm`` gives vertex ``step``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, step)))
+
+
 @dataclass(frozen=True)
 class VectorRun:
     """What the full-space reference driver observed in one run."""
@@ -104,9 +108,9 @@ def vector_driver(
     """Reference driver on state vectors: every measurement is a projection.
 
     Carries the register state through :func:`measure_zero_energy` on the
-    certified targets with the per-vertex streams of ``run_algorithm``, and
-    restores the gauge of the final state, as the driver did before it ran
-    in the plane.
+    certified targets, with each vertex's stream built by numpy itself
+    (:func:`vertex_rng`), and restores the gauge of the final state, as the
+    driver did before it ran in the plane.
     """
     n = prepared.graph.num_vertices
     if max_alternations is not None:
@@ -121,7 +125,7 @@ def vector_driver(
     total = 0
     success = True
     for t in range(n):
-        rng = _vertex_rng(seed, t)
+        rng = vertex_rng(seed, t)
         psi_prev, psi_next = prepared.targets[t], prepared.targets[t + 1]
         out = measure_zero_energy(state, psi_next, rng, zero_tol)
         first_shots.append(

@@ -272,6 +272,14 @@ class TestCostModel:
         code, _ = run_cli(capsys, "cost-model", "--config", CHAIN3, "--eps", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("kappa", ["0.5", "0.999", "0", "-2"])
+    def test_condition_number_below_one_invalid(self, capsys, kappa):
+        # a condition number is at least 1; nothing may round it up silently
+        code, _ = run_cli(capsys, "cost-model", "--V", "4", "--kappa", kappa, "--eps", "0.1")
+        assert code == 2
+        code, _ = run_cli(capsys, "cost-model", "--config", CHAIN3, "--kappa", kappa)
+        assert code == 2
+
     @pytest.mark.parametrize("flag", ["--kappa", "--delta"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_flags_invalid(self, capsys, flag, value):

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from _helpers import CHAIN2, CHAIN3, CHAIN4, RING4, random_instance, vector_driver
+from _helpers import (
+    CHAIN2,
+    CHAIN3,
+    CHAIN4,
+    RING4,
+    random_instance,
+    vector_driver,
+    vertex_rng,
+)
 from peps_forge import dynamics, network
 from peps_forge.dynamics import (
     PreparedInstance,
+    _MeasurementStreams,
     cost_model,
     cost_model_for_graph,
     jordan_plane_from_states,
@@ -432,6 +442,8 @@ class TestMarkovChain:
                 markov_simulate(p, 1, rng)
         with pytest.raises(InvalidInputError):
             markov_simulate(0.5, -1, rng)
+        with pytest.raises(InvalidInputError, match="max_alternations"):
+            markov_trials(0.5, -1, 5, rng)
 
     def test_exact_distribution_consistency(self):
         for p in (0.2, 0.5, 0.8):
@@ -613,7 +625,9 @@ class TestPlaneDriver:
     )
     def test_matches_vector_driver(self, name, kw, prepared_zoo):
         prep = prepared_zoo[name]
-        for seed in range(200):
+        # seeds of one to five 32-bit words
+        multi_word = [base + k for base in (2**32, 2**64, 2**128) for k in range(5)]
+        for seed in [*range(200), *multi_word]:
             report = run_algorithm(prep, 0.1, seed, **kw)
             ref = vector_driver(prep, 0.1, seed, **kw)
             assert tuple(r.outcomes for r in report.vertices) == ref.outcomes
@@ -653,6 +667,63 @@ class TestPlaneDriver:
         # the oracle still measures on vectors
         repair_loop_trials(prep, 1, 2, 3, seed=0)
         assert "measure_zero_energy" in calls
+
+
+def _encode(report) -> tuple[str, ...]:
+    return tuple(
+        "".join("Z" if o == "zero" else "N" for o in v.outcomes) for v in report.vertices
+    )
+
+
+class TestMeasurementStreams:
+    """The driver's per-vertex streams are numpy's, bit for bit."""
+
+    SEEDS = [0, 1, 7, 123, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64]
+    SEEDS += [2**64 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**160 + 1, 2**200]
+    # steps of one, two and three 32-bit words
+    STEPS = [*range(16), 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1]
+
+    def test_bit_identical_to_numpy(self):
+        seeds = self.SEEDS + [random.Random(bits).getrandbits(bits) for bits in range(5, 201, 15)]
+        for seed in seeds:
+            streams = _MeasurementStreams(seed)
+            for step in self.STEPS:
+                stream = streams.vertex(step)
+                ours = [stream.random() for _ in range(8)]
+                assert ours == vertex_rng(seed, step).random(8).tolist(), (seed, step)
+
+    # draws of numpy 2.4's default_rng(SeedSequence(seed, spawn_key=(0, step)))
+    GOLDEN_DRAWS = [
+        (0, 0, [0.5651317655614634, 0.935433136976671, 0.47987454708253907]),
+        (2**32 + 7, 3, [0.38653289772351074, 0.1006311339823811, 0.7344868761660808]),
+        (2**70 + 3, 1, [0.8070743261356725, 0.9379056639089467, 0.5339058740264766]),
+        (2**200 + 1, 15, [0.5100847462067406, 0.025684633853626182, 0.8494074533805883]),
+    ]
+
+    @pytest.mark.parametrize("seed,step,draws", GOLDEN_DRAWS)
+    def test_golden_draws(self, seed, step, draws):
+        stream = _MeasurementStreams(seed).vertex(step)
+        assert [stream.random() for _ in draws] == draws
+
+    # outcome sequences (Z = zero, N = nonzero) recorded before the streams
+    # were derived in integer arithmetic
+    GOLDEN_RUNS = [
+        ("grid2x2", 5, {"mode": "until_success"}, ("Z", "NNNNNNNNNNNNNZZ", "Z", "Z")),
+        ("grid2x2", 15, {}, ("Z", "Z", "NNNZZ", "Z")),
+        ("grid2x2", 2**32 + 7, {}, ("Z", "Z", "Z", "Z")),
+        ("grid2x2", 2**70 + 4, {"mode": "until_success"}, ("Z", "Z", "NNNNNNZ", "Z")),
+        ("grid2x2", 2**70 + 4, {"max_alternations": 1}, ("Z", "Z", "NNN")),
+        ("chain3", 7, {"mode": "until_success"}, ("Z", "NNZ", "Z")),
+        ("chain3", 2**70 + 3, {}, ("Z", "NNNZZ", "Z")),
+        ("chain3", 2**70 + 3, {"max_alternations": 1}, ("Z", "NNN")),
+    ]
+
+    @pytest.mark.parametrize("name,seed,kw,outcomes", GOLDEN_RUNS)
+    def test_golden_runs(self, name, seed, kw, outcomes, prepared_zoo):
+        report = run_algorithm(prepared_zoo[name], 0.1, seed, **kw)
+        assert _encode(report) == outcomes
+        assert report.success == (outcomes[-1][-1] == "Z")
+        assert report.total_measurements == sum(map(len, outcomes))
 
 
 class TestRepairLoopTrials:
