@@ -61,7 +61,6 @@ from .harness import (
     load_config,
     load_fixture,
     parse_config,
-    random_injective_matrix,
     sweep,
 )
 from .linalg import (

@@ -28,7 +28,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, InvalidInputError
 from .linalg import ZERO_TOL
-from .network import InteractionGraph, PepsTensor, canonicalize
+from .network import InteractionGraph, PepsTensor, canonicalize, canonicalize_stack
 
 TOPOLOGIES = ("chain", "ring", "grid", "custom")
 TENSOR_SOURCES = ("random", "explicit")
@@ -382,41 +382,49 @@ def topology_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
     return spec.num_vertices, list(spec.edges)
 
 
-def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases.conj()
-
-
-def random_injective_matrix(
-    phys_dim: int, virt_dim: int, kappa_max: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Random injective map with condition number at most ``kappa_max``.
-
-    Singular values are sampled uniformly in ``[1/kappa_max, 1]`` and dressed
-    with independent Haar isometric factors; ``kappa_max = 1`` yields an
-    exact isometry.
-    """
-    if phys_dim < virt_dim:
-        raise InvalidInputError(
-            f"physical dimension {phys_dim} below virtual dimension {virt_dim}"
-        )
-    if kappa_max < 1.0:
-        raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
-    if kappa_max == 1.0:
-        sigmas = np.ones(virt_dim)
-    else:
-        sigmas = rng.uniform(1.0 / kappa_max, 1.0, size=virt_dim)
-    left = _haar_isometry(phys_dim, virt_dim, rng)
-    right = _haar_isometry(virt_dim, virt_dim, rng)
-    return (left * sigmas) @ right.conj().T
-
-
 def _tensor_rng(seed: int, vertex: int) -> np.random.Generator:
     # spawn-key namespace 1 = tensor generation (0 = measurement streams)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, vertex)))
+
+
+def random_tensors(
+    graph: InteractionGraph, kappa_max: float, seed: int
+) -> list[PepsTensor]:
+    """Random injective vertex maps with condition number at most ``kappa_max``.
+
+    Vertex ``v`` draws from its own stream: singular values uniform in
+    ``[1/kappa_max, 1]`` (no draw at ``kappa_max = 1``, which gives exact
+    isometries), then the Gaussians of a Haar isometry (physical x virtual)
+    and of a Haar unitary (virtual x virtual), real parts first. The map is
+    ``left @ diag(sigma) @ right^dag``. All Haar factors of one shape come
+    from one stacked QR, all maps of one shape from one stacked SVD.
+    """
+    if kappa_max < 1.0:
+        raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
+    n = graph.num_vertices
+    shapes = [(graph.physical_dims[v], graph.register_dim(v)) for v in range(n)]
+    sigmas, gaussians = [], {}
+    for v, (p, r) in enumerate(shapes):
+        rng = _tensor_rng(seed, v)
+        sigmas.append(np.ones(r) if kappa_max == 1.0 else rng.uniform(1.0 / kappa_max, 1.0, r))
+        for shape in ((p, r), (r, r)):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            gaussians.setdefault(shape, []).append(z)
+    haar = {}
+    for shape, zs in gaussians.items():
+        q, upper = np.linalg.qr(np.stack(zs))
+        diag = np.diagonal(upper, axis1=1, axis2=2)
+        haar[shape] = iter(q * (diag / np.abs(diag)).conj()[:, None, :])
+    maps: dict[tuple[int, int], list] = {}
+    for v, (p, r) in enumerate(shapes):
+        left, right = next(haar[p, r]), next(haar[r, r])
+        maps.setdefault((p, r), []).append((v, (left * sigmas[v]) @ right.conj().T))
+    tensors = [None] * n
+    for members in maps.values():
+        vertices, stack = zip(*members)
+        for t in canonicalize_stack(vertices, np.stack(stack)):
+            tensors[t.vertex] = t
+    return tensors
 
 
 def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTensor]]:
@@ -435,16 +443,7 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
             physical_dims=list(dims) if dims is not None else None,
             order=list(cfg.order) if cfg.order is not None else None,
         )
-        tensors = []
-        for v in range(n):
-            matrix = random_injective_matrix(
-                graph.physical_dims[v],
-                graph.register_dim(v),
-                cfg.tensors.kappa_max,
-                _tensor_rng(cfg.tensors.seed, v),
-            )
-            tensors.append(canonicalize(v, matrix))
-        return graph, tensors
+        return graph, random_tensors(graph, cfg.tensors.kappa_max, cfg.tensors.seed)
     entries = cfg.tensors.entries
     if len(entries) != n:
         raise ConfigError("/tensors/entries", f"expected {n} matrices, got {len(entries)}")

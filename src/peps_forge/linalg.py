@@ -42,7 +42,11 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingularDecomposition:
-    """Thin SVD ``a = u @ diag(sigma) @ vh`` with ``sigma`` descending."""
+    """Thin SVD ``a = u @ diag(sigma) @ vh`` with ``sigma`` descending.
+
+    Of a stack, each field stacks its matrices' factors; the properties
+    and :meth:`reconstruct` are for a single matrix.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
@@ -83,12 +87,16 @@ class SpectralDecomposition:
 
 
 def svd(m: np.ndarray) -> SingularDecomposition:
-    """Thin singular value decomposition.
+    """Thin singular value decomposition of a matrix or a stack of matrices.
 
-    Raises :class:`NumericalFailureError` if the iterative solver does not
+    A stack of shape ``(k, rows, cols)`` is decomposed in one LAPACK sweep,
+    matrix by matrix, with the same results as ``k`` separate calls. Raises
+    :class:`NumericalFailureError` if the iterative solver does not
     converge (rare, but possible for pathological inputs).
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or not np.all(np.isfinite(m)):
+        raise InvalidInputError(f"SVD needs finite matrices, got shape {m.shape}")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -16,9 +16,11 @@ id. Global states flatten registers in vertex order, vertex 0 most
 significant (see :mod:`peps_forge.linalg`).
 
 Per-graph and per-map constants are computed once: a graph caches its
-incident edges, register dimensions and (read-only) pair state, and
-:func:`canonicalize` takes the polar factors and singular values of a map
-from a single SVD.
+incident edges, register dimensions and (read-only) pair state, whose
+nonzero amplitudes are set at flat indices from slot strides, and
+:func:`canonicalize_stack` takes the polar factors and singular values of
+same-shape maps from one stacked SVD (:func:`canonicalize` is its stack of
+one). :func:`apply_on_register` acts on one register with one matmul.
 """
 
 from __future__ import annotations
@@ -172,17 +174,24 @@ class InteractionGraph:
     @cached_property
     def _pair_state(self) -> np.ndarray:
         """Read-only pair state; :func:`pair_state` checks the cap first."""
-        # global slot layout: per vertex, one axis per incident edge
-        slot_of: dict[tuple[int, int], int] = {}
-        for v, inc in enumerate(self._incident):
-            for eid in inc:
-                slot_of[(v, eid)] = len(slot_of)
-        operands: list = []
+        # flat stride of each (vertex, edge) slot: vertex 0 and, within a
+        # register, the first incident edge are most significant
+        stride: dict[tuple[int, int], int] = {}
+        step = 1
+        for v in reversed(range(self.num_vertices)):
+            for eid in reversed(self._incident[v]):
+                stride[v, eid] = step
+                step *= self.bond_dims[eid]
+        # edge e with value k adds k to both of its slots; amplitudes
+        # multiply in edge order
+        index = np.zeros(1, dtype=np.intp)
+        amplitude = 1.0
         for eid, (u, v) in enumerate(self.edges):
             d = self.bond_dims[eid]
-            operands.append(np.eye(d, dtype=complex) / math.sqrt(d))
-            operands.append([slot_of[(u, eid)], slot_of[(v, eid)]])
-        state = np.einsum(*operands, list(range(len(slot_of)))).reshape(-1)
+            index = (index[:, None] + np.arange(d) * (stride[u, eid] + stride[v, eid])).ravel()
+            amplitude *= 1.0 / math.sqrt(d)
+        state = np.zeros(self.global_dim, dtype=complex)
+        state[index] = amplitude
         state.setflags(write=False)
         return state
 
@@ -217,34 +226,41 @@ class PepsTensor:
 
 
 def canonicalize(vertex: int, matrix: np.ndarray) -> PepsTensor:
-    """Polar-decompose a vertex map and package it for simulation.
-
-    One thin SVD ``matrix = u @ diag(sigma) @ vh`` gives all three fields:
-    the isometry ``u @ vh``, the positive factor ``vh^dag @ diag(sigma) @
-    vh`` (symmetrized) and the singular values. The map must be tall or
-    square; rank deficiency raises :class:`InjectivityError`, since the
-    whole construction relies on left-invertibility.
-    """
+    """Polar-decompose one vertex map; see :func:`canonicalize_stack`."""
     m = linalg.as_matrix(matrix, f"tensor at vertex {vertex}")
-    rows, cols = m.shape
+    return canonicalize_stack((vertex,), m[None])[0]
+
+
+def canonicalize_stack(vertices: tuple[int, ...], maps: np.ndarray) -> list[PepsTensor]:
+    """Polar-decompose a stack of same-shape vertex maps and package them.
+
+    One stacked thin SVD ``maps[i] = u @ diag(sigma) @ vh`` gives all three
+    fields of ``vertices[i]``: the isometry ``u @ vh``, the positive factor
+    ``vh^dag @ diag(sigma) @ vh`` (symmetrized) and the singular values. The
+    maps must be tall or square; rank deficiency raises
+    :class:`InjectivityError`, since the whole construction relies on
+    left-invertibility.
+    """
+    maps = np.asarray(maps, dtype=complex)
+    rows, cols = maps.shape[1:]
     if rows < cols:
         raise InvalidInputError(
-            f"tensor at vertex {vertex} must have rows >= cols, got {rows}x{cols}"
+            f"tensor at vertex {vertices[0]} must have rows >= cols, got {rows}x{cols}"
         )
-    dec = linalg.svd(m)
-    if dec.sigma_min <= linalg.RANK_RTOL * dec.sigma_max or dec.sigma_max == 0.0:
-        raise InjectivityError(
-            f"tensor at vertex {vertex} is rank deficient: "
-            f"sigma_min={dec.sigma_min:.3e}, sigma_max={dec.sigma_max:.3e}"
-        )
-    psd = (dec.vh.conj().T * dec.sigma) @ dec.vh
-    return PepsTensor(
-        vertex=vertex,
-        matrix=m,
-        isometry=dec.u @ dec.vh,
-        positive_factor=(psd + psd.conj().T) / 2,
-        singular_values=dec.sigma,
-    )
+    dec = linalg.svd(maps)
+    for v, sigma in zip(vertices, dec.sigma):
+        if sigma[-1] <= linalg.RANK_RTOL * sigma[0] or sigma[0] == 0.0:
+            raise InjectivityError(
+                f"tensor at vertex {v} is rank deficient: "
+                f"sigma_min={sigma[-1]:.3e}, sigma_max={sigma[0]:.3e}"
+            )
+    psd = (dec.vh.conj().swapaxes(1, 2) * dec.sigma[:, None, :]) @ dec.vh
+    isometries = dec.u @ dec.vh
+    positive = (psd + psd.conj().swapaxes(1, 2)) / 2
+    return [
+        PepsTensor(v, maps[i], isometries[i], positive[i], dec.sigma[i])
+        for i, v in enumerate(vertices)
+    ]
 
 
 def check_tensors(g: InteractionGraph, tensors: list[PepsTensor]) -> None:
@@ -268,14 +284,23 @@ def apply_on_register(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Apply a (possibly rectangular) operator to one vertex register.
 
+    The state is viewed as ``(a, r, b)`` around register ``v`` and ``op``
+    multiplies the ``r`` axis in one matmul: the first register needs no
+    copy and a middle one moves ``r`` to the front first. The last one
+    multiplies the transposed view, which keeps the summation order of
+    ``op @ x``, and copies the product once.
+
     Returns the new state vector and the updated register dimensions.
     """
     dims = list(register_dims)
-    tensor = state.reshape(dims)
-    tensor = np.tensordot(op, tensor, axes=([1], [v]))
-    tensor = np.moveaxis(tensor, 0, v)
+    a, r, b = math.prod(dims[:v]), dims[v], math.prod(dims[v + 1 :])
+    if b == 1:
+        out = (op @ state.reshape(a, r).T).T
+    else:
+        x = state.reshape(a, r, b).transpose(1, 0, 2).reshape(r, a * b)
+        out = (op @ x).reshape(-1, a, b).transpose(1, 0, 2)
     dims[v] = op.shape[0]
-    return tensor.reshape(-1), tuple(dims)
+    return out.reshape(-1), tuple(dims)
 
 
 def pair_state(g: InteractionGraph) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from peps_forge.harness import (
     TensorSpec,
     build_instance,
 )
-from peps_forge.network import restore_gauge
+from peps_forge.network import InteractionGraph, PepsTensor, restore_gauge
 
 CHAIN2 = GraphSpec(topology="chain", length=2)
 CHAIN3 = GraphSpec(topology="chain", length=3)
@@ -76,10 +77,63 @@ def two_svd_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u @ vh, (psd + psd.conj().T) / 2, sigma
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(n, n, rng))
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(random_complex(rows, cols, rng))
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases.conj()
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    return haar_isometry(n, n, rng)
+
+
+def per_vertex_tensors(
+    graph: InteractionGraph, kappa_max: float, seed: int
+) -> list[PepsTensor]:
+    """Reference for ``harness.random_tensors``: each vertex on its own.
+
+    One generator, one QR per Haar factor and one SVD per map, drawn in the
+    documented order: singular values (only for ``kappa_max > 1``), then the
+    Gaussians of the left and the right factor.
+    """
+    tensors = []
+    for v in range(graph.num_vertices):
+        rows, cols = graph.physical_dims[v], graph.register_dim(v)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, v)))
+        if kappa_max == 1.0:
+            sigmas = np.ones(cols)
+        else:
+            sigmas = rng.uniform(1.0 / kappa_max, 1.0, size=cols)
+        left = haar_isometry(rows, cols, rng)
+        right = haar_isometry(cols, cols, rng)
+        matrix = (left * sigmas) @ right.conj().T
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        psd = (vh.conj().T * s) @ vh
+        tensors.append(PepsTensor(v, matrix, u @ vh, (psd + psd.conj().T) / 2, s))
+    return tensors
+
+
+def einsum_pair_state(graph: InteractionGraph) -> np.ndarray:
+    """Pair state from one einsum whose labels come from a fresh edge scan."""
+    labels = {}
+    for v in range(graph.num_vertices):
+        at_v = sorted(
+            (b if a == v else a, e) for e, (a, b) in enumerate(graph.edges) if v in (a, b)
+        )
+        for _, e in at_v:
+            labels[v, e] = len(labels)
+    operands = []
+    for e, (a, b) in enumerate(graph.edges):
+        d = graph.bond_dims[e]
+        operands += [np.eye(d, dtype=complex) / math.sqrt(d), [labels[a, e], labels[b, e]]]
+    return np.einsum(*operands, list(range(len(labels)))).reshape(-1)
+
+
+def einsum_apply(op: np.ndarray, v: int, state: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``op`` on register ``v`` of a state with register dimensions ``dims``."""
+    letters = "abcdefghijklmnopqrstuvw"[: len(dims)]
+    out = letters.replace(letters[v], "z")
+    return np.einsum(f"z{letters[v]},{letters}->{out}", op, state.reshape(dims)).reshape(-1)
 
 
 def vertex_rng(seed: int, step: int) -> np.random.Generator:

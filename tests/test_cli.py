@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -169,6 +170,37 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["instances"] == 5
         assert doc["steps_checked"] == 15
+
+    def test_lemma1_derives_each_config_when_it_runs(self, tmp_path, monkeypatch):
+        # configs are derived one per instance: none is built ahead of the work
+        config = {
+            "graph": {"topology": "chain", "length": 3},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 5.0, "seed": 3},
+            "seed": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        built = []
+        replace = dataclasses.replace
+
+        def counting_replace(obj, **changes):
+            out = replace(obj, **changes)
+            if isinstance(out, harness.InstanceConfig):
+                built.append(out)
+            return out
+
+        class Stop(Exception):
+            pass
+
+        def stop(cfg):
+            raise Stop
+
+        monkeypatch.setattr(dataclasses, "replace", counting_replace)
+        monkeypatch.setattr(harness, "build_instance", stop)
+        with pytest.raises(Stop):
+            cli.main(["verify-lemma1", "--config", str(path), "--trials", "1000"])
+        assert len(built) <= 1
 
     def test_lemma2_passes(self, capsys):
         code, out = run_cli(
@@ -366,3 +398,23 @@ def test_cli_import_skips_scipy_stats():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_lemma1_path_loads_no_scipy():
+    # build_instance + verify_lemma1 run on numpy's BLAS pool alone
+    src = str(Path(peps_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys\n"
+        "from peps_forge import dynamics, harness\n"
+        "cfg = harness.parse_config({'graph': {'topology': 'ring', 'length': 6},"
+        " 'bond_dim': 2, 'tensors': {'source': 'random', 'kappa_max': 3.0, 'seed': 11},"
+        " 'seed': 0})\n"
+        "report = dynamics.verify_lemma1(*harness.build_instance(cfg))\n"
+        "print(len(report.steps), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "6 []"

@@ -37,7 +37,7 @@ from peps_forge.dynamics import (
     verify_lemma1,
 )
 from peps_forge.errors import InvalidInputError, OrthogonalTargetsError
-from peps_forge.harness import FIXTURE_NAMES
+from peps_forge.harness import FIXTURE_NAMES, random_tensors
 from peps_forge.network import InteractionGraph, canonicalize
 
 
@@ -599,16 +599,7 @@ class TestRunAlgorithm:
 
     def test_mixed_bond_dimensions(self):
         g = InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[2, 3])
-        rng = np.random.default_rng(14)
-        from peps_forge.harness import random_injective_matrix
-
-        tensors = [
-            canonicalize(
-                v, random_injective_matrix(g.register_dim(v), g.register_dim(v), 2.0, rng)
-            )
-            for v in range(3)
-        ]
-        prep = PreparedInstance(g, tensors)
+        prep = PreparedInstance(g, random_tensors(g, 2.0, 14))
         report = run_algorithm(prep, 0.1, seed=6, mode="until_success")
         assert report.success
         assert report.fidelity >= 1.0 - 1e-8

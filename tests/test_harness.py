@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import CHAIN3, random_config, random_instance
+from _helpers import CHAIN3, per_vertex_tensors, random_config, random_instance
 from peps_forge import harness
 from peps_forge.dynamics import PreparedInstance, run_algorithm
 from peps_forge.errors import ConfigError, InvalidInputError
@@ -22,7 +22,7 @@ from peps_forge.harness import (
     load_config,
     load_fixture,
     parse_config,
-    random_injective_matrix,
+    random_tensors,
     report_to_json,
     sweep,
     sweep_csv,
@@ -30,7 +30,7 @@ from peps_forge.harness import (
     to_explicit_config,
     topology_edges,
 )
-from peps_forge.network import canonicalize
+from peps_forge.network import InteractionGraph
 
 
 def _minimal_doc() -> dict:
@@ -191,42 +191,101 @@ class TestTopologies:
 
 
 class TestRandomInjective:
+    """``random_tensors``: condition-number budget, shapes and streams."""
+
     def test_isometry_at_kappa_one(self):
-        rng = np.random.default_rng(0)
-        m = random_injective_matrix(4, 4, 1.0, rng)
-        sigma = np.linalg.svd(m, compute_uv=False)
-        assert sigma[0] / sigma[-1] == pytest.approx(1.0, abs=1e-10)
+        graph = InteractionGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for t in random_tensors(graph, 1.0, 0):
+            assert t.kappa == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_kappa_within_budget(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_injective_matrix(6, 4, 3.0, rng)
-        sigma = np.linalg.svd(m, compute_uv=False)
-        kappa = sigma[0] / sigma[-1]
-        assert 1.0 <= kappa <= 3.0 + 1e-9
+        graph = InteractionGraph.build(3, [(0, 1), (1, 2)], physical_dims=[6, 6, 6])
+        for t in random_tensors(graph, 3.0, seed):
+            sigma = np.linalg.svd(t.matrix, compute_uv=False)
+            assert 1.0 <= sigma[0] / sigma[-1] <= 3.0 + 1e-9
 
     def test_square_canonical_factor_positive(self):
-        rng = np.random.default_rng(3)
-        m = random_injective_matrix(4, 4, 2.0, rng)
-        psd = canonicalize(0, m).positive_factor
-        assert np.linalg.eigvalsh(psd).min() > 0
+        graph = InteractionGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for t in random_tensors(graph, 2.0, 3):
+            assert np.linalg.eigvalsh(t.positive_factor).min() > 0
 
     def test_canonicalized_degree_three_map(self):
-        rng = np.random.default_rng(4)
-        tensor = canonicalize(5, random_injective_matrix(9, 2**3, 2.0, rng))
-        assert tensor.vertex == 5
+        n, edges = topology_edges(harness.GraphSpec(topology="grid", rows=2, cols=3))
+        graph = InteractionGraph.build(n, edges, physical_dims=[4, 9, 4, 4, 9, 4])
+        tensor = random_tensors(graph, 2.0, 4)[4]
+        assert tensor.vertex == 4
         assert tensor.matrix.shape == (9, 8)
         assert tensor.kappa <= 2.0 + 1e-9
 
     def test_rejects_shrinking_map(self):
-        rng = np.random.default_rng(5)
         with pytest.raises(InvalidInputError):
-            random_injective_matrix(3, 4, 2.0, rng)
+            build_instance(random_config(CHAIN3, 2.0, 5, physical_dims=(2, 3, 2)))
+
+    def test_rejects_kappa_below_one(self):
+        graph = InteractionGraph.build(2, [(0, 1)])
+        with pytest.raises(InvalidInputError):
+            random_tensors(graph, 0.5, 5)
 
     def test_seeded_reproducibility(self):
-        a = random_injective_matrix(4, 4, 2.0, np.random.default_rng(9))
-        b = random_injective_matrix(4, 4, 2.0, np.random.default_rng(9))
-        assert np.array_equal(a, b)
+        graph = InteractionGraph.build(3, [(0, 1), (1, 2)])
+        a, b, c = (random_tensors(graph, 2.0, seed) for seed in (9, 9, 10))
+        assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
+        assert not any(np.array_equal(x.matrix, z.matrix) for x, z in zip(a, c))
+
+
+def _grid(rows: int, cols: int, **kw) -> InteractionGraph:
+    n, edges = topology_edges(harness.GraphSpec(topology="grid", rows=rows, cols=cols))
+    return InteractionGraph.build(n, edges, **kw)
+
+
+def _ring(n: int, **kw) -> InteractionGraph:
+    return InteractionGraph.build(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)], **kw)
+
+
+SAMPLER_CASES = {
+    **{f"ring{n}": (_ring(n), 3.0, 40 + n) for n in range(3, 7)},
+    "grid2x2": (_grid(2, 2), 3.0, 512),
+    "grid2x3-mixed-dims": (_grid(2, 3, physical_dims=[5, 9, 4, 4, 8, 6]), 2.5, 9),
+    "ring5-kappa1": (_ring(5), 1.0, 77),
+    "ring4-order": (_ring(4, order=[2, 0, 3, 1]), 2.0, 6),
+    "chain3-bonds32": (InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[3, 2]), 4.0, 2),
+}
+
+
+class TestBatchedSampler:
+    """``random_tensors`` against the one-vertex-at-a-time construction."""
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_matches_per_vertex_construction(self, case):
+        graph, kappa_max, seed = SAMPLER_CASES[case]
+        batched = random_tensors(graph, kappa_max, seed)
+        for got, want in zip(batched, per_vertex_tensors(graph, kappa_max, seed), strict=True):
+            assert got.vertex == want.vertex
+            for field in ("matrix", "isometry", "positive_factor", "singular_values"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (case, got.vertex, field)
+
+    def test_reproduces_the_grid2x2_fixture(self, fixture_zoo):
+        _, _, graph, fixture = fixture_zoo["grid2x2"]
+        for got, want in zip(random_tensors(graph, 3.0, 512), fixture, strict=True):
+            assert np.array_equal(got.matrix, want.matrix)
+
+    @pytest.mark.parametrize(
+        "case, qrs, svds", [("ring6", 1, 1), ("grid2x3-mixed-dims", 5, 5)]
+    )
+    def test_one_qr_and_one_svd_per_shape(self, case, qrs, svds, monkeypatch):
+        calls = {"qr": 0, "svd": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        random_tensors(*SAMPLER_CASES[case])
+        assert calls == {"qr": qrs, "svd": svds}
 
 
 class TestBuildInstance:

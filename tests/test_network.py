@@ -8,7 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import CHAIN3, RING4, haar_unitary, random_instance
+from _helpers import (
+    CHAIN3,
+    RING4,
+    einsum_apply,
+    einsum_pair_state,
+    haar_unitary,
+    random_complex,
+    random_instance,
+)
 from peps_forge import hamiltonian, network
 from peps_forge.dynamics import PreparedInstance, verify_lemma1
 from peps_forge.errors import (
@@ -192,6 +200,77 @@ class TestPairState:
             for j in range(2):
                 amp = tensor[i, 2 * i + j, j]
                 assert amp == pytest.approx(0.5)
+
+
+PAIR_GRAPHS = {
+    **{
+        f"ring{n}": InteractionGraph.build(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        for n in range(3, 7)
+    },
+    "chain3-D3": InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=3),
+    "chain4-D3": InteractionGraph.build(4, [(0, 1), (1, 2), (2, 3)], bond_dim=3),
+    "chain3-bonds32": InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[3, 2]),
+    "grid2x2": InteractionGraph.build(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    "grid2x3": InteractionGraph.build(
+        6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]
+    ),
+    "star-interleaved": InteractionGraph.build(3, [(1, 2), (0, 1)], bond_dim=[2, 3]),
+    # amplitudes are products of four mixed factors, so their order shows in the bits
+    "ring4-bonds2323": InteractionGraph.build(
+        4, [(0, 1), (1, 2), (2, 3), (0, 3)], bond_dim=[2, 3, 2, 3]
+    ),
+}
+
+
+class TestPairStateByIndex:
+    @pytest.mark.parametrize("name", PAIR_GRAPHS)
+    def test_bit_equal_to_einsum(self, name, monkeypatch):
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", str(2**14))  # grid2x3 has dim 2^14
+        graph = PAIR_GRAPHS[name]
+        state = network.pair_state(graph)
+        assert state.dtype == complex and state.shape == (graph.global_dim,)
+        assert np.array_equal(state, einsum_pair_state(graph))
+
+    def test_lowered_cap_raises_before_building(self, monkeypatch):
+        graph = InteractionGraph.build(6, [(i, (i + 1) % 6) for i in range(6)])
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", str(graph.global_dim - 1))
+        with pytest.raises(CapacityError):
+            network.pair_state(graph)
+        assert "_pair_state" not in vars(graph)
+
+
+class TestApplyOnRegister:
+    """The register kernel against an einsum over the full register tensor."""
+
+    @pytest.mark.parametrize(
+        "dims", [(4, 4, 4, 4, 4, 4), (2, 4, 2), (3, 6, 2), (2, 2)], ids=str
+    )
+    @pytest.mark.parametrize("extra_rows", [0, 3], ids=["square", "tall"])
+    def test_every_position(self, dims, extra_rows):
+        rng = np.random.default_rng(len(dims) + extra_rows)
+        state = random_complex(math.prod(dims), 1, rng)[:, 0]
+        for v, r in enumerate(dims):
+            op = random_complex(r + extra_rows, r, rng)
+            out, new_dims = network.apply_on_register(op, v, state, dims)
+            assert new_dims == dims[:v] + (r + extra_rows,) + dims[v + 1 :]
+            assert out.shape == (math.prod(new_dims),)
+            assert np.abs(out - einsum_apply(op, v, state, dims)).max() <= 1e-12
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    def test_rectangular_sweep(self, order):
+        # every register grows in turn, as restore_gauge and peps_state apply maps
+        dims = (3, 6, 2)
+        rng = np.random.default_rng(8)
+        ops = [random_complex(r + 2, r, rng) for r in dims]
+        state = network.pair_state(PAIR_GRAPHS["chain3-bonds32"])
+        got, got_dims = state, dims
+        want, want_dims = state, dims
+        for v in range(3) if order == "forward" else reversed(range(3)):
+            got, got_dims = network.apply_on_register(ops[v], v, got, got_dims)
+            want = einsum_apply(ops[v], v, want, want_dims)
+            want_dims = got_dims
+        assert got_dims == (5, 8, 4)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestContractPartial:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import einsum_pair_state
 from peps_forge import network
 from peps_forge.dynamics import PreparedInstance, verify_lemma1
 from peps_forge.hamiltonian import ground_analysis
@@ -121,22 +122,6 @@ def two_component_configs(draw):
         seed=0,
         order=tuple(draw(st.permutations(range(n)))),
     )
-
-
-def einsum_pair_state(graph) -> np.ndarray:
-    """Pair state from one einsum whose labels come from a fresh edge scan."""
-    labels = {}
-    for v in range(graph.num_vertices):
-        at_v = sorted(
-            (b if a == v else a, e) for e, (a, b) in enumerate(graph.edges) if v in (a, b)
-        )
-        for _, e in at_v:
-            labels[v, e] = len(labels)
-    operands = []
-    for e, (a, b) in enumerate(graph.edges):
-        d = graph.bond_dims[e]
-        operands += [np.eye(d, dtype=complex) / math.sqrt(d), [labels[a, e], labels[b, e]]]
-    return np.einsum(*operands, list(range(len(labels)))).reshape(-1)
 
 
 @PROPERTY_SETTINGS
