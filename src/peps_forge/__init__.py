@@ -9,7 +9,6 @@ termination law, and the measurement/runtime accounting.
 
 from .dynamics import (
     CostModel,
-    JordanPlane,
     Lemma1Report,
     MeasurementOutcome,
     PreparedInstance,
@@ -17,7 +16,6 @@ from .dynamics import (
     VertexRecord,
     cost_model,
     cost_model_for_graph,
-    jordan_plane_from_states,
     markov_exact_distribution,
     markov_simulate,
     markov_trials,

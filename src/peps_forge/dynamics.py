@@ -14,9 +14,9 @@ The end-to-end driver runs that chain directly: one scalar
 :func:`markov_simulate` per vertex, with no state vectors. The
 full-Hilbert-space measurement (:func:`measure_zero_energy`) and repair
 loop (:func:`repair_loop_trials`) stay as the independent oracle the chain
-is tested against. This module also provides the plane construction, the
-closed forms, the cost accounting and the driver's per-vertex random
-streams (numpy's, derived in integer arithmetic).
+is tested against. This module also provides the closed forms, the cost
+accounting and the driver's per-vertex random streams (numpy's, derived in
+integer arithmetic).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     BoundViolationError,
     InvalidInputError,
-    NumericalFailureError,
     OrthogonalTargetsError,
 )
 from .hamiltonian import (
@@ -49,13 +48,6 @@ from .network import (
     peps_state,
     restore_gauge,
 )
-
-#: targets closer than this to orthogonal stall the repair loop
-MIN_OVERLAP = 1e-12
-
-#: 1 - p below this counts as a fully aligned (trivial) plane
-TRIVIAL_PLANE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -176,86 +168,6 @@ def verify_lemma1(
         steps=tuple(checks),
         min_overlap_margin=min_p_margin,
         min_z_margin=min_z_margin,
-    )
-
-
-@dataclass(frozen=True)
-class JordanPlane:
-    """The invariant two-dimensional plane spanned by consecutive targets.
-
-    Phase convention: ``psi_next`` is rephased so that
-    ``<psi_next|psi_t> = -sqrt(p)``, under which the four basis-change
-    relations hold with positive square roots:
-
-        psi_t         = -sqrt(p) psi_next + sqrt(1-p) psi_next_perp
-        psi_t_perp    = sqrt(1-p) psi_next + sqrt(p) psi_next_perp
-        psi_next      = -sqrt(p) psi_t + sqrt(1-p) psi_t_perp
-        psi_next_perp = sqrt(1-p) psi_t + sqrt(p) psi_t_perp
-
-    A fully aligned pair (p = 1) has no perpendicular directions and is
-    returned with ``trivial=True`` and the perpendicular vectors ``None``.
-    """
-
-    p: float
-    trivial: bool
-    psi_t: np.ndarray
-    psi_next: np.ndarray
-    psi_t_perp: np.ndarray | None
-    psi_next_perp: np.ndarray | None
-    max_relation_residual: float
-
-
-def jordan_plane_from_states(
-    psi_t: np.ndarray, psi_next: np.ndarray
-) -> JordanPlane:
-    """Construct the invariant plane of two unit vectors.
-
-    Raises :class:`OrthogonalTargetsError` when the overlap is numerically
-    zero (the repair loop could not make progress).
-    """
-    psi_t = np.asarray(psi_t, dtype=complex)
-    psi_next = np.asarray(psi_next, dtype=complex)
-    c = complex(np.vdot(psi_next, psi_t))
-    p = float(abs(c) ** 2)
-    if p < MIN_OVERLAP:
-        raise OrthogonalTargetsError(
-            f"consecutive targets are orthogonal (p = {p:.3e})"
-        )
-    if 1.0 - p <= TRIVIAL_PLANE_TOL:
-        return JordanPlane(
-            p=min(p, 1.0),
-            trivial=True,
-            psi_t=psi_t,
-            psi_next=psi_next,
-            psi_t_perp=None,
-            psi_next_perp=None,
-            max_relation_residual=0.0,
-        )
-    # rephase so <psi_next|psi_t> = -sqrt(p)
-    psi_next = -(c / abs(c)) * psi_next
-    sp = math.sqrt(p)
-    sq = math.sqrt(1.0 - p)
-    psi_next_perp = (psi_t + sp * psi_next) / sq
-    psi_t_perp = (psi_next + sp * psi_t) / sq
-    residuals = [
-        np.linalg.norm(psi_t - (-sp * psi_next + sq * psi_next_perp)),
-        np.linalg.norm(psi_t_perp - (sq * psi_next + sp * psi_next_perp)),
-        np.linalg.norm(psi_next - (-sp * psi_t + sq * psi_t_perp)),
-        np.linalg.norm(psi_next_perp - (sq * psi_t + sp * psi_t_perp)),
-    ]
-    worst = float(max(residuals))
-    if worst > 1e-9:
-        raise NumericalFailureError(
-            f"plane relations failed to close: residual {worst:.3e}"
-        )
-    return JordanPlane(
-        p=p,
-        trivial=False,
-        psi_t=psi_t,
-        psi_next=psi_next,
-        psi_t_perp=psi_t_perp,
-        psi_next_perp=psi_next_perp,
-        max_relation_residual=worst,
     )
 
 
@@ -500,11 +412,13 @@ class PreparedInstance:
     Building one runs the pre-flight required by the driver: each step's
     contraction target must be certified as the unique zero-energy ground
     state of the step Hamiltonian (see :func:`ground_analysis`), which also
-    yields the step's gap. Consecutive step Hamiltonians differ only in the
-    terms around one vertex, so each step's gap solve starts from the
-    previous step's ``excited_state`` with a fixed random vector mixed in
-    (see :func:`ground_analysis`); step 0 starts from that random vector
-    alone. The certified overlaps ``p_t`` of consecutive targets are then
+    yields the step's gap. Each gap solve runs on the bond slots of the
+    edges that a processed vertex touches; step 0 touches none, and its gap
+    is exactly 1 with no solve. Consecutive step Hamiltonians differ only
+    in the terms around one vertex, so each step's gap solve starts from
+    the previous step's ``excited_state``, restricted to the step's solved
+    slots, with a fixed random vector mixed in (see
+    :func:`ground_analysis`). The certified overlaps ``p_t`` of consecutive targets are then
     all a run needs: :func:`run_algorithm` runs the four-state chain on them
     and touches no Hamiltonian or state vector.
     Every successful run ends in the last target, so its fidelity with the

@@ -23,13 +23,17 @@ projector family whose kernel is exactly the locally reachable subspace.
 The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
 computes ``H x`` with one matrix product per nonzero term on the register
 tensor. :func:`ground_analysis` certifies a given zero-energy state (the
-contraction target) by its residual ``||H psi||`` and finds the gap with one
-ARPACK solve on that product with the state deflated, stopped at
+contraction target) by its full residual ``||H psi||`` and finds the gap with
+at most one ARPACK solve on that product with the state deflated, stopped at
 :data:`KRYLOV_TOL` and optionally warm-started from a neighbouring step's
-excitation; called without a state, it first finds one with a second solve,
-as an independent oracle. scipy is imported on first use of this layer. The
-dense ``global_matrix`` and its full eigensystem ``spectral`` remain as an
-oracle for tests at small dimension.
+excitation. An assembled step knows its edges with no processed endpoint,
+which still hold their bare pair terms; the solve runs on the
+:attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the same
+``apply`` on a smaller register layout) and the free pairs enter in closed
+form. Called without a state, it first finds one with a second solve, both
+on the full space, as an independent oracle. scipy is imported on first use
+of this layer. The dense ``global_matrix`` and its full eigensystem
+``spectral`` remain as an oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -49,7 +53,14 @@ from .errors import (
 )
 from .limits import check_dim
 from .linalg import ZERO_TOL
-from .network import InteractionGraph, PepsTensor, check_tensors
+from .network import (
+    InteractionGraph,
+    PepsTensor,
+    apply_on_register,
+    check_tensors,
+    expand_pairs,
+    restrict_pairs,
+)
 
 #: Gram-matrix condition number beyond which an image basis is rejected
 GRAM_COND_LIMIT = 1e12
@@ -208,13 +219,24 @@ class LocalHamiltonian:
     :meth:`apply` multiplies a state by the sum without forming it. The
     dense global matrix and its eigensystem are an oracle for tests: they
     are assembled only when read, then cached; instances are otherwise
-    immutable.
+    immutable. ``pair_edges`` lists the edges whose term is their bare pair
+    term :func:`edge_term` and on whose bond slots no other term acts
+    (other than as the identity); :func:`assemble_step` fills it, and a
+    Hamiltonian built by hand leaves it empty and is always solved on the
+    full space.
     """
 
-    def __init__(self, graph: InteractionGraph, step: int, terms: list[LocalTerm]):
+    def __init__(
+        self,
+        graph: InteractionGraph,
+        step: int,
+        terms: list[LocalTerm],
+        pair_edges: tuple[int, ...] = (),
+    ):
         self.graph = graph
         self.step = step
         self.terms = tuple(sorted(terms, key=_term_sort_key))
+        self.pair_edges = tuple(pair_edges)
         # imported on first use, not with the package: loading scipy costs
         # commands that never build a Hamiltonian most of their start-up
         from scipy.linalg.blas import zgemm
@@ -237,6 +259,36 @@ class LocalHamiltonian:
                     np.argsort(perm),
                 )
             )
+
+    @cached_property
+    def restricted(self) -> LocalHamiltonian:
+        """The terms off the pair edges, on the graph without those edges.
+
+        Each remaining term is the block of its matrix at index 0 of the
+        pair edges' slots in its support, on which it acts as the identity.
+        Needs at least one edge outside ``pair_edges``.
+        """
+        g = self.graph
+        pairs = self.pair_edges
+        kept = [e for e in range(len(g.edges)) if e not in pairs]
+        sub = InteractionGraph(
+            g.num_vertices,
+            tuple(g.edges[e] for e in kept),
+            tuple(g.bond_dims[e] for e in kept),
+            g.physical_dims,
+            g.order,
+        )
+        terms = []
+        for term in self.terms:
+            if term.support in (g.edges[e] for e in pairs):
+                continue
+            slots = [e for v in term.support for e in g.incident_edges(v)]
+            dims = [g.bond_dims[e] for e in slots]
+            index = tuple(0 if e in pairs else slice(None) for e in slots)
+            n = math.prod(d for d, e in zip(dims, slots) if e not in pairs)
+            block = term.matrix.reshape(dims * 2)[index * 2].reshape(n, n)
+            terms.append(LocalTerm(term.support, block, term.kind))
+        return LocalHamiltonian(sub, self.step, terms)
 
     @cached_property
     def global_matrix(self) -> np.ndarray:
@@ -279,8 +331,10 @@ class GroundAnalysis:
     """Spectral summary of one step Hamiltonian.
 
     ``ground_state`` is the certified zero-energy state. ``excited_state``
-    is the unit Ritz vector of ``lambda1``, made exactly orthogonal to
-    ``ground_state``; it warm-starts the next step's ``lambda1`` solve.
+    is a unit ``lambda1`` eigenvector on the full space, made exactly
+    orthogonal to ``ground_state``: the solve's Ritz vector, or the
+    ground state with one free pair excited when that is lower. It
+    warm-starts the next step's ``lambda1`` solve.
     """
 
     lambda0: float
@@ -311,7 +365,8 @@ def assemble_step(
     for v in g.order[:t]:
         r = g.register_dim(v)
         terms.append(penalty_term(v, np.eye(r, dtype=complex), c))
-    return LocalHamiltonian(graph=g, step=t, terms=terms)
+    pairs = tuple(e for e, edge in enumerate(g.edges) if processed.isdisjoint(edge))
+    return LocalHamiltonian(graph=g, step=t, terms=terms, pair_edges=pairs)
 
 
 def _lowest_eigenpair(
@@ -350,6 +405,24 @@ def _lowest_eigenpair(
     return float(w[0].real) - 1.0, v[:, 0] / np.linalg.norm(v[:, 0])
 
 
+def _pair_excitation(h: LocalHamiltonian, psi: np.ndarray) -> np.ndarray:
+    """``psi`` with one pair edge's ``omega`` turned into ``(Z (x) 1) omega``.
+
+    ``Z = diag(exp(2 pi i k / D))`` on the edge's first slot makes the pair
+    orthogonal to ``omega``, so the result is an eigenvector of energy one
+    above ``psi``'s. The edge is one that the next vertex touches, where
+    there is one, so that the next step's restricted warm start keeps it.
+    """
+    g = h.graph
+    edge = next((e for e in h.pair_edges if g.order[h.step] in g.edges[e]), h.pair_edges[0])
+    u = g.edges[edge][0]
+    slots = g.incident_edges(u)
+    d = g.bond_dims[edge]
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    op = linalg.embed_term(clock, (slots.index(edge),), [g.bond_dims[e] for e in slots])
+    return apply_on_register(op, u, psi, g.register_dims)[0]
+
+
 def ground_analysis(
     h: LocalHamiltonian,
     zero_tol: float = ZERO_TOL,
@@ -371,10 +444,23 @@ def ground_analysis(
     ``psi`` and the true kernel vector; it must not exceed
     :data:`KERNEL_INFIDELITY_TOL`.
 
+    Given a ``kernel``, the solve skips the Hamiltonian's ``pair_edges``.
+    Their terms act on their own bond slots only, so ``H = A (x) 1 + 1 (x)
+    B`` with ``A`` the :attr:`~LocalHamiltonian.restricted` Hamiltonian and
+    ``B`` the sum of pair terms, whose spectrum is ``{0, 1, ...}`` with the
+    pairs as unique ground state. Hence ``lambda1 = min(lambda1(A), 1)``:
+    the solve runs on ``A`` with ``psi`` and ``start`` contracted with the
+    pairs (:func:`~peps_forge.network.restrict_pairs`), and when the pairs
+    win, or every edge is a pair edge (step 0) and nothing is solved,
+    ``lambda1`` and ``gap`` are exactly 1. The residual and the
+    certificates stay on the full ``psi``. Without a ``kernel`` the solves
+    run on the full space.
+
     ``start`` seeds the ``lambda1`` solve, for example with the
     ``excited_state`` of the previous step, whose Hamiltonian differs only
-    around one vertex; without it the solve starts from a fixed random
-    vector. Both solves stop at :data:`KRYLOV_TOL`, and both find the true
+    around one vertex; without it, or when less than half of its norm
+    survives the restriction, the solve starts from a fixed random vector.
+    Both solves stop at :data:`KRYLOV_TOL`, and both find the true
     ``lambda1`` only if their start has weight on its eigenvector. The
     fixed random vector is therefore mixed into every start (see
     :func:`_lowest_eigenpair`); otherwise a start confined to one
@@ -389,13 +475,15 @@ def ground_analysis(
     which means the injectivity assumption fails for this instance and
     vertex order.
     """
-    dim = h.graph.global_dim
-    check_dim(dim, f"Hamiltonian at step {h.step}")
+    g = h.graph
+    check_dim(g.global_dim, f"Hamiltonian at step {h.step}")
     if kernel is None:
-        _, psi = _lowest_eigenpair(dim, h.apply)
+        _, psi = _lowest_eigenpair(g.global_dim, h.apply)
+        pairs = ()
     else:
         psi = np.asarray(kernel, dtype=complex)
         psi = psi / np.linalg.norm(psi)
+        pairs = h.pair_edges
     h_psi = h.apply(psi)
     residual = float(np.linalg.norm(h_psi))
     if residual > zero_tol:
@@ -403,14 +491,30 @@ def ground_analysis(
             f"step {h.step}: no zero-energy state (residual ||H psi|| = {residual:.3e})"
         )
     lambda0 = float(np.vdot(psi, h_psi).real)
-    s = 1.0 + sum(np.linalg.norm(term.matrix, 2) for term in h.terms)  # > ||H||
+    lambda1 = math.inf  # with only pair edges (step 0) nothing is solved
+    if len(pairs) < len(g.edges):
+        op, phi = h, psi
+        if pairs:
+            op = h.restricted
+            phi = restrict_pairs(g, psi, pairs)
+            phi = phi / np.linalg.norm(phi)
+            if start is not None:
+                kept = restrict_pairs(g, start, pairs)
+                start = kept if np.linalg.norm(kept) >= np.linalg.norm(start) / 2 else None
+        s = 1.0 + sum(np.linalg.norm(term.matrix, 2) for term in op.terms)  # > ||H||
 
-    def deflated(x: np.ndarray) -> np.ndarray:
-        c = np.vdot(psi, x)
-        y = h.apply(x - c * psi)
-        return y - np.vdot(psi, y) * psi + (s * c) * psi
+        def deflated(x: np.ndarray) -> np.ndarray:
+            c = np.vdot(phi, x)
+            y = op.apply(x - c * phi)
+            return y - np.vdot(phi, y) * phi + (s * c) * phi
 
-    lambda1, excited = _lowest_eigenpair(dim, deflated, start)
+        lambda1, excited = _lowest_eigenpair(len(phi), deflated, start)
+    if pairs and lambda1 >= 1.0:
+        lambda1, gap, excited = 1.0, 1.0, _pair_excitation(h, psi)
+    else:
+        gap = lambda1 - lambda0
+        if pairs:
+            excited = expand_pairs(g, excited, pairs)
     if lambda1 < zero_tol:
         raise DegenerateGroundSpaceError(
             f"step {h.step}: ground space is degenerate (second eigenvalue "
@@ -427,7 +531,7 @@ def ground_analysis(
     return GroundAnalysis(
         lambda0=lambda0,
         lambda1=lambda1,
-        gap=lambda1 - lambda0,
+        gap=gap,
         ground_degeneracy=1,
         ground_state=psi,
         excited_state=excited / np.linalg.norm(excited),

@@ -53,10 +53,6 @@ class SingularDecomposition:
     vh: np.ndarray
 
     @property
-    def sigma_max(self) -> float:
-        return float(self.sigma[0])
-
-    @property
     def sigma_min(self) -> float:
         return float(self.sigma[-1])
 

@@ -21,6 +21,8 @@ nonzero amplitudes are set at flat indices from slot strides, and
 :func:`canonicalize_stack` takes the polar factors and singular values of
 same-shape maps from one stacked SVD (:func:`canonicalize` is its stack of
 one). :func:`apply_on_register` acts on one register with one matmul.
+:func:`restrict_pairs` contracts chosen edges' bond slots with their pair
+states and :func:`expand_pairs` tensors the pairs back in, one einsum each.
 """
 
 from __future__ import annotations
@@ -220,10 +222,6 @@ class PepsTensor:
     def sigma_min(self) -> float:
         return float(self.singular_values[-1])
 
-    @property
-    def sigma_max(self) -> float:
-        return float(self.singular_values[0])
-
 
 def canonicalize(vertex: int, matrix: np.ndarray) -> PepsTensor:
     """Polar-decompose one vertex map; see :func:`canonicalize_stack`."""
@@ -339,6 +337,52 @@ def contract_partial(
             f"partial contraction collapsed to zero norm at prefix {num_processed}"
         )
     return state / math.sqrt(z), z
+
+
+def _pair_operands(
+    g: InteractionGraph, edges: tuple[int, ...]
+) -> tuple[list, list[int], list[int], list[int]]:
+    """einsum pieces for the pair states of ``edges``.
+
+    Bond slots are labelled in the global layout (vertex 0 first, each
+    register in its incident-edge order). Returns one ``omega`` operand per
+    listed edge, its amplitudes ``eye(D) / sqrt(D)`` on the edge's two slot
+    labels; every label; the labels of the other slots; and every slot's
+    dimension.
+    """
+    slots = [(v, e) for v in range(g.num_vertices) for e in g.incident_edges(v)]
+    operands: list = []
+    for e in edges:
+        d = g.bond_dims[e]
+        u, v = g.edges[e]
+        operands += [np.eye(d) / math.sqrt(d), [slots.index((u, e)), slots.index((v, e))]]
+    kept = [i for i, (_, e) in enumerate(slots) if e not in edges]
+    return operands, list(range(len(slots))), kept, [g.bond_dims[e] for _, e in slots]
+
+
+def restrict_pairs(
+    g: InteractionGraph, state: np.ndarray, edges: tuple[int, ...]
+) -> np.ndarray:
+    """``state`` with the two bond slots of each listed edge contracted with ``omega*``.
+
+    The result lives on the remaining slots, in the global layout of the
+    graph without those edges (a vertex left with no edge has dimension 1).
+    """
+    operands, every, kept, dims = _pair_operands(g, edges)
+    return np.einsum(np.reshape(state, dims), every, *operands, kept).reshape(-1)
+
+
+def expand_pairs(
+    g: InteractionGraph, state: np.ndarray, edges: tuple[int, ...]
+) -> np.ndarray:
+    """Tensor the pair state ``omega`` of each listed edge back into a restricted state.
+
+    The inverse of :func:`restrict_pairs` on states in which those edges
+    hold their pairs.
+    """
+    operands, every, kept, dims = _pair_operands(g, edges)
+    shape = [dims[i] for i in kept]
+    return np.einsum(np.reshape(state, shape), kept, *operands, every).reshape(-1)
 
 
 def restore_gauge(

@@ -12,6 +12,7 @@ from peps_forge.dynamics import (
     measure_zero_energy,
     required_alternations,
 )
+from peps_forge.errors import NumericalFailureError, OrthogonalTargetsError
 from peps_forge.harness import (
     GraphSpec,
     InstanceConfig,
@@ -209,4 +210,91 @@ def vector_driver(
         success=success,
         total_measurements=total,
         fidelity=fidelity,
+    )
+
+
+#: targets closer than this to orthogonal stall the repair loop
+MIN_OVERLAP = 1e-12
+
+#: 1 - p below this counts as a fully aligned (trivial) plane
+TRIVIAL_PLANE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class JordanPlane:
+    """The invariant two-dimensional plane spanned by consecutive targets.
+
+    Phase convention: ``psi_next`` is rephased so that
+    ``<psi_next|psi_t> = -sqrt(p)``, under which the four basis-change
+    relations hold with positive square roots:
+
+        psi_t         = -sqrt(p) psi_next + sqrt(1-p) psi_next_perp
+        psi_t_perp    = sqrt(1-p) psi_next + sqrt(p) psi_next_perp
+        psi_next      = -sqrt(p) psi_t + sqrt(1-p) psi_t_perp
+        psi_next_perp = sqrt(1-p) psi_t + sqrt(p) psi_t_perp
+
+    A fully aligned pair (p = 1) has no perpendicular directions and is
+    returned with ``trivial=True`` and the perpendicular vectors ``None``.
+    """
+
+    p: float
+    trivial: bool
+    psi_t: np.ndarray
+    psi_next: np.ndarray
+    psi_t_perp: np.ndarray | None
+    psi_next_perp: np.ndarray | None
+    max_relation_residual: float
+
+
+def jordan_plane_from_states(
+    psi_t: np.ndarray, psi_next: np.ndarray
+) -> JordanPlane:
+    """Construct the invariant plane of two unit vectors.
+
+    Raises :class:`OrthogonalTargetsError` when the overlap is numerically
+    zero (the repair loop could not make progress).
+    """
+    psi_t = np.asarray(psi_t, dtype=complex)
+    psi_next = np.asarray(psi_next, dtype=complex)
+    c = complex(np.vdot(psi_next, psi_t))
+    p = float(abs(c) ** 2)
+    if p < MIN_OVERLAP:
+        raise OrthogonalTargetsError(
+            f"consecutive targets are orthogonal (p = {p:.3e})"
+        )
+    if 1.0 - p <= TRIVIAL_PLANE_TOL:
+        return JordanPlane(
+            p=min(p, 1.0),
+            trivial=True,
+            psi_t=psi_t,
+            psi_next=psi_next,
+            psi_t_perp=None,
+            psi_next_perp=None,
+            max_relation_residual=0.0,
+        )
+    # rephase so <psi_next|psi_t> = -sqrt(p)
+    psi_next = -(c / abs(c)) * psi_next
+    sp = math.sqrt(p)
+    sq = math.sqrt(1.0 - p)
+    psi_next_perp = (psi_t + sp * psi_next) / sq
+    psi_t_perp = (psi_next + sp * psi_t) / sq
+    residuals = [
+        np.linalg.norm(psi_t - (-sp * psi_next + sq * psi_next_perp)),
+        np.linalg.norm(psi_t_perp - (sq * psi_next + sp * psi_next_perp)),
+        np.linalg.norm(psi_next - (-sp * psi_t + sq * psi_t_perp)),
+        np.linalg.norm(psi_next_perp - (sq * psi_t + sp * psi_t_perp)),
+    ]
+    worst = float(max(residuals))
+    if worst > 1e-9:
+        raise NumericalFailureError(
+            f"plane relations failed to close: residual {worst:.3e}"
+        )
+    return JordanPlane(
+        p=p,
+        trivial=False,
+        psi_t=psi_t,
+        psi_next=psi_next,
+        psi_t_perp=psi_t_perp,
+        psi_next_perp=psi_next_perp,
+        max_relation_residual=worst,
     )

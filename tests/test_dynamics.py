@@ -13,6 +13,7 @@ from _helpers import (
     CHAIN3,
     CHAIN4,
     RING4,
+    jordan_plane_from_states,
     random_instance,
     vector_driver,
     vertex_rng,
@@ -23,7 +24,6 @@ from peps_forge.dynamics import (
     _MeasurementStreams,
     cost_model,
     cost_model_for_graph,
-    jordan_plane_from_states,
     markov_exact_distribution,
     markov_simulate,
     markov_trials,

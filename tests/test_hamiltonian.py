@@ -31,7 +31,7 @@ from peps_forge.hamiltonian import (
     penalty_term,
     terms_to_json,
 )
-from peps_forge.harness import GraphSpec
+from peps_forge.harness import GraphSpec, random_tensors, topology_edges
 from peps_forge.network import InteractionGraph, canonicalize
 
 
@@ -333,11 +333,13 @@ class TestMatrixFree:
         assert all(_dense_free(h) for h in prep.hamiltonians)
 
 
+RING5 = GraphSpec(topology="ring", length=5)
+
+
 @pytest.fixture(scope="module")
 def ring5_prepared():
     """Two random ring5 preparations (dim 1024)."""
-    ring5 = GraphSpec(topology="ring", length=5)
-    return [PreparedInstance(*random_instance(ring5, 2.0, seed)) for seed in (71, 72)]
+    return [PreparedInstance(*random_instance(RING5, 2.0, seed)) for seed in (71, 72)]
 
 
 @pytest.fixture(scope="module")
@@ -365,14 +367,64 @@ class TestCertifiedKernel:
         for name, (cfg, _, graph, tensors) in fixture_zoo.items():
             calls.clear()
             prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
-            assert len(calls) == graph.num_vertices + 1, name
+            # step 0 has only pair edges and no solve; every later step one
+            assert len(calls) == graph.num_vertices, name
             assert all(kw["tol"] == KRYLOV_TOL for kw in calls), name
-            # each gap solve after the first starts from the previous
-            # excitation plus START_NOISE times step 0's fixed random start
-            noise = calls[0]["v0"] / np.linalg.norm(calls[0]["v0"])
-            for t in range(1, len(calls)):
-                warm = prep.analyses[t - 1].excited_state + START_NOISE * noise
-                np.testing.assert_allclose(calls[t]["v0"], warm, rtol=0, atol=1e-15)
+            # each solve starts from the previous excitation, restricted to
+            # the step's solved slots, plus START_NOISE times the unit fixed
+            # random vector of the solved dimension
+            for t, kw in enumerate(calls, start=1):
+                pairs = prep.hamiltonians[t].pair_edges
+                warm = network.restrict_pairs(graph, prep.analyses[t - 1].excited_state, pairs)
+                assert np.linalg.norm(warm) == pytest.approx(1.0, abs=1e-12), (name, t)
+                noise = np.random.default_rng(0).standard_normal(len(warm))
+                warm = warm + START_NOISE * noise / np.linalg.norm(noise)
+                np.testing.assert_allclose(kw["v0"], warm, rtol=0, atol=1e-15)
+
+    def test_start_that_excites_a_pair_edge_is_dropped(self, monkeypatch):
+        # at step 2 of two disjoint edges, edge (2, 3) still holds its pair;
+        # a start that excites that pair has no weight on the solved slots
+        g = InteractionGraph.build(4, [(0, 1), (2, 3)])
+        tensors = random_tensors(g, 3.0, 5)
+        h = assemble_step(g, tensors, 2)
+        assert h.pair_edges == (1,)
+        psi, _ = network.contract_partial(g, tensors, 2)
+        excited, _ = network.apply_on_register(np.diag([1.0, -1.0]), 2, psi, g.register_dims)
+        starts = []
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "eigs", recorded)
+        warm = ground_analysis(h, kernel=psi, start=excited)
+        cold = ground_analysis(h, kernel=psi)
+        np.testing.assert_array_equal(starts[0], starts[1])
+        assert warm.lambda1 == cold.lambda1
+
+    def test_every_solve_product_goes_through_apply(self, monkeypatch):
+        # one LocalHamiltonian.apply, and so one scipy zgemm per term, per
+        # ARPACK matvec, plus the residual product of each step
+        counts = {"apply": 0, "matvec": 0}
+        apply = LocalHamiltonian.apply
+
+        def counted_apply(self, x):
+            counts["apply"] += 1
+            return apply(self, x)
+
+        def counted_eigs(op, **kwargs):
+            def matvec(x):
+                counts["matvec"] += 1
+                return op.matvec(x)
+
+            return eigs(sparse_linalg.LinearOperator(op.shape, matvec, dtype=op.dtype), **kwargs)
+
+        monkeypatch.setattr(LocalHamiltonian, "apply", counted_apply)
+        monkeypatch.setattr(sparse_linalg, "eigs", counted_eigs)
+        graph, tensors = random_instance(RING5, 2.0, 71)
+        PreparedInstance(graph, tensors)
+        assert counts["matvec"] > 0
+        assert counts["apply"] == counts["matvec"] + graph.num_vertices + 1
 
     def test_warm_start_gives_the_cold_gap(
         self, prepared_zoo, ring5_prepared, two_component_prepared
@@ -488,3 +540,119 @@ class TestHamiltonianExport:
         assert np.linalg.norm(h0.apply(state)) <= 1e-12
         ga = ground_analysis(h0)
         assert abs(np.vdot(ga.ground_state, state)) ** 2 >= 1.0 - 1e-10
+
+
+def _dense(h: LocalHamiltonian) -> np.ndarray:
+    """The dense oracle matrix of ``h``, built on a copy so that ``h`` caches nothing."""
+    return LocalHamiltonian(h.graph, h.step, list(h.terms)).global_matrix
+
+
+def _check_restriction(graph, hamiltonians, targets):
+    """Restricted terms and targets against the full ones at every step."""
+    for t, (h, psi) in enumerate(zip(hamiltonians, targets)):
+        processed = set(graph.order[:t])
+        pairs = tuple(e for e, edge in enumerate(graph.edges) if processed.isdisjoint(edge))
+        assert h.pair_edges == pairs, t
+        back = network.expand_pairs(graph, network.restrict_pairs(graph, psi, pairs), pairs)
+        assert np.abs(back - psi).max() <= 1e-14, t
+        if not 0 < len(pairs) < len(graph.edges):
+            continue
+        full = {term.support: term for term in h.terms}
+        assert len(h.restricted.terms) == len(full) - len(pairs), t
+        for term in h.restricted.terms:
+            # embedded back with identities on the pair edges' slots
+            slots = [e for v in term.support for e in graph.incident_edges(v)]
+            kept = [i for i, e in enumerate(slots) if e not in pairs]
+            dims = [graph.bond_dims[e] for e in slots]
+            embedded = linalg.embed_term(term.matrix, kept, dims)
+            assert np.abs(embedded - full[term.support].matrix).max() <= 1e-14, (t, term.support)
+            assert term.kind == full[term.support].kind
+
+
+CHAIN3_BONDS32 = InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[3, 2])
+
+
+@pytest.fixture(scope="module")
+def chain32_prepared():
+    """A chain of three with bond dimensions 3 and 2 (dim 36)."""
+    return PreparedInstance(CHAIN3_BONDS32, random_tensors(CHAIN3_BONDS32, 3.0, 2))
+
+
+class TestRestrictedSolve:
+    """Each gap solve runs only on the edges that a processed vertex touches."""
+
+    def test_restricted_terms_and_targets_match_the_full_ones(
+        self, prepared_zoo, ring5_prepared, two_component_prepared, chain32_prepared
+    ):
+        for prep in [
+            *prepared_zoo.values(),
+            *ring5_prepared,
+            *two_component_prepared,
+            chain32_prepared,
+        ]:
+            _check_restriction(prep.graph, prep.hamiltonians, prep.targets)
+
+    @pytest.mark.parametrize(
+        "length, dims",
+        [(5, [1, 16, 64, 256, 1024, 1024]), (6, [1, 16, 64, 256, 1024, 4096, 4096])],
+    )
+    def test_solved_dimensions(self, length, dims):
+        graph, tensors = random_instance(GraphSpec(topology="ring", length=length), 2.0, 3)
+        solved = []
+        for t in range(length + 1):
+            h = assemble_step(graph, tensors, t)
+            if len(h.pair_edges) == len(graph.edges):
+                solved.append(1)
+            else:
+                solved.append((h.restricted if h.pair_edges else h).graph.global_dim)
+        assert solved == dims
+
+    def test_gap_matches_full_space_and_dense_oracles(
+        self, prepared_zoo, ring5_prepared, two_component_prepared, chain32_prepared
+    ):
+        # the dense spectrum up to dim 256, the no-kernel full-space solves
+        # above it and on one two-component instance; only steps with pair
+        # edges, since the others are solved on the full space anyway
+        dense = [*prepared_zoo.values(), chain32_prepared]
+        full_space = [ring5_prepared[0], *two_component_prepared[:2]]
+        for prep in [*dense, *full_space]:
+            for t, (h, a) in enumerate(zip(prep.hamiltonians, prep.analyses)):
+                e = a.excited_state
+                assert np.linalg.norm(h.apply(e) - a.lambda1 * e) <= 1e-8, t
+                if not h.pair_edges:
+                    continue
+                if prep in dense:
+                    lam = np.linalg.eigvalsh(_dense(h))
+                    assert a.lambda1 == pytest.approx(lam[1], abs=1e-12), t
+                    assert a.gap == pytest.approx(lam[1] - lam[0], abs=1e-12), t
+                else:
+                    oracle = ground_analysis(h, zero_tol=prep.zero_tol)
+                    assert a.lambda1 == pytest.approx(oracle.lambda1, abs=1e-12), t
+            assert prep.gaps[0] == 1.0
+
+    def test_chain3_step1_excitation_ties_with_the_free_pair(self, prepared_zoo):
+        # one boundary projector on the solved slots (lambda1 = 1) and the
+        # free pair of edge (1, 2) (excitation energy 1) tie; the dense
+        # oracle test above checks the value
+        prep = prepared_zoo["chain3"]
+        h = prep.hamiltonians[1]
+        assert h.pair_edges == (1,)
+        assert [term.kind for term in h.restricted.terms] == ["boundary", "penalty"]
+        assert prep.analyses[1].lambda1 == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid2x3_with_a_custom_order(self, monkeypatch):
+        # dim 16384: the restriction oracles at every step, and the gap
+        # against a full-space solve of the restricted operator where that
+        # is small
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "16384")
+        n, edges = topology_edges(GraphSpec(topology="grid", rows=2, cols=3))
+        graph = InteractionGraph.build(n, edges, order=[4, 1, 3, 0, 5, 2])
+        tensors = random_tensors(graph, 2.0, 5)
+        hamiltonians = [assemble_step(graph, tensors, t) for t in range(n + 1)]
+        targets = [network.contract_partial(graph, tensors, t)[0] for t in range(n + 1)]
+        _check_restriction(graph, hamiltonians, targets)
+        assert ground_analysis(hamiltonians[0], kernel=targets[0]).gap == 1.0
+        for t in (1, 2):
+            restricted = ground_analysis(hamiltonians[t].restricted)
+            a = ground_analysis(hamiltonians[t], kernel=targets[t])
+            assert a.lambda1 == pytest.approx(min(restricted.lambda1, 1.0), abs=1e-12), t
