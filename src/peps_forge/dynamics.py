@@ -415,7 +415,8 @@ class PreparedInstance:
     yields the step's gap. Each gap solve runs on the bond slots of the
     edges that a processed vertex touches; step 0 touches none, and its gap
     is exactly 1 with no solve. Consecutive step Hamiltonians differ only
-    in the terms around one vertex, so each step's gap solve starts from
+    in the terms around one vertex, so the steps share each edge term form
+    (see :func:`assemble_step`), and each step's gap solve starts from
     the previous step's ``excited_state``, restricted to the step's solved
     slots, with a fixed random vector mixed in (see
     :func:`ground_analysis`). The certified overlaps ``p_t`` of consecutive targets are then
@@ -440,8 +441,9 @@ class PreparedInstance:
         self.c = float(c)
         self.zero_tol = float(zero_tol)
         n = graph.num_vertices
+        terms: dict = {}  # each edge's term forms, shared by the steps
         self.hamiltonians: list[LocalHamiltonian] = [
-            assemble_step(graph, tensors, t, c=c) for t in range(n + 1)
+            assemble_step(graph, tensors, t, c=c, cache=terms) for t in range(n + 1)
         ]
         self.targets: list[np.ndarray] = []
         self.z_values: list[float] = []

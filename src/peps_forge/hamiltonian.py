@@ -24,16 +24,16 @@ The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
 computes ``H x`` with one matrix product per nonzero term on the register
 tensor. :func:`ground_analysis` certifies a given zero-energy state (the
 contraction target) by its full residual ``||H psi||`` and finds the gap with
-at most one ARPACK solve on that product with the state deflated, stopped at
-:data:`KRYLOV_TOL` and optionally warm-started from a neighbouring step's
-excitation. An assembled step knows its edges with no processed endpoint,
-which still hold their bare pair terms; the solve runs on the
-:attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the same
-``apply`` on a smaller register layout) and the free pairs enter in closed
-form. Called without a state, it first finds one with a second solve, both
-on the full space, as an independent oracle. scipy is imported on first use
-of this layer. The dense ``global_matrix`` and its full eigensystem
-``spectral`` remain as an oracle for tests at small dimension.
+at most one Lanczos solve on that product in the state's orthogonal
+complement, stopped at :data:`KRYLOV_TOL` and optionally warm-started from a
+neighbouring step's excitation. An assembled step knows its edges with no
+processed endpoint, which still hold their bare pair terms; the solve runs on
+the :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the
+same ``apply`` on a smaller register layout) and the free pairs enter in
+closed form. Called without a state, it first finds one with a second solve,
+both on the full space, as an independent oracle. scipy (BLAS and LAPACK) is
+imported on first use of this layer. The dense ``global_matrix`` and its full
+eigensystem ``spectral`` remain as an oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -68,8 +68,14 @@ GRAM_COND_LIMIT = 1e12
 #: largest certified infidelity between a zero-energy state and the kernel
 KERNEL_INFIDELITY_TOL = 1e-9
 
-#: ARPACK stopping tolerance, relative to the Ritz value of ``H + 1``
+#: Lanczos stopping tolerance, relative to the Ritz value of ``H + 1``
 KRYLOV_TOL = 1e-10
+
+#: most Lanczos vectors kept; a full basis restarts from its Ritz vector
+KRYLOV_BASIS = 64
+
+#: matrix-vector products after which a Lanczos solve fails
+KRYLOV_MAX_PRODUCTS = 5000
 
 #: weight of the fixed random vector added to a unit warm start
 START_NOISE = 0.1
@@ -318,9 +324,9 @@ class LocalHamiltonian:
             block = tensor.transpose(perm).reshape(len(op_t), -1)
             # (M @ block).T = block.T @ M.T on F-contiguous views, no copies.
             # scipy's zgemm rather than numpy's matmul: numpy and scipy each
-            # bundle their own OpenBLAS, and ARPACK runs on scipy's; with
-            # both products on one pool, the other pool's idle threads do not
-            # spin against it between matrix-vector products.
+            # bundle their own OpenBLAS, and the Lanczos solve runs on scipy's;
+            # with all products on one pool, the other pool's idle threads do
+            # not spin against it between matrix-vector products.
             product = self._zgemm(1.0, block.T, op_t)
             out += product.T.reshape(shape).transpose(inverse)
         return out.reshape(-1)
@@ -350,18 +356,27 @@ def assemble_step(
     tensors: list[PepsTensor],
     t: int,
     c: float = 1.0,
+    cache: dict | None = None,
 ) -> LocalHamiltonian:
-    """Build the step-``t`` Hamiltonian from scratch.
+    """Build the step-``t`` Hamiltonian.
 
     Step 0 holds one pair term per edge; step ``t`` has every edge term
-    rebuilt with the positive maps of the first ``t`` vertices in the order,
-    plus one penalty term per processed vertex.
+    built with the positive maps of the first ``t`` vertices in the order,
+    plus one penalty term per processed vertex. An edge's term depends only
+    on its processed endpoints; ``cache``, shared by the steps of one
+    ``(g, tensors)``, keeps it by ``(edge, processed endpoints)``.
     """
     if not 0 <= t <= g.num_vertices:
         raise InvalidInputError(f"step {t} out of range 0..{g.num_vertices}")
     check_tensors(g, tensors)
     processed = frozenset(g.order[:t])
-    terms = [parent_term(g, tensors, eid, processed) for eid in range(len(g.edges))]
+    cache = {} if cache is None else cache
+    terms = []
+    for eid, edge in enumerate(g.edges):
+        key = (eid, processed.intersection(edge))
+        if key not in cache:
+            cache[key] = parent_term(g, tensors, eid, processed)
+        terms.append(cache[key])
     for v in g.order[:t]:
         r = g.register_dim(v)
         terms.append(penalty_term(v, np.eye(r, dtype=complex), c))
@@ -369,40 +384,92 @@ def assemble_step(
     return LocalHamiltonian(graph=g, step=t, terms=terms, pair_edges=pairs)
 
 
+def _start_vector(dim: int, rng: np.random.Generator, start=None) -> np.ndarray:
+    """``rng``'s next vector ``r``, or ``start / |start| + START_NOISE * r / |r|``."""
+    v = rng.standard_normal(dim).astype(complex)
+    if start is not None:
+        v = start / np.linalg.norm(start) + START_NOISE * v / np.linalg.norm(v)
+    return v
+
+
 def _lowest_eigenpair(
-    dim: int, matvec, start: np.ndarray | None = None
+    dim: int, matvec, start: np.ndarray | None = None, lock: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit eigenvector of a Hermitian operator.
 
-    One single-vector ARPACK solve from a fixed random vector or, given a
-    ``start``, from its unit vector plus :data:`START_NOISE` times the unit
-    random vector. A Krylov space never leaves an invariant subspace that holds its start,
-    and a warm start can lie in one: on a graph with several components the
-    step Hamiltonian is a sum of one operator per component, and an
-    excitation of one component spans an invariant subspace that misses
-    the new lowest excitation of another. The random part gives every
-    eigenvector a weight. ARPACK's stopping test is relative to the Ritz
-    value, so it runs on the operator plus the identity: it stops once the
-    Ritz residual is at most ``KRYLOV_TOL * (lambda + 1)``, and since the
-    operator is Hermitian an eigenvalue then lies within that distance of
-    the Ritz value (in practice the error is quadratic in the residual).
-    ``eigs`` is called directly because for complex input ``eigsh``
-    forwards to it without ``rng``, and ARPACK would draw restart vectors
-    from fresh entropy.
+    Lanczos with full reorthogonalisation, in the orthogonal complement of
+    the unit vector ``lock`` if one is given, from :func:`_start_vector`.
+    The random part of the start gives every eigenvector a weight: a Krylov
+    space never leaves an invariant subspace that holds its start, and a
+    warm start can lie in one (an excitation of one component of a
+    disconnected graph). On a breakdown the solve goes on from the fixed
+    generator's next vector. From 20 vectors on (ARPACK's ``ncv``), it stops
+    once the Ritz residual is at most ``KRYLOV_TOL * (theta + 1)``, ARPACK's
+    test on ``H + 1``. A full basis restarts from its Ritz vector (thick
+    restart with one vector, Wu & Simon 2000). All products run on scipy's
+    BLAS, like ``LocalHamiltonian.apply``'s.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+    from scipy.linalg.blas import dznrm2, zdotc, zgemv
+    from scipy.linalg.lapack import dstebz, dstein
 
-    op = LinearOperator((dim, dim), matvec=lambda x: matvec(x) + x, dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
-    if start is not None:
-        v0 = start / np.linalg.norm(start) + START_NOISE * v0 / np.linalg.norm(v0)
-    try:
-        w, v = eigs(
-            op, k=1, which="SR", v0=v0, tol=KRYLOV_TOL, rng=np.random.default_rng(0)
-        )
-    except ArpackError as exc:
-        raise NumericalFailureError(f"ARPACK solve did not converge: {exc}") from exc
-    return float(w[0].real) - 1.0, v[:, 0] / np.linalg.norm(v[:, 0])
+    fixed = np.random.default_rng(0)
+    v = _start_vector(dim, fixed, start)
+    locked = int(lock is not None)
+    basis = np.empty((dim, locked + KRYLOV_BASIS), dtype=complex, order="F")
+    if locked:
+        basis[:, 0] = lock
+    diag, off = np.zeros(KRYLOV_BASIS), np.zeros(KRYLOV_BASIS)  # T; off[i] couples i, i + 1
+
+    def orthogonalize(w: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+        """``w`` minus its part in the first ``k`` columns, and its norm."""
+        norm = dznrm2(w)
+        for _ in range(2 if k else 0):  # a second pass only if the first cancelled
+            q = basis[:, :k]
+            w = zgemv(-1.0, q, zgemv(1.0, q, w, trans=2), beta=1.0, y=w, overwrite_y=1)
+            before, norm = norm, dznrm2(w)
+            if norm >= 0.7 * before:
+                break
+        return w, norm
+
+    def ritz(m: int) -> tuple[float, np.ndarray]:
+        """Lowest eigenpair of the leading ``m x m`` block of ``T``."""
+        d, e = diag[:m], off[: max(m - 1, 1)]
+        _, theta, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
+        s, vector_info = dstein(d, e, theta[:1], block, split)
+        if info or vector_info:
+            raise NumericalFailureError(f"tridiagonal eigensolver failed: {info}, {vector_info}")
+        return float(theta[0]), s[:, 0]
+
+    v, norm = orthogonalize(v, locked)
+    basis[:, locked] = v / norm
+    k, scale = locked + 1, 0.0
+    for products in range(1, KRYLOV_MAX_PRODUCTS + 1):
+        m = k - locked
+        v = basis[:, k - 1]
+        w = matvec(v)
+        scale = max(scale, dznrm2(w))
+        if m > 1:
+            w -= off[m - 2] * basis[:, k - 2]
+        diag[m - 1] = zdotc(v, w).real
+        w -= diag[m - 1] * v
+        w, beta = orthogonalize(w, k)
+        if products >= min(20, dim - locked) or m == KRYLOV_BASIS:
+            theta, s = ritz(m)
+            if m == dim - locked or beta * abs(s[-1]) <= KRYLOV_TOL * (theta + 1.0):
+                y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
+                return theta, y / dznrm2(y)
+        coupling = beta if beta > 1e-12 * scale else 0.0
+        if not coupling:  # breakdown: go on from a fresh vector orthogonal to the basis
+            w, beta = orthogonalize(fixed.standard_normal(dim).astype(complex), k)
+        w /= beta
+        if m == KRYLOV_BASIS:  # restart from the Ritz vector
+            y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
+            basis[:, locked] = y / dznrm2(y)
+            diag[0], coupling, k, m = theta, coupling * s[-1], locked + 1, 1
+        off[m - 1] = coupling
+        basis[:, k] = w
+        k += 1
+    raise NumericalFailureError(f"Lanczos solve did not converge in {products} products")
 
 
 def _pair_excitation(h: LocalHamiltonian, psi: np.ndarray) -> np.ndarray:
@@ -435,14 +502,13 @@ def ground_analysis(
     target of the step; without one, ``psi0`` comes from a Krylov solve on
     :meth:`LocalHamiltonian.apply` (the independent oracle path). Either
     way the state ``psi`` must have residual ``r = ||H psi|| <= zero_tol``,
-    and ``lambda0`` is its energy. ``lambda1`` comes from one solve with
-    ``psi`` deflated, ``(1 - P) H (1 - P) + s P`` with ``P = |psi><psi|``
-    and ``s`` above ``||H||``: a second zero-energy state then appears as
-    the deflated operator's lowest eigenvalue, which a single-vector
-    two-eigenvalue solve can miss. Since ``lambda1`` is at most the second
-    eigenvalue of ``H``, ``(r / lambda1)**2`` bounds the infidelity between
-    ``psi`` and the true kernel vector; it must not exceed
-    :data:`KERNEL_INFIDELITY_TOL`.
+    and ``lambda0`` is its energy. ``lambda1`` comes from one solve locked
+    on ``psi``, in its orthogonal complement (see :func:`_lowest_eigenpair`):
+    a second zero-energy state then appears as the lowest eigenvalue there,
+    which a single-vector two-eigenvalue solve can miss. Since ``lambda1``
+    is at most the second eigenvalue of ``H``, ``(r / lambda1)**2`` bounds
+    the infidelity between ``psi`` and the true kernel vector; it must not
+    exceed :data:`KERNEL_INFIDELITY_TOL`.
 
     Given a ``kernel``, the solve skips the Hamiltonian's ``pair_edges``.
     Their terms act on their own bond slots only, so ``H = A (x) 1 + 1 (x)
@@ -501,14 +567,7 @@ def ground_analysis(
             if start is not None:
                 kept = restrict_pairs(g, start, pairs)
                 start = kept if np.linalg.norm(kept) >= np.linalg.norm(start) / 2 else None
-        s = 1.0 + sum(np.linalg.norm(term.matrix, 2) for term in op.terms)  # > ||H||
-
-        def deflated(x: np.ndarray) -> np.ndarray:
-            c = np.vdot(phi, x)
-            y = op.apply(x - c * phi)
-            return y - np.vdot(phi, y) * phi + (s * c) * phi
-
-        lambda1, excited = _lowest_eigenpair(len(phi), deflated, start)
+        lambda1, excited = _lowest_eigenpair(len(phi), op.apply, start, lock=phi)
     if pairs and lambda1 >= 1.0:
         lambda1, gap, excited = 1.0, 1.0, _pair_excitation(h, psi)
     else:

@@ -44,8 +44,8 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 class SingularDecomposition:
     """Thin SVD ``a = u @ diag(sigma) @ vh`` with ``sigma`` descending.
 
-    Of a stack, each field stacks its matrices' factors; the properties
-    and :meth:`reconstruct` are for a single matrix.
+    Of a stack, each field stacks its matrices' factors; the property is
+    for a single matrix.
     """
 
     u: np.ndarray
@@ -55,9 +55,6 @@ class SingularDecomposition:
     @property
     def sigma_min(self) -> float:
         return float(self.sigma[-1])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vh
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def kernel_basis(self, zero_tol: float = ZERO_TOL) -> np.ndarray:
-        """Orthonormal columns spanning eigenspaces with eigenvalue < zero_tol."""
-        mask = self.eigenvalues < zero_tol
-        return self.eigenvectors[:, mask]
 
 
 def svd(m: np.ndarray) -> SingularDecomposition:

@@ -19,6 +19,7 @@ from peps_forge.harness import (
     TensorSpec,
     build_instance,
 )
+from peps_forge.linalg import ZERO_TOL, SingularDecomposition, SpectralDecomposition
 from peps_forge.network import InteractionGraph, PepsTensor, restore_gauge
 
 CHAIN2 = GraphSpec(topology="chain", length=2)
@@ -63,6 +64,22 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_complex(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def svd_reconstruct(dec: SingularDecomposition) -> np.ndarray:
+    """``u @ diag(sigma) @ vh`` of a single matrix's SVD."""
+    return (dec.u * dec.sigma) @ dec.vh
+
+
+def eig_reconstruct(dec: SpectralDecomposition) -> np.ndarray:
+    """``V @ diag(eigenvalues) @ V^dagger`` of a Hermitian eigensystem."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues) @ v.conj().T
+
+
+def kernel_basis(dec: SpectralDecomposition, zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the eigenspaces with eigenvalue < zero_tol."""
+    return dec.eigenvectors[:, dec.eigenvalues < zero_tol]
 
 
 def two_svd_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

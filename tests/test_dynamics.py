@@ -14,6 +14,7 @@ from _helpers import (
     CHAIN4,
     RING4,
     jordan_plane_from_states,
+    kernel_basis,
     random_instance,
     vector_driver,
     vertex_rng,
@@ -232,8 +233,8 @@ class TestJordanPlane:
         prep = _chain2_prepared(kappa_seed=9)
         plane = jordan_plane_from_states(prep.targets[1], prep.targets[2])
         p = plane.p
-        kernel_old = prep.hamiltonians[1].spectral.kernel_basis()
-        kernel_new = prep.hamiltonians[2].spectral.kernel_basis()
+        kernel_old = kernel_basis(prep.hamiltonians[1].spectral)
+        kernel_new = kernel_basis(prep.hamiltonians[2].spectral)
 
         def branch_probability(state, kernel):
             return float(np.linalg.norm(kernel.conj().T @ state) ** 2)

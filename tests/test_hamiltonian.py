@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-import scipy.sparse.linalg as sparse_linalg
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
+from scipy.sparse.linalg import LinearOperator, eigs
 
-from _helpers import CHAIN2, CHAIN3, RING4, random_complex, random_instance
-from peps_forge import linalg, network
+from _helpers import CHAIN2, CHAIN3, RING4, kernel_basis, random_complex, random_instance
+from peps_forge import hamiltonian, linalg, network
 from peps_forge.dynamics import PreparedInstance, repair_loop_trials, run_algorithm
 from peps_forge.errors import (
     DegenerateGroundSpaceError,
@@ -164,8 +163,8 @@ class TestAssembleStep:
         tensors = [canonicalize(v, np.eye(g.register_dim(v))) for v in range(3)]
         h0 = assemble_step(g, tensors, 0)
         h_final = assemble_step(g, tensors, 3)
-        p0 = h0.spectral.kernel_basis()
-        p3 = h_final.spectral.kernel_basis()
+        p0 = kernel_basis(h0.spectral)
+        p3 = kernel_basis(h_final.spectral)
         assert p0.shape == p3.shape
         overlap = np.abs(p0.conj().T @ p3)
         assert overlap.max() >= 1.0 - 1e-10
@@ -317,12 +316,10 @@ class TestMatrixFree:
         assert np.count_nonzero(h.spectral.eigenvalues < 1e-9) == 2
 
     def test_solver_failure_is_a_numerical_failure(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(sparse_linalg, "eigs", no_convergence)
+        # a product budget below the first stopping test runs out
+        monkeypatch.setattr(hamiltonian, "KRYLOV_MAX_PRODUCTS", 3)
         graph, tensors = random_instance(CHAIN3, 2.0, 62)
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(NumericalFailureError, match="did not converge"):
             ground_analysis(assemble_step(graph, tensors, 1))
 
     def test_driver_builds_no_dense_matrix(self, fixture_zoo):
@@ -357,29 +354,39 @@ def two_component_prepared():
 
 class TestCertifiedKernel:
     def test_preparation_runs_one_solve_per_step(self, monkeypatch, fixture_zoo):
-        calls = []
+        calls, starts = [], []
+        solve, start_vector = hamiltonian._lowest_eigenpair, hamiltonian._start_vector
 
-        def recorded(*args, **kwargs):
-            calls.append(kwargs)
-            return eigs(*args, **kwargs)
+        def recorded(dim, matvec, start=None, lock=None):
+            calls.append((dim, lock))
+            return solve(dim, matvec, start, lock)
 
-        monkeypatch.setattr(sparse_linalg, "eigs", recorded)
+        def recorded_start(dim, rng, start=None):
+            v0 = start_vector(dim, rng, start)
+            starts.append(v0.copy())  # the solve orthogonalises it in place
+            return v0
+
+        monkeypatch.setattr(hamiltonian, "_lowest_eigenpair", recorded)
+        monkeypatch.setattr(hamiltonian, "_start_vector", recorded_start)
         for name, (cfg, _, graph, tensors) in fixture_zoo.items():
             calls.clear()
+            starts.clear()
             prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
             # step 0 has only pair edges and no solve; every later step one
-            assert len(calls) == graph.num_vertices, name
-            assert all(kw["tol"] == KRYLOV_TOL for kw in calls), name
-            # each solve starts from the previous excitation, restricted to
-            # the step's solved slots, plus START_NOISE times the unit fixed
-            # random vector of the solved dimension
-            for t, kw in enumerate(calls, start=1):
+            assert len(calls) == len(starts) == graph.num_vertices, name
+            # each solve starts, before the lock is applied, from the
+            # previous excitation restricted to the step's solved slots, plus
+            # START_NOISE times the unit fixed random vector of the solved
+            # dimension; it is locked on the restricted target
+            for t, ((dim, lock), v0) in enumerate(zip(calls, starts), start=1):
                 pairs = prep.hamiltonians[t].pair_edges
                 warm = network.restrict_pairs(graph, prep.analyses[t - 1].excited_state, pairs)
                 assert np.linalg.norm(warm) == pytest.approx(1.0, abs=1e-12), (name, t)
-                noise = np.random.default_rng(0).standard_normal(len(warm))
+                noise = np.random.default_rng(0).standard_normal(dim)
                 warm = warm + START_NOISE * noise / np.linalg.norm(noise)
-                np.testing.assert_allclose(kw["v0"], warm, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(v0, warm, rtol=0, atol=1e-15)
+                phi = network.restrict_pairs(graph, prep.targets[t], pairs)
+                np.testing.assert_allclose(lock, phi / np.linalg.norm(phi), rtol=0, atol=1e-15)
 
     def test_start_that_excites_a_pair_edge_is_dropped(self, monkeypatch):
         # at step 2 of two disjoint edges, edge (2, 3) still holds its pair;
@@ -391,12 +398,14 @@ class TestCertifiedKernel:
         psi, _ = network.contract_partial(g, tensors, 2)
         excited, _ = network.apply_on_register(np.diag([1.0, -1.0]), 2, psi, g.register_dims)
         starts = []
+        start_vector = hamiltonian._start_vector
 
-        def recorded(*args, **kwargs):
-            starts.append(kwargs["v0"])
-            return eigs(*args, **kwargs)
+        def recorded(dim, rng, start=None):
+            v0 = start_vector(dim, rng, start)
+            starts.append(v0.copy())  # the solve orthogonalises it in place
+            return v0
 
-        monkeypatch.setattr(sparse_linalg, "eigs", recorded)
+        monkeypatch.setattr(hamiltonian, "_start_vector", recorded)
         warm = ground_analysis(h, kernel=psi, start=excited)
         cold = ground_analysis(h, kernel=psi)
         np.testing.assert_array_equal(starts[0], starts[1])
@@ -404,23 +413,23 @@ class TestCertifiedKernel:
 
     def test_every_solve_product_goes_through_apply(self, monkeypatch):
         # one LocalHamiltonian.apply, and so one scipy zgemm per term, per
-        # ARPACK matvec, plus the residual product of each step
+        # Lanczos product, plus the residual product of each step
         counts = {"apply": 0, "matvec": 0}
-        apply = LocalHamiltonian.apply
+        apply, solve = LocalHamiltonian.apply, hamiltonian._lowest_eigenpair
 
         def counted_apply(self, x):
             counts["apply"] += 1
             return apply(self, x)
 
-        def counted_eigs(op, **kwargs):
-            def matvec(x):
+        def counted_solve(dim, matvec, start=None, lock=None):
+            def counted(x):
                 counts["matvec"] += 1
-                return op.matvec(x)
+                return matvec(x)
 
-            return eigs(sparse_linalg.LinearOperator(op.shape, matvec, dtype=op.dtype), **kwargs)
+            return solve(dim, counted, start, lock)
 
         monkeypatch.setattr(LocalHamiltonian, "apply", counted_apply)
-        monkeypatch.setattr(sparse_linalg, "eigs", counted_eigs)
+        monkeypatch.setattr(hamiltonian, "_lowest_eigenpair", counted_solve)
         graph, tensors = random_instance(RING5, 2.0, 71)
         PreparedInstance(graph, tensors)
         assert counts["matvec"] > 0
@@ -515,6 +524,133 @@ class TestCertifiedKernel:
         assert 1e-4 < np.linalg.norm(h.apply(kernel)) < 1e-2
         with pytest.raises(NumericalFailureError, match="infidelity"):
             ground_analysis(h, zero_tol=1e-2, kernel=kernel)
+
+
+def _arpack_lambda1(op: LocalHamiltonian, phi: np.ndarray) -> float:
+    """Lowest eigenvalue of ``op`` off the unit vector ``phi``: ARPACK on the
+    shifted operator ``(1 - P) H (1 - P) + s P``, ``P = |phi><phi|``,
+    ``s = 1 + sum ||term||_2 > ||H||``, stopped at :data:`KRYLOV_TOL`."""
+    s = 1.0 + sum(np.linalg.norm(term.matrix, 2) for term in op.terms)
+
+    def deflated(x):
+        c = np.vdot(phi, x)
+        y = op.apply(x - c * phi)
+        return y - np.vdot(phi, y) * phi + (s * c) * phi
+
+    dim = len(phi)
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    w, _ = eigs(
+        LinearOperator((dim, dim), matvec=deflated, dtype=complex),
+        k=1, which="SR", v0=v0, tol=KRYLOV_TOL, rng=np.random.default_rng(0),
+    )
+    return float(w[0].real)
+
+
+def _solved(prep: PreparedInstance, t: int) -> tuple[LocalHamiltonian, np.ndarray]:
+    """The operator that step ``t``'s gap solve runs on, and its unit lock."""
+    h = prep.hamiltonians[t]
+    phi = network.restrict_pairs(prep.graph, prep.targets[t], h.pair_edges)
+    return (h.restricted if h.pair_edges else h), phi / np.linalg.norm(phi)
+
+
+def _gapped_steps(preps):
+    """(preparation, step) for every step with a gap solve."""
+    return [
+        (prep, t)
+        for prep in preps
+        for t, h in enumerate(prep.hamiltonians)
+        if len(h.pair_edges) < len(prep.graph.edges)
+    ]
+
+
+class TestLanczos:
+    """The in-library Lanczos solve against ARPACK, and its restart and
+    breakdown paths."""
+
+    def test_lambda1_matches_arpack_on_the_shifted_operator(
+        self, prepared_zoo, ring5_prepared, two_component_prepared
+    ):
+        steps = _gapped_steps([*prepared_zoo.values(), *ring5_prepared, *two_component_prepared])
+        for prep, t in steps:
+            op, phi = _solved(prep, t)
+            oracle = _arpack_lambda1(op, phi)
+            expected = min(oracle, 1.0) if prep.hamiltonians[t].pair_edges else oracle
+            assert prep.analyses[t].lambda1 == pytest.approx(expected, abs=1e-12), t
+            lam, v = hamiltonian._lowest_eigenpair(len(phi), op.apply, lock=phi)
+            assert lam == pytest.approx(oracle, abs=1e-12), t
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            assert abs(np.vdot(phi, v)) <= 1e-12, t
+
+    def test_restarts_from_the_ritz_vector_give_the_same_lambda1(
+        self, monkeypatch, ring5_prepared, two_component_prepared
+    ):
+        monkeypatch.setattr(hamiltonian, "KRYLOV_BASIS", 8)
+        products = []
+        solve = hamiltonian._lowest_eigenpair
+
+        def counted(dim, matvec, start=None, lock=None):
+            products.append(0)
+
+            def product(x):
+                products[-1] += 1
+                return matvec(x)
+
+            return solve(dim, product, start, lock)
+
+        monkeypatch.setattr(hamiltonian, "_lowest_eigenpair", counted)
+        for prep, t in _gapped_steps([*ring5_prepared, *two_component_prepared]):
+            a = ground_analysis(
+                prep.hamiltonians[t],
+                zero_tol=prep.zero_tol,
+                kernel=prep.targets[t],
+                start=prep.analyses[t - 1].excited_state,
+            )
+            assert a.lambda1 == pytest.approx(prep.analyses[t].lambda1, abs=1e-12), t
+        assert max(products) > 8  # some solves restarted
+
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_start_inside_an_invariant_subspace(self, monkeypatch, locked):
+        # without the random part, an eigenvector start breaks down at once:
+        # its residual is exactly zero, and the solve goes on from fresh
+        # vectors of the fixed generator
+        monkeypatch.setattr(hamiltonian, "START_NOISE", 0.0)
+        levels = np.concatenate([[0.2, 0.5], np.random.default_rng(3).uniform(1.0, 3.0, 38)])
+        eye = np.eye(40, dtype=complex)
+        lock = eye[0] if locked else None
+        lam, v = hamiltonian._lowest_eigenpair(40, lambda x: levels * x, eye[39], lock)
+        assert lam == pytest.approx(levels[int(locked)], abs=1e-12)
+        assert abs(v[int(locked)]) == pytest.approx(1.0, abs=1e-10)
+        if locked:
+            assert abs(np.vdot(lock, v)) <= 1e-12
+
+
+class TestTermCache:
+    def test_each_edge_form_is_built_once(self, monkeypatch, fixture_zoo):
+        # an edge's term depends only on its processed endpoints: three
+        # forms per edge, 15 on ring5 and 12 on grid2x2, against (n + 1)|E|
+        # from scratch; each step's terms equal the from-scratch ones
+        built = []
+        parent = hamiltonian.parent_term
+
+        def counted(g, tensors, edge_id, processed):
+            built.append(edge_id)
+            return parent(g, tensors, edge_id, processed)
+
+        monkeypatch.setattr(hamiltonian, "parent_term", counted)
+        _, _, grid, grid_tensors = fixture_zoo["grid2x2"]
+        cases = [(random_instance(RING5, 2.0, 71), 15), ((grid, grid_tensors), 12)]
+        for (graph, tensors), forms in cases:
+            built.clear()
+            prep = PreparedInstance(graph, tensors)
+            assert len(built) == forms
+            assert sorted(built) == sorted(3 * list(range(len(graph.edges))))
+            for t, h in enumerate(prep.hamiltonians):
+                oracle = assemble_step(graph, tensors, t)
+                assert h.pair_edges == oracle.pair_edges, t
+                assert len(h.terms) == len(oracle.terms), t
+                for term, fresh in zip(h.terms, oracle.terms):
+                    assert (term.support, term.kind) == (fresh.support, fresh.kind), t
+                    assert np.array_equal(term.matrix, fresh.matrix), t
 
 
 class TestHamiltonianExport:
