@@ -70,7 +70,7 @@ def make_fixture(name: str, spec: dict) -> dict:
     )
     graph, tensors = build_instance(cfg)
     explicit = to_explicit_config(cfg, graph, tensors)
-    prepared = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+    prepared = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
     expected = {
         "global_dim": graph.global_dim,
         "kappa": [t.kappa for t in tensors],

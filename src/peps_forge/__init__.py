@@ -48,7 +48,6 @@ from .hamiltonian import (
     edge_term_on_registers,
     ground_analysis,
     parent_term,
-    penalty_term,
     terms_to_json,
 )
 from .harness import (

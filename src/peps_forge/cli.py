@@ -47,7 +47,7 @@ def _dump(doc, out_path: str | None) -> None:
 def _prepared_from_config(path: str, seed_override: int | None, eps_override: float | None):
     cfg = harness.with_overrides(harness.load_config(path), seed_override, eps_override)
     graph, tensors = harness.build_instance(cfg)
-    prepared = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+    prepared = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
     return cfg, prepared
 
 
@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except PepsForgeError as exc:

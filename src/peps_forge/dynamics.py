@@ -94,6 +94,22 @@ def measure_zero_energy(
     )
 
 
+def _prefix_targets(
+    g: InteractionGraph, tensors: list[PepsTensor]
+) -> tuple[list[np.ndarray], list[float], tuple[float, ...]]:
+    """Every prefix target ``psi_t``, its squared norm ``z_t`` (``t = 0..n``),
+    and the squared overlap ``|<psi_{t+1}|psi_t>|^2`` of each step."""
+    targets, zs = [], []
+    for t in range(g.num_vertices + 1):
+        psi, z = contract_partial(g, tensors, t)
+        targets.append(psi)
+        zs.append(z)
+    overlaps = tuple(
+        float(abs(np.vdot(targets[t + 1], targets[t])) ** 2) for t in range(g.num_vertices)
+    )
+    return targets, zs, overlaps
+
+
 @dataclass(frozen=True)
 class Lemma1StepCheck:
     """Overlap and norm-ratio bound comparison at one step."""
@@ -128,17 +144,11 @@ def verify_lemma1(
     (it indicates an implementation bug, not a property of valid inputs).
     """
     check_tensors(g, tensors)
-    states = []
-    zs = []
-    for t in range(g.num_vertices + 1):
-        psi, z = contract_partial(g, tensors, t)
-        states.append(psi)
-        zs.append(z)
+    _, zs, overlaps = _prefix_targets(g, tensors)
     checks = []
-    for t in range(g.num_vertices):
+    for t, p in enumerate(overlaps):
         vertex = g.order[t]
         tensor = tensors[vertex]
-        p = float(abs(np.vdot(states[t + 1], states[t])) ** 2)
         p_bound = 1.0 / tensor.kappa**2
         ratio = zs[t + 1] / zs[t]
         z_bound = tensor.sigma_min**2
@@ -426,41 +436,35 @@ class PreparedInstance:
     directly contracted state, ``|<restore_gauge(psi_n)|reference_state>|^2``,
     is computed here once as ``fidelity``. The preparation is reusable
     across seeds.
+
+    ``c``, the paper's penalty weight, is accepted and ignored: in the
+    canonical gauge its penalty terms are zero, and none is built (see
+    :mod:`peps_forge.hamiltonian`).
     """
 
     def __init__(
         self,
         graph: InteractionGraph,
         tensors: list[PepsTensor],
-        c: float = 1.0,
+        c: float | None = None,
         zero_tol: float = ZERO_TOL,
     ):
         check_tensors(graph, tensors)
         self.graph = graph
         self.tensors = list(tensors)
-        self.c = float(c)
         self.zero_tol = float(zero_tol)
         n = graph.num_vertices
         terms: dict = {}  # each edge's term forms, shared by the steps
         self.hamiltonians: list[LocalHamiltonian] = [
-            assemble_step(graph, tensors, t, c=c, cache=terms) for t in range(n + 1)
+            assemble_step(graph, tensors, t, cache=terms) for t in range(n + 1)
         ]
-        self.targets: list[np.ndarray] = []
-        self.z_values: list[float] = []
-        for t in range(n + 1):
-            psi, z = contract_partial(graph, tensors, t)
-            self.targets.append(psi)
-            self.z_values.append(z)
+        self.targets, self.z_values, self.overlaps = _prefix_targets(graph, tensors)
         self.analyses: list[GroundAnalysis] = []
         for h, psi in zip(self.hamiltonians, self.targets):
             start = self.analyses[-1].excited_state if self.analyses else None
             self.analyses.append(
                 ground_analysis(h, zero_tol=zero_tol, kernel=psi, start=start)
             )
-        self.overlaps: tuple[float, ...] = tuple(
-            float(abs(np.vdot(self.targets[t + 1], self.targets[t])) ** 2)
-            for t in range(n)
-        )
         #: condition number of the vertex map applied at each step
         self.step_kappas: tuple[float, ...] = tuple(tensors[v].kappa for v in graph.order)
         self.kappa_max: float = max(self.step_kappas)

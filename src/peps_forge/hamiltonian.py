@@ -10,9 +10,9 @@ target state:
   by parent terms built from the vertex's positive map (terms toward a
   not-yet-processed neighbor use the identity on that side and are
   temporary boundary terms);
-* a per-vertex penalty term restricting to the physical subspace is added;
-  in the canonical gauge the physical subspace is the whole register, so
-  this term is identically zero but kept for bookkeeping fidelity.
+* the paper's per-vertex penalty ``c (1 - P_phy)`` is not built: in the
+  canonical gauge the physical subspace is the whole register, so the term
+  is the zero matrix.
 
 A parent term for edge ``(u, v)`` with maps ``M_u, M_v`` is the projector
 onto the orthogonal complement of ``(M_u (x) M_v)(omega_e (x) C^rest)``,
@@ -21,8 +21,8 @@ other virtual factors of the two registers. This is the unique two-register
 projector family whose kernel is exactly the locally reachable subspace.
 
 The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
-computes ``H x`` with one matrix product per nonzero term on the register
-tensor. :func:`ground_analysis` certifies a given zero-energy state (the
+computes ``H x`` with one matrix product per term on the register tensor.
+:func:`ground_analysis` certifies a given zero-energy state (the
 contraction target) by its full residual ``||H psi||`` and finds the gap with
 at most one Lanczos solve on that product in the state's orthogonal
 complement, stopped at :data:`KRYLOV_TOL` and optionally warm-started from a
@@ -80,29 +80,28 @@ KRYLOV_MAX_PRODUCTS = 5000
 #: weight of the fixed random vector added to a unit warm start
 START_NOISE = 0.1
 
-TERM_KINDS = ("edge_pair", "parent", "boundary", "penalty")
+TERM_KINDS = ("edge_pair", "parent", "boundary")
 
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """One Hermitian PSD term acting on one or two vertex registers.
+    """One orthogonal projector acting on the two vertex registers of an edge.
 
-    ``matrix`` lives on the tensor product of the support registers in the
-    listed (ascending) order. Pair/parent/boundary terms are orthogonal
-    projectors; penalty terms are a positive multiple of one.
+    ``matrix`` lives on the tensor product of the two support registers in
+    the listed (ascending) order.
     """
 
-    support: tuple[int, ...]
+    support: tuple[int, int]
     matrix: np.ndarray
     kind: str
 
     def __post_init__(self) -> None:
         if self.kind not in TERM_KINDS:
             raise InvalidInputError(f"unknown term kind {self.kind!r}")
-        if len(self.support) not in (1, 2):
-            raise InvalidInputError(f"support must have 1 or 2 registers, got {self.support}")
-        if tuple(sorted(self.support)) != self.support:
-            raise InvalidInputError(f"support {self.support} must be ascending")
+        if len(self.support) != 2 or self.support != tuple(sorted(set(self.support))):
+            raise InvalidInputError(
+                f"support must be two ascending registers, got {self.support}"
+            )
 
 
 def edge_term(bond_dim: int) -> np.ndarray:
@@ -199,26 +198,6 @@ def parent_term(
     return LocalTerm(support=(u, v), matrix=matrix, kind=kind)
 
 
-def penalty_term(vertex: int, p_phy: np.ndarray, c: float) -> LocalTerm:
-    """Energy penalty ``c (1 - P_phy)`` on the complement of the physical subspace.
-
-    With ``P_phy`` equal to the identity (canonical gauge) the term is the
-    zero matrix.
-    """
-    if c <= 0:
-        raise InvalidInputError(f"penalty weight must be positive, got {c}")
-    p = linalg.as_matrix(p_phy, "physical projector")
-    if p.shape[0] != p.shape[1]:
-        raise InvalidInputError("physical projector must be square")
-    matrix = c * (np.eye(p.shape[0], dtype=complex) - p)
-    matrix = (matrix + matrix.conj().T) / 2
-    return LocalTerm(support=(vertex,), matrix=matrix, kind="penalty")
-
-
-def _term_sort_key(term: LocalTerm) -> tuple:
-    return (term.kind == "penalty", term.support)
-
-
 class LocalHamiltonian:
     """Sum of local terms at one step of the growth procedure.
 
@@ -241,20 +220,18 @@ class LocalHamiltonian:
     ):
         self.graph = graph
         self.step = step
-        self.terms = tuple(sorted(terms, key=_term_sort_key))
+        self.terms = tuple(sorted(terms, key=lambda term: term.support))
         self.pair_edges = tuple(pair_edges)
         # imported on first use, not with the package: loading scipy costs
         # commands that never build a Hamiltonian most of their start-up
         from scipy.linalg.blas import zgemm
 
         self._zgemm = zgemm
-        # per nonzero term: the transposed matrix, the support-first register
+        # per term: the transposed matrix, the support-first register
         # permutation, the permuted register shape and the inverse permutation
         dims = graph.register_dims
         self._plan = []
         for term in self.terms:
-            if not term.matrix.any():
-                continue
             rest = [r for r in range(len(dims)) if r not in term.support]
             perm = [*term.support, *rest]
             self._plan.append(
@@ -313,10 +290,9 @@ class LocalHamiltonian:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``H @ x`` summed term by term on the register tensor.
 
-        Each nonzero term costs one transpose-copy of the state with its
-        support registers first, one matrix product at O(N r_u r_v), and one
-        transposed add. Identically zero terms, such as the penalty terms of
-        the canonical gauge, were dropped when the Hamiltonian was built.
+        Each term costs one transpose-copy of the state with its support
+        registers first, one matrix product at O(N r_u r_v), and one
+        transposed add.
         """
         tensor = np.asarray(x, dtype=complex).reshape(self.graph.register_dims)
         out = np.zeros_like(tensor)
@@ -355,16 +331,15 @@ def assemble_step(
     g: InteractionGraph,
     tensors: list[PepsTensor],
     t: int,
-    c: float = 1.0,
     cache: dict | None = None,
 ) -> LocalHamiltonian:
-    """Build the step-``t`` Hamiltonian.
+    """Build the step-``t`` Hamiltonian: one projector per edge.
 
     Step 0 holds one pair term per edge; step ``t`` has every edge term
-    built with the positive maps of the first ``t`` vertices in the order,
-    plus one penalty term per processed vertex. An edge's term depends only
-    on its processed endpoints; ``cache``, shared by the steps of one
-    ``(g, tensors)``, keeps it by ``(edge, processed endpoints)``.
+    built with the positive maps of the first ``t`` vertices in the order.
+    An edge's term depends only on its processed endpoints; ``cache``,
+    shared by the steps of one ``(g, tensors)``, keeps it by ``(edge,
+    processed endpoints)``.
     """
     if not 0 <= t <= g.num_vertices:
         raise InvalidInputError(f"step {t} out of range 0..{g.num_vertices}")
@@ -377,9 +352,6 @@ def assemble_step(
         if key not in cache:
             cache[key] = parent_term(g, tensors, eid, processed)
         terms.append(cache[key])
-    for v in g.order[:t]:
-        r = g.register_dim(v)
-        terms.append(penalty_term(v, np.eye(r, dtype=complex), c))
     pairs = tuple(e for e, edge in enumerate(g.edges) if processed.isdisjoint(edge))
     return LocalHamiltonian(graph=g, step=t, terms=terms, pair_edges=pairs)
 

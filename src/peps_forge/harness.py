@@ -27,6 +27,7 @@ from .dynamics import (
     run_algorithm,
 )
 from .errors import ConfigError, InvalidInputError
+from .limits import check_dim
 from .linalg import ZERO_TOL
 from .network import InteractionGraph, PepsTensor, canonicalize, canonicalize_stack
 
@@ -337,6 +338,8 @@ def load_config(path: str | Path) -> InstanceConfig:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError("", f"not UTF-8 text: {exc}") from exc
     if isinstance(doc, dict) and "graph" not in doc and isinstance(doc.get("config"), dict):
         doc = doc["config"]
     return parse_config(doc)
@@ -428,7 +431,12 @@ def random_tensors(
 
 
 def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTensor]]:
-    """Materialize the graph and canonicalized tensors of a configuration."""
+    """Materialize the graph and canonicalized tensors of a configuration.
+
+    The graph's global dimension is checked against the cap before any
+    tensor is sampled or decomposed: a register too large to simulate raises
+    :class:`~peps_forge.errors.CapacityError` without allocating it.
+    """
     n, edges = topology_edges(cfg.graph)
     if cfg.tensors.source == "random":
         dims = cfg.tensors.physical_dims
@@ -443,6 +451,7 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
             physical_dims=list(dims) if dims is not None else None,
             order=list(cfg.order) if cfg.order is not None else None,
         )
+        check_dim(graph.global_dim, "instance state")
         return graph, random_tensors(graph, cfg.tensors.kappa_max, cfg.tensors.seed)
     entries = cfg.tensors.entries
     if len(entries) != n:
@@ -458,6 +467,7 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
         physical_dims=[m.shape[0] for m in matrices],
         order=list(cfg.order) if cfg.order is not None else None,
     )
+    check_dim(graph.global_dim, "instance state")
     for v, m in enumerate(matrices):
         expected_cols = graph.register_dim(v)
         if m.shape[1] != expected_cols:
@@ -525,14 +535,9 @@ def edge_order_of(graph: InteractionGraph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready dictionary of a run report."""
-    return asdict(report)
-
-
 def report_to_json(report: RunReport) -> str:
     """Canonical JSON text; identical inputs give byte-identical output."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+    return json.dumps(asdict(report), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +597,7 @@ def sweep(
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
     graph, tensors = build_instance(cfg)
-    prepared = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+    prepared = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
     label = instance_label(cfg)
     start = cfg.seed if base_seed is None else base_seed
     bounds = cost_model_for_graph(graph, prepared.kappa_max, cfg.eps, prepared.min_gap)

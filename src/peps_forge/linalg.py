@@ -44,17 +44,12 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 class SingularDecomposition:
     """Thin SVD ``a = u @ diag(sigma) @ vh`` with ``sigma`` descending.
 
-    Of a stack, each field stacks its matrices' factors; the property is
-    for a single matrix.
+    Of a stack, each field stacks its matrices' factors.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     vh: np.ndarray
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.sigma[-1])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,6 @@ def fixture_zoo():
 def prepared_zoo(fixture_zoo):
     """name -> PreparedInstance; pre-flight run once per session."""
     return {
-        name: PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+        name: PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
         for name, (cfg, _, graph, tensors) in fixture_zoo.items()
     }

@@ -38,6 +38,18 @@ class TestRunCommand:
         assert doc["seed"] == 7
         assert doc["success"] is True
 
+    def test_penalty_weight_has_no_effect(self, capsys, tmp_path):
+        # the canonical gauge builds no penalty term, so c reaches no output
+        doc = json.loads(Path(CHAIN3).read_text())
+        outputs = []
+        for c in (0.5, 7):
+            path = tmp_path / f"c{c}.json"
+            path.write_text(json.dumps({**doc["config"], "c": c}))
+            code, out = run_cli(capsys, "run", "--config", str(path), "--seed", "7")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_seed_changes_report(self, capsys):
         _, out1 = run_cli(capsys, "run", "--config", CHAIN3, "--seed", "1")
         _, out2 = run_cli(capsys, "run", "--config", CHAIN3, "--seed", "2")
@@ -335,6 +347,44 @@ class TestExitCodes:
         monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
         code, _ = run_cli(capsys, "run", "--config", CHAIN3, "--seed", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["run", "verify-lemma1"])
+    def test_capacity_exceeded_before_sampling(self, capsys, tmp_path, monkeypatch, command):
+        # ring3 at D = 1000 would need terabytes for its tensors alone
+        def unreachable(*args):
+            raise AssertionError("tensors were sampled for an instance above the cap")
+
+        monkeypatch.setattr(harness, "random_tensors", unreachable)
+        config = {
+            "graph": {"topology": "ring", "length": 3},
+            "bond_dim": 1000,
+            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 3},
+            "seed": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli(capsys, command, "--config", str(path))
+        assert code == 3
+        assert out == ""
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"graph": "\xff\xfe"}')  # Latin-1 text, invalid UTF-8
+        code, out = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == ""
+
+    def test_config_is_a_directory(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "run", "--config", str(tmp_path))
+        assert code == 2
+        assert out == ""
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, out = run_cli(
+            capsys, "verify-lemma1", "--config", CHAIN3, "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
 
     def test_non_finite_config_number_invalid(self, capsys, tmp_path):
         config = {

@@ -27,7 +27,6 @@ from peps_forge.hamiltonian import (
     edge_term_on_registers,
     ground_analysis,
     parent_term,
-    penalty_term,
     terms_to_json,
 )
 from peps_forge.harness import GraphSpec, random_tensors, topology_edges
@@ -60,27 +59,15 @@ class TestEdgeTerm:
             edge_term(1)
 
 
-class TestPenaltyTerm:
-    def test_identity_projector_gives_zero(self):
-        term = penalty_term(0, np.eye(4), 1.0)
-        assert np.abs(term.matrix).max() == 0.0
-        assert term.kind == "penalty"
-        assert term.support == (0,)
-
-    def test_rank_one_penalty(self):
-        term = penalty_term(1, np.diag([1.0, 0.0]), 1.0)
-        assert np.abs(term.matrix - np.diag([0.0, 1.0])).max() <= 1e-12
-
-    def test_weighted_spectrum(self):
-        p_phy = np.zeros((4, 4))
-        p_phy[0, 0] = 1.0
-        term = penalty_term(2, p_phy, 5.0)
-        eigs = np.linalg.eigvalsh(term.matrix)
-        assert np.allclose(eigs, [0.0, 5.0, 5.0, 5.0], atol=1e-12)
-
-    def test_rejects_nonpositive_weight(self):
+class TestLocalTerm:
+    @pytest.mark.parametrize(
+        "support, kind",
+        [((0, 1), "penalty"), ((0,), "parent"), ((1, 0), "parent"), ((0, 0), "parent")],
+        ids=["penalty-kind", "one-register", "descending", "repeated"],
+    )
+    def test_rejects_anything_but_an_edge_projector(self, support, kind):
         with pytest.raises(InvalidInputError):
-            penalty_term(0, np.eye(2), 0.0)
+            LocalTerm(support=support, matrix=np.eye(4), kind=kind)
 
 
 class TestParentTerm:
@@ -174,45 +161,40 @@ class TestAssembleStep:
         h0 = assemble_step(graph, tensors, 0)
         h1 = assemble_step(graph, tensors, 1)
         # vertex 0 processed: edge (0,1) becomes a boundary term,
-        # edge (1,2) keeps its pair term, one penalty appears on vertex 0
+        # edge (1,2) keeps its pair term, and no other term appears
         by_support_0 = {t.support: t for t in h0.terms}
-        by_support_1 = {t.support: t for t in h1.terms if t.kind != "penalty"}
+        by_support_1 = {t.support: t for t in h1.terms}
+        assert list(by_support_1) == [(0, 1), (1, 2)]
         assert by_support_1[(0, 1)].kind == "boundary"
         assert by_support_1[(1, 2)].kind == "edge_pair"
         assert np.abs(
             by_support_1[(1, 2)].matrix - by_support_0[(1, 2)].matrix
         ).max() == 0.0
-        penalties = [t for t in h1.terms if t.kind == "penalty"]
-        assert [t.support for t in penalties] == [(0,)]
 
-    def test_term_counts_grow_with_step(self):
+    def test_one_term_per_edge_at_every_step(self):
         graph, tensors = random_instance(RING4, 2.0, 42)
         for t in range(5):
             h = assemble_step(graph, tensors, t)
-            assert len(h.terms) == len(graph.edges) + t
+            assert [term.support for term in h.terms] == sorted(graph.edges)
             assert h.step == t
 
     def test_custom_order_bookkeeping(self):
         graph, tensors = random_instance(CHAIN3, 2.0, 45, order=(2, 0, 1))
         h1 = assemble_step(graph, tensors, 1)
-        non_penalty = {t.support: t.kind for t in h1.terms if t.kind != "penalty"}
-        assert non_penalty[(1, 2)] == "boundary"
-        assert non_penalty[(0, 1)] == "edge_pair"
+        kinds = {t.support: t.kind for t in h1.terms}
+        assert kinds == {(0, 1): "edge_pair", (1, 2): "boundary"}
 
     def test_all_terms_psd_projector_like(self, fixture_zoo):
         for name, (_, _, graph, tensors) in fixture_zoo.items():
             for t in range(graph.num_vertices + 1):
                 h = assemble_step(graph, tensors, t)
+                assert len(h.terms) == len(graph.edges), (name, t)
                 for term in h.terms:
                     m = term.matrix
                     assert np.abs(m - m.conj().T).max() <= 1e-10
+                    # projector spectrum: eigenvalues in {0, 1}
                     eigs = np.linalg.eigvalsh(m)
-                    assert eigs.min() >= -1e-9
-                    if term.kind != "penalty":
-                        # projector spectrum: eigenvalues in {0, 1}
-                        assert np.all(
-                            (np.abs(eigs) < 1e-9) | (np.abs(eigs - 1.0) < 1e-9)
-                        )
+                    assert np.all((np.abs(eigs) < 1e-9) | (np.abs(eigs - 1.0) < 1e-9))
 
 
 class TestGroundAnalysis:
@@ -272,14 +254,6 @@ class TestMatrixFree:
                 x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 assert np.abs(h.apply(x) - h.global_matrix @ x).max() <= 1e-12, (name, t)
 
-    def test_apply_keeps_nonzero_single_register_terms(self):
-        graph, tensors = random_instance(CHAIN3, 2.0, 61)
-        terms = list(assemble_step(graph, tensors, 2).terms)
-        terms.append(penalty_term(1, np.diag([1.0, 0.0, 1.0, 0.0]), 3.0))
-        h = LocalHamiltonian(graph=graph, step=2, terms=terms)
-        x = np.random.default_rng(6).standard_normal(graph.global_dim) + 0j
-        assert np.abs(h.apply(x) - h.global_matrix @ x).max() <= 1e-12
-
     def test_spectrum_matches_dense_oracle(self, fixture_zoo):
         # the certified contraction target and the searched ground state give
         # the same spectrum as the dense oracle and the same state
@@ -324,7 +298,7 @@ class TestMatrixFree:
 
     def test_driver_builds_no_dense_matrix(self, fixture_zoo):
         cfg, _, graph, tensors = fixture_zoo["grid2x2"]
-        prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+        prep = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
         run_algorithm(prep, cfg.eps, seed=3)
         repair_loop_trials(prep, 1, 5, 20, seed=4)
         assert all(_dense_free(h) for h in prep.hamiltonians)
@@ -371,7 +345,7 @@ class TestCertifiedKernel:
         for name, (cfg, _, graph, tensors) in fixture_zoo.items():
             calls.clear()
             starts.clear()
-            prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+            prep = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
             # step 0 has only pair edges and no solve; every later step one
             assert len(calls) == len(starts) == graph.num_vertices, name
             # each solve starts, before the lock is applied, from the
@@ -773,7 +747,7 @@ class TestRestrictedSolve:
         prep = prepared_zoo["chain3"]
         h = prep.hamiltonians[1]
         assert h.pair_edges == (1,)
-        assert [term.kind for term in h.restricted.terms] == ["boundary", "penalty"]
+        assert [term.kind for term in h.restricted.terms] == ["boundary"]
         assert prep.analyses[1].lambda1 == pytest.approx(1.0, abs=1e-12)
 
     def test_grid2x3_with_a_custom_order(self, monkeypatch):

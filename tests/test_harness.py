@@ -11,7 +11,7 @@ import pytest
 from _helpers import CHAIN3, per_vertex_tensors, random_config, random_instance
 from peps_forge import harness
 from peps_forge.dynamics import PreparedInstance, run_algorithm
-from peps_forge.errors import ConfigError, InvalidInputError
+from peps_forge.errors import CapacityError, ConfigError, InvalidInputError
 from peps_forge.harness import (
     FIXTURE_NAMES,
     build_instance,
@@ -315,6 +315,23 @@ class TestBuildInstance:
         with pytest.raises(ConfigError):
             build_instance(cfg)
 
+    def test_capacity_checked_before_sampling(self, monkeypatch):
+        # ring3 at D = 20 has registers of 400 and dimension 400^3, far above
+        # the default cap; no tensor may be sampled for it
+        def unreachable(*args):
+            raise AssertionError("tensors were sampled for an instance above the cap")
+
+        monkeypatch.setattr(harness, "random_tensors", unreachable)
+        cfg = random_config(harness.GraphSpec(topology="ring", length=3), 2.0, 1, bond_dim=20)
+        with pytest.raises(CapacityError):
+            build_instance(cfg)
+
+    def test_capacity_checked_for_explicit_entries(self, monkeypatch):
+        cfg, _ = load_fixture("chain3")
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
+        with pytest.raises(CapacityError):
+            build_instance(cfg)
+
 
 class TestFixtures:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -350,7 +367,7 @@ class TestSweep:
     def test_rows_reproducible_from_seed(self, fixture_zoo):
         cfg, _, graph, tensors = fixture_zoo["chain2"]
         result = sweep(cfg, trials=4, base_seed=11)
-        prep = PreparedInstance(graph, tensors, c=cfg.c, zero_tol=cfg.zero_tol)
+        prep = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
         for row in result.rows:
             report = run_algorithm(prep, cfg.eps, row.seed, mode="bounded")
             assert report.total_measurements == row.total_measurements

@@ -116,7 +116,7 @@ class TestPolarDecompose:
         assert np.abs(isometry @ psd - a).max() <= 1e-10 * np.abs(a).max()
         assert np.abs(isometry.conj().T @ isometry - np.eye(4)).max() <= 1e-10
         eigs = np.linalg.eigvalsh(psd)
-        sigma_min = linalg.svd(a).sigma_min
+        sigma_min = linalg.svd(a).sigma[-1]
         assert eigs.min() >= sigma_min - 1e-10
         assert np.abs(psd - psd.conj().T).max() <= 1e-12
 

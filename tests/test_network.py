@@ -414,7 +414,7 @@ def test_full_contraction_matches_reference(spec, kappa):
 
 
 def test_dimension_cap_enforced(monkeypatch):
-    monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
     graph, tensors = random_instance(RING4, 2.0, 5)
+    monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
     with pytest.raises(CapacityError):
         network.pair_state(graph)
