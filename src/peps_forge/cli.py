@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -28,6 +29,20 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
+
+
+def _check_out_path(path: str) -> None:
+    """Reject an output path that is a directory or lies in a missing one.
+
+    Runs before any work is done. A path that fails for another reason
+    (say, permissions) still fails when the output is written, also with
+    exit 2.
+    """
+    if os.path.isdir(path):
+        raise InvalidInputError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise InvalidInputError(f"output path {path!r}: no directory {parent!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -292,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "dump_terms", None)):
+            if path:
+                _check_out_path(path)
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)

@@ -14,14 +14,13 @@ The end-to-end driver runs that chain directly: one scalar
 :func:`markov_simulate` per vertex, with no state vectors. The
 full-Hilbert-space measurement (:func:`measure_zero_energy`) and repair
 loop (:func:`repair_loop_trials`) stay as the independent oracle the chain
-is tested against. This module also provides the closed forms, the cost
-accounting and the driver's per-vertex random streams (numpy's, derived in
-integer arithmetic).
+is tested against. This module also provides the closed forms and the
+cost accounting; the driver's per-vertex random streams come from
+:mod:`peps_forge.streams`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -39,6 +38,7 @@ from .hamiltonian import (
     assemble_step,
     ground_analysis,
 )
+from .limits import check_dim
 from .linalg import ZERO_TOL
 from .network import (
     InteractionGraph,
@@ -48,6 +48,7 @@ from .network import (
     peps_state,
     restore_gauge,
 )
+from .streams import MEASUREMENTS, SeedStreams
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -274,8 +275,10 @@ def markov_simulate(
             )
     elif max_alternations < 0:
         raise InvalidInputError("max_alternations must be >= 0")
-    hit = _lands(p, rng, zero_tol)
-    outcomes = ["zero" if hit else "nonzero"]
+    if _lands(p, rng, zero_tol):
+        return ("zero",)
+    outcomes = ["nonzero"]
+    hit = False
     alternations = 0
     while not hit and (max_alternations is None or alternations < max_alternations):
         on_old_target = _lands(1.0 - p, rng, zero_tol)
@@ -449,6 +452,9 @@ class PreparedInstance:
         c: float | None = None,
         zero_tol: float = ZERO_TOL,
     ):
+        # the reference state below needs the physical register product;
+        # check it before any step is assembled or solved
+        check_dim(math.prod(graph.physical_dims), "contracted state")
         check_tensors(graph, tensors)
         self.graph = graph
         self.tensors = list(tensors)
@@ -475,9 +481,14 @@ class PreparedInstance:
         self.fidelity: float = float(abs(np.vdot(restored, self.reference_state)) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VertexRecord:
-    """Measurement log for one processed vertex."""
+    """Measurement log for one processed vertex.
+
+    Slotted rather than frozen, like :class:`RunReport`: a run builds one
+    per vertex, and a frozen dataclass sets each field through
+    ``object.__setattr__``. Treat both as read-only.
+    """
 
     step: int
     vertex: int
@@ -491,7 +502,7 @@ class VertexRecord:
     succeeded: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunReport:
     """Full account of one driver run, reproducible from (instance, seed)."""
 
@@ -506,123 +517,6 @@ class RunReport:
     fidelity: float | None
     total_measurements: int
     vertices: tuple[VertexRecord, ...]
-
-
-# numpy's SeedSequence hash, frozen by its stream-compatibility policy (NEP 19)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# numpy's PCG64: a 128-bit LCG with the XSL-RR output function
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of ``n >= 0``, one zero word for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_constants(const: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """``(xor, multiply)`` pairs of ``count`` successive SeedSequence hashes.
-
-    Each hash XORs its word with the current constant, steps the constant
-    by ``mult`` and multiplies by the new one, whatever the data.
-    """
-    pairs = []
-    for _ in range(count):
-        pairs.append((const, const := (const * mult) & _MASK32))
-    return pairs
-
-
-def _hash(word: int, consts: tuple[int, int]) -> int:
-    v = ((word ^ consts[0]) * consts[1]) & _MASK32
-    return v ^ (v >> 16)
-
-
-#: ``generate_state(4, uint64)``: 8 words hashed from the cycled pool
-_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-@functools.cache
-def _spawn_hashes(prefix_words: int, step: int) -> tuple[tuple[int, ...], ...]:
-    """Hashes that mix the words of ``step`` into a pool after ``prefix_words`` words.
-
-    Past the pool size, SeedSequence hashes each entropy word once per pool
-    word; before it, the pool words and their all-pairs mixing take 16
-    hashes. Either way ``L >= 4`` words take ``4 L`` hashes, so the
-    constants that follow the prefix depend on its length only.
-    """
-    words = _uint32_words(step)
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (prefix_words + len(words)))
-    return tuple(
-        tuple(_hash(w, c) for c in consts[_POOL_SIZE * i : _POOL_SIZE * (i + 1)])
-        for i, w in enumerate(words, start=prefix_words)
-    )
-
-
-class _Pcg64:
-    """numpy's ``PCG64`` seeded from a SeedSequence pool; draws only ``random()``."""
-
-    __slots__ = ("state", "inc")
-
-    def __init__(self, pool: list[int]):
-        w = []  # _hash inlined: this runs once per vertex of every run
-        for x, (a, b) in zip(pool * 2, _STATE_HASHES):
-            v = ((x ^ a) * b) & _MASK32
-            w.append(v ^ (v >> 16))
-        # the 64-bit words (initstate, initseq) are little-endian word pairs
-        initstate = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
-        initseq = (w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]
-        self.inc = inc = ((initseq << 1) | 1) & _MASK128
-        self.state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-
-    def random(self) -> float:
-        """Next double in [0, 1), the value ``Generator.random()`` would draw."""
-        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        rot = state >> 122
-        x = ((state >> 64) ^ state) & _MASK64
-        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
-        return (x >> 11) * (1.0 / 9007199254740992.0)
-
-
-class _MeasurementStreams:
-    """The per-vertex measurement streams of one run seed.
-
-    Vertex ``t`` of a run with seed ``s`` draws from numpy's ``PCG64``
-    stream of ``SeedSequence(s, spawn_key=(0, t))``, bit for bit; the
-    leading spawn-key element namespaces measurement streams away from other
-    streams derived from the same seed (e.g. tensor generation).
-    SeedSequence mixes its entropy (the seed's words zero-padded to the pool
-    size, then the spawn key's words) into the pool one word at a time, so
-    the pool after the shared prefix ``[seed..., 0]`` is built once, by
-    numpy from those words, and each vertex only mixes in the words of
-    ``t``: a dozen integer hash steps instead of a SeedSequence and a
-    Generator.
-    """
-
-    __slots__ = ("pool", "prefix_words")
-
-    def __init__(self, seed: int):
-        words = _uint32_words(seed)
-        words += [0] * (_POOL_SIZE - len(words)) + [0]
-        self.prefix_words = len(words)
-        self.pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
-
-    def vertex(self, step: int) -> _Pcg64:
-        pool = self.pool
-        for hashes in _spawn_hashes(self.prefix_words, step):
-            mixed = []
-            for x, h in zip(pool, hashes):
-                v = (_MIX_MULT_L * x - _MIX_MULT_R * h) & _MASK32
-                mixed.append(v ^ (v >> 16))
-            pool = mixed
-        return _Pcg64(pool)
 
 
 def run_algorithm(
@@ -648,7 +542,8 @@ def run_algorithm(
     ``prepared.fidelity``. Deterministic given ``seed``, which must be
     >= 0: vertex ``t`` of a run with seed ``s`` draws from numpy's PCG64
     stream of ``SeedSequence(s, spawn_key=(0, t))``, reproduced bit for bit
-    in integer arithmetic with the seed's share derived once per run.
+    by :class:`~peps_forge.streams.SeedStreams` with the seed's share
+    derived once per run.
     """
     if mode not in ("bounded", "until_success"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -665,13 +560,13 @@ def run_algorithm(
     else:
         cap = None
 
-    streams = _MeasurementStreams(seed)
+    streams = SeedStreams(seed, MEASUREMENTS)
     records: list[VertexRecord] = []
     total = 0
     success = True
     for t in range(n):
         p = prepared.overlaps[t]
-        outcomes = markov_simulate(p, cap, streams.vertex(t), prepared.zero_tol)
+        outcomes = markov_simulate(p, cap, streams.uniforms(t), prepared.zero_tol)
         vertex_ok = outcomes[-1] == "zero"
         total += len(outcomes)
         vertex = g.order[t]

@@ -30,6 +30,7 @@ from .errors import ConfigError, InvalidInputError
 from .limits import check_dim
 from .linalg import ZERO_TOL
 from .network import InteractionGraph, PepsTensor, canonicalize, canonicalize_stack
+from .streams import TENSORS, SeedStreams
 
 TOPOLOGIES = ("chain", "ring", "grid", "custom")
 TENSOR_SOURCES = ("random", "explicit")
@@ -385,17 +386,15 @@ def topology_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
     return spec.num_vertices, list(spec.edges)
 
 
-def _tensor_rng(seed: int, vertex: int) -> np.random.Generator:
-    # spawn-key namespace 1 = tensor generation (0 = measurement streams)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, vertex)))
-
-
 def random_tensors(
     graph: InteractionGraph, kappa_max: float, seed: int
 ) -> list[PepsTensor]:
     """Random injective vertex maps with condition number at most ``kappa_max``.
 
-    Vertex ``v`` draws from its own stream: singular values uniform in
+    Vertex ``v`` draws from numpy's stream of
+    ``SeedSequence(seed, spawn_key=(1, v))``, bit for bit, through one
+    generator that :class:`~peps_forge.streams.SeedStreams` puts at the
+    start of each vertex's stream: singular values uniform in
     ``[1/kappa_max, 1]`` (no draw at ``kappa_max = 1``, which gives exact
     isometries), then the Gaussians of a Haar isometry (physical x virtual)
     and of a Haar unitary (virtual x virtual), real parts first. The map is
@@ -406,9 +405,12 @@ def random_tensors(
         raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
     n = graph.num_vertices
     shapes = [(graph.physical_dims[v], graph.register_dim(v)) for v in range(n)]
+    streams = SeedStreams(seed, TENSORS)
+    bitgen = np.random.PCG64(0)  # any seed: each vertex assigns its own state
+    rng = np.random.Generator(bitgen)
     sigmas, gaussians = [], {}
     for v, (p, r) in enumerate(shapes):
-        rng = _tensor_rng(seed, v)
+        streams.seed_bit_generator(bitgen, v)
         sigmas.append(np.ones(r) if kappa_max == 1.0 else rng.uniform(1.0 / kappa_max, 1.0, r))
         for shape in ((p, r), (r, r)):
             z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -545,9 +547,14 @@ def report_to_json(report: RunReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRow:
-    """One trial of a sweep; reproducible bit-exactly from (config, seed)."""
+    """One trial of a sweep; reproducible bit-exactly from (config, seed).
+
+    Slotted rather than frozen, like the driver's records (see
+    :class:`~peps_forge.dynamics.VertexRecord`): one is built per trial.
+    Treat it as read-only.
+    """
 
     instance: str
     seed: int

@@ -435,6 +435,70 @@ class TestExitCodes:
             cli.main(["run", "--config", CHAIN3, "--mode", "warp"])
         assert exc.value.code == 2
 
+    def test_physical_cap_checked_before_any_step(self, capsys, tmp_path, monkeypatch):
+        # global (virtual) dimension 16 passes build_instance's check, the
+        # physical product 64^3 does not
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a step was assembled for an instance above the cap")
+
+        monkeypatch.setattr(dynamics, "assemble_step", unreachable)
+        config = {
+            "graph": {"topology": "chain", "length": 3},
+            "bond_dim": 2,
+            "tensors": {
+                "source": "random",
+                "kappa_max": 2.0,
+                "seed": 3,
+                "physical_dims": [64, 64, 64],
+            },
+            "seed": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["run", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "contracted state requires dimension 262144" in captured.err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", CHAIN3, "--out"],
+            ["sweep", "--config", CHAIN3, "--trials", "3", "--out"],
+            ["verify-lemma1", "--config", CHAIN3, "--trials", "200", "--out"],
+            ["gap-scan", "--config", CHAIN3, "--out"],
+            ["gap-scan", "--config", CHAIN3, "--dump-terms"],
+            ["cost-model", "--config", CHAIN3, "--out"],
+            ["verify-lemma2", "--out"],
+        ],
+        ids=lambda argv: "-".join([argv[0], argv[-1].lstrip("-")]),
+    )
+    def test_unwritable_output_rejected_before_work(
+        self, capsys, tmp_path, monkeypatch, argv, where
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work was done for an unwritable output path")
+
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        monkeypatch.setattr(dynamics, "markov_trials", unreachable)
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+        code = cli.main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+    def test_late_write_error_is_invalid_input(self, capsys, monkeypatch):
+        def unwritable(text, out_path):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr(cli, "_emit", unwritable)
+        code = cli.main(["cost-model", "--V", "4", "--kappa", "2", "--eps", "0.1"])
+        assert code == 2
+        assert "read-only file system" in capsys.readouterr().err
+
 
 def test_cli_import_skips_scipy_stats():
     # importing scipy costs most of a command's start; the spectral layer and

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -17,12 +16,10 @@ from _helpers import (
     kernel_basis,
     random_instance,
     vector_driver,
-    vertex_rng,
 )
 from peps_forge import dynamics, network
 from peps_forge.dynamics import (
     PreparedInstance,
-    _MeasurementStreams,
     cost_model,
     cost_model_for_graph,
     markov_exact_distribution,
@@ -668,34 +665,7 @@ def _encode(report) -> tuple[str, ...]:
 
 
 class TestMeasurementStreams:
-    """The driver's per-vertex streams are numpy's, bit for bit."""
-
-    SEEDS = [0, 1, 7, 123, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64]
-    SEEDS += [2**64 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**160 + 1, 2**200]
-    # steps of one, two and three 32-bit words
-    STEPS = [*range(16), 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1]
-
-    def test_bit_identical_to_numpy(self):
-        seeds = self.SEEDS + [random.Random(bits).getrandbits(bits) for bits in range(5, 201, 15)]
-        for seed in seeds:
-            streams = _MeasurementStreams(seed)
-            for step in self.STEPS:
-                stream = streams.vertex(step)
-                ours = [stream.random() for _ in range(8)]
-                assert ours == vertex_rng(seed, step).random(8).tolist(), (seed, step)
-
-    # draws of numpy 2.4's default_rng(SeedSequence(seed, spawn_key=(0, step)))
-    GOLDEN_DRAWS = [
-        (0, 0, [0.5651317655614634, 0.935433136976671, 0.47987454708253907]),
-        (2**32 + 7, 3, [0.38653289772351074, 0.1006311339823811, 0.7344868761660808]),
-        (2**70 + 3, 1, [0.8070743261356725, 0.9379056639089467, 0.5339058740264766]),
-        (2**200 + 1, 15, [0.5100847462067406, 0.025684633853626182, 0.8494074533805883]),
-    ]
-
-    @pytest.mark.parametrize("seed,step,draws", GOLDEN_DRAWS)
-    def test_golden_draws(self, seed, step, draws):
-        stream = _MeasurementStreams(seed).vertex(step)
-        assert [stream.random() for _ in draws] == draws
+    """Driver runs on the per-vertex streams (the streams: ``test_streams.py``)."""
 
     # outcome sequences (Z = zero, N = nonzero) recorded before the streams
     # were derived in integer arithmetic

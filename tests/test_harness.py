@@ -250,6 +250,9 @@ SAMPLER_CASES = {
     "ring5-kappa1": (_ring(5), 1.0, 77),
     "ring4-order": (_ring(4, order=[2, 0, 3, 1]), 2.0, 6),
     "chain3-bonds32": (InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[3, 2]), 4.0, 2),
+    # seeds of two and three 32-bit words
+    "ring4-seed-2w": (_ring(4), 3.0, 2**32 + 7),
+    "grid2x3-mixed-dims-seed-3w": (_grid(2, 3, physical_dims=[5, 9, 4, 4, 8, 6]), 2.5, 2**70 + 3),
 }
 
 
@@ -446,6 +449,84 @@ class TestReports:
         parsed = json.loads(a)
         assert parsed["seed"] == 21
         assert {"success", "fidelity", "total_measurements", "vertices"} <= set(parsed)
+
+    # report_to_json(run_algorithm(chain3, 0.1, seed=7, mode="until_success")),
+    # recorded while the records were frozen dataclasses
+    GOLDEN_REPORT = """\
+{
+  "alternation_cap": null,
+  "eps": 0.1,
+  "fidelity": 1.0,
+  "gaps": [
+    1.0,
+    0.9999999999999997,
+    0.3835057341084219,
+    0.4125005980559752
+  ],
+  "kappa_max": 4.508645458108852,
+  "min_gap": 0.3835057341084219,
+  "mode": "until_success",
+  "seed": 7,
+  "success": true,
+  "total_measurements": 5,
+  "vertices": [
+    {
+      "alternations": 0,
+      "first_shot_probability": 0.9541436225731065,
+      "gap": 0.9999999999999997,
+      "kappa": 1.5615622576746238,
+      "measurements": 1,
+      "outcomes": [
+        "zero"
+      ],
+      "overlap": 0.9541436225731065,
+      "step": 0,
+      "succeeded": true,
+      "vertex": 0
+    },
+    {
+      "alternations": 1,
+      "first_shot_probability": 0.6891890873562899,
+      "gap": 0.3835057341084219,
+      "kappa": 4.508645458108852,
+      "measurements": 3,
+      "outcomes": [
+        "nonzero",
+        "nonzero",
+        "zero"
+      ],
+      "overlap": 0.6891890873562899,
+      "step": 1,
+      "succeeded": true,
+      "vertex": 1
+    },
+    {
+      "alternations": 0,
+      "first_shot_probability": 0.9610896159051636,
+      "gap": 0.4125005980559752,
+      "kappa": 1.5207043234358812,
+      "measurements": 1,
+      "outcomes": [
+        "zero"
+      ],
+      "overlap": 0.9610896159051636,
+      "step": 2,
+      "succeeded": true,
+      "vertex": 2
+    }
+  ]
+}"""
+
+    def test_report_json_text_pinned(self, prepared_zoo):
+        report = run_algorithm(prepared_zoo["chain3"], 0.1, seed=7, mode="until_success")
+        assert report_to_json(report) == self.GOLDEN_REPORT
+
+    def test_records_are_slotted(self, prepared_zoo):
+        report = run_algorithm(prepared_zoo["chain3"], 0.1, seed=7)
+        cfg, _ = load_fixture("chain3")
+        row = sweep(cfg, trials=1).rows[0]
+        for record in (report, report.vertices[0], row):
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_report_changes_with_seed(self, prepared_zoo):
         prep = prepared_zoo["ring4"]
