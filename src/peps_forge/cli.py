@@ -75,9 +75,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = harness.load_config(args.config)
-    result = harness.sweep(
-        cfg, trials=args.trials, base_seed=args.seed, mode=args.mode, jobs=args.jobs
-    )
+    result = harness.sweep(cfg, trials=args.trials, base_seed=args.seed, mode=args.mode)
     csv_text = harness.sweep_csv(result)
     if args.format == "csv":
         _emit(csv_text, args.out)
@@ -265,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default: config seed)")
     p_sweep.add_argument("--mode", choices=harness.MODES, default="bounded")
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1, help="must be >= 1; no effect, trials run serially"
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_l1 = sub.add_parser("verify-lemma1", help="overlap and norm-ratio bounds")

@@ -429,12 +429,13 @@ class PreparedInstance:
     edges that a processed vertex touches; step 0 touches none, and its gap
     is exactly 1 with no solve. Consecutive step Hamiltonians differ only
     in the terms around one vertex, so the steps share each edge term form
-    (see :func:`assemble_step`), and each step's gap solve starts from
-    the previous step's ``excited_state``, restricted to the step's solved
-    slots, with a fixed random vector mixed in (see
-    :func:`ground_analysis`). The certified overlaps ``p_t`` of consecutive targets are then
-    all a run needs: :func:`run_algorithm` runs the four-state chain on them
-    and touches no Hamiltonian or state vector.
+    (see :func:`assemble_step`). Each gap solve from step 2 on starts from
+    the previous step's Ritz vector ``excited_state``, restricted to the
+    step's solved slots, with a fixed random vector mixed in; step 1 starts
+    from that vector alone (see :func:`ground_analysis`). The certified
+    overlaps ``p_t`` of consecutive targets are then all a run needs:
+    :func:`run_algorithm` runs the four-state chain on them and touches no
+    Hamiltonian or state vector.
     Every successful run ends in the last target, so its fidelity with the
     directly contracted state, ``|<restore_gauge(psi_n)|reference_state>|^2``,
     is computed here once as ``fidelity``. The preparation is reusable

@@ -25,15 +25,17 @@ computes ``H x`` with one matrix product per term on the register tensor.
 :func:`ground_analysis` certifies a given zero-energy state (the
 contraction target) by its full residual ``||H psi||`` and finds the gap with
 at most one Lanczos solve on that product in the state's orthogonal
-complement, stopped at :data:`KRYLOV_TOL` and optionally warm-started from a
-neighbouring step's excitation. An assembled step knows its edges with no
+complement, stopped at :data:`KRYLOV_TOL` and optionally warm-started from the
+previous step's Ritz vector. An assembled step knows its edges with no
 processed endpoint, which still hold their bare pair terms; the solve runs on
 the :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the
 same ``apply`` on a smaller register layout) and the free pairs enter in
 closed form. Called without a state, it first finds one with a second solve,
 both on the full space, as an independent oracle. scipy (BLAS and LAPACK) is
-imported on first use of this layer. The dense ``global_matrix`` and its full
-eigensystem ``spectral`` remain as an oracle for tests at small dimension.
+imported on first use of this layer. :func:`parent_term` orthonormalises its
+image basis with one thin SVD. The dense ``global_matrix`` and its full
+eigensystem ``spectral``, the layer's only Hermitian eigensolve, remain as an
+oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ from .linalg import ZERO_TOL
 from .network import (
     InteractionGraph,
     PepsTensor,
-    apply_on_register,
     check_tensors,
     expand_pairs,
     restrict_pairs,
 )
 
-#: Gram-matrix condition number beyond which an image basis is rejected
+#: condition number of an image basis's Gram matrix, ``(sigma_max /
+#: sigma_min)**2`` of the basis, beyond which :func:`parent_term` rejects it
 GRAM_COND_LIMIT = 1e12
 
 #: largest certified infidelity between a zero-energy state and the kernel
@@ -180,18 +182,14 @@ def parent_term(
     m_v = tensors[v].positive_factor if v in processed else np.eye(r_v, dtype=complex)
     mapped = np.kron(m_u, m_v) @ basis
 
-    gram = mapped.conj().T @ mapped
-    spec = linalg.hermitian_eig(gram)
-    gamma = spec.eigenvalues
-    if gamma[0] <= 0.0 or gamma[-1] / gamma[0] > GRAM_COND_LIMIT:
+    dec = linalg.svd(mapped)
+    sigma = dec.sigma
+    if not sigma[-1] > 0.0 or (sigma[0] / sigma[-1]) ** 2 > GRAM_COND_LIMIT:
         raise ConditioningError(
             f"image basis of edge {edge_id} is ill-conditioned: "
-            f"Gram eigenvalues in [{gamma[0]:.3e}, {gamma[-1]:.3e}]"
+            f"singular values in [{sigma[-1]:.3e}, {sigma[0]:.3e}]"
         )
-    ortho = mapped @ (spec.eigenvectors / np.sqrt(gamma))
-    projector = ortho @ ortho.conj().T
-    matrix = np.eye(r_u * r_v, dtype=complex) - projector
-    matrix = (matrix + matrix.conj().T) / 2
+    matrix = np.eye(r_u * r_v, dtype=complex) - dec.u @ dec.u.conj().T
 
     n_proc = (u in processed) + (v in processed)
     kind = {0: "edge_pair", 1: "boundary", 2: "parent"}[n_proc]
@@ -313,10 +311,11 @@ class GroundAnalysis:
     """Spectral summary of one step Hamiltonian.
 
     ``ground_state`` is the certified zero-energy state. ``excited_state``
-    is a unit ``lambda1`` eigenvector on the full space, made exactly
-    orthogonal to ``ground_state``: the solve's Ritz vector, or the
-    ground state with one free pair excited when that is lower. It
-    warm-starts the next step's ``lambda1`` solve.
+    is the gap solve's unit Ritz vector on the full space (tensored back
+    with the free pairs), made exactly orthogonal to ``ground_state``: an
+    eigenvector of energy ``lambda1``, or of the solved energy above it
+    when the free pairs set ``lambda1 = 1``. It warm-starts the next step's
+    solve, and is ``None`` when nothing was solved (step 0).
     """
 
     lambda0: float
@@ -324,7 +323,7 @@ class GroundAnalysis:
     gap: float
     ground_degeneracy: int
     ground_state: np.ndarray
-    excited_state: np.ndarray
+    excited_state: np.ndarray | None
 
 
 def assemble_step(
@@ -444,24 +443,6 @@ def _lowest_eigenpair(
     raise NumericalFailureError(f"Lanczos solve did not converge in {products} products")
 
 
-def _pair_excitation(h: LocalHamiltonian, psi: np.ndarray) -> np.ndarray:
-    """``psi`` with one pair edge's ``omega`` turned into ``(Z (x) 1) omega``.
-
-    ``Z = diag(exp(2 pi i k / D))`` on the edge's first slot makes the pair
-    orthogonal to ``omega``, so the result is an eigenvector of energy one
-    above ``psi``'s. The edge is one that the next vertex touches, where
-    there is one, so that the next step's restricted warm start keeps it.
-    """
-    g = h.graph
-    edge = next((e for e in h.pair_edges if g.order[h.step] in g.edges[e]), h.pair_edges[0])
-    u = g.edges[edge][0]
-    slots = g.incident_edges(u)
-    d = g.bond_dims[edge]
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    op = linalg.embed_term(clock, (slots.index(edge),), [g.bond_dims[e] for e in slots])
-    return apply_on_register(op, u, psi, g.register_dims)[0]
-
-
 def ground_analysis(
     h: LocalHamiltonian,
     zero_tol: float = ZERO_TOL,
@@ -486,18 +467,22 @@ def ground_analysis(
     Their terms act on their own bond slots only, so ``H = A (x) 1 + 1 (x)
     B`` with ``A`` the :attr:`~LocalHamiltonian.restricted` Hamiltonian and
     ``B`` the sum of pair terms, whose spectrum is ``{0, 1, ...}`` with the
-    pairs as unique ground state. Hence ``lambda1 = min(lambda1(A), 1)``:
-    the solve runs on ``A`` with ``psi`` and ``start`` contracted with the
+    pairs as unique ground state. Hence ``lambda1 = min(theta, 1)`` for the
+    lowest eigenvalue ``theta`` of ``A`` off the restricted ``psi``: the
+    solve runs on ``A`` with ``psi`` and ``start`` contracted with the
     pairs (:func:`~peps_forge.network.restrict_pairs`), and when the pairs
     win, or every edge is a pair edge (step 0) and nothing is solved,
     ``lambda1`` and ``gap`` are exactly 1. The residual and the
     certificates stay on the full ``psi``. Without a ``kernel`` the solves
-    run on the full space.
+    run on the full space. Either way the Ritz vector ``x`` of ``theta``,
+    tensored back with the pairs, is an eigenvector of ``H`` (``H (x (x)
+    omega) = (A x) (x) omega``) and becomes ``excited_state``.
 
     ``start`` seeds the ``lambda1`` solve, for example with the
     ``excited_state`` of the previous step, whose Hamiltonian differs only
-    around one vertex; without it, or when less than half of its norm
-    survives the restriction, the solve starts from a fixed random vector.
+    around one vertex; without it (step 1 follows the unsolved step 0), or
+    when less than half of its norm survives the restriction, the solve
+    starts from a fixed random vector.
     Both solves stop at :data:`KRYLOV_TOL`, and both find the true
     ``lambda1`` only if their start has weight on its eigenvector. The
     fixed random vector is therefore mixed into every start (see
@@ -529,7 +514,7 @@ def ground_analysis(
             f"step {h.step}: no zero-energy state (residual ||H psi|| = {residual:.3e})"
         )
     lambda0 = float(np.vdot(psi, h_psi).real)
-    lambda1 = math.inf  # with only pair edges (step 0) nothing is solved
+    theta, excited = math.inf, None  # with only pair edges (step 0) nothing is solved
     if len(pairs) < len(g.edges):
         op, phi = h, psi
         if pairs:
@@ -539,13 +524,11 @@ def ground_analysis(
             if start is not None:
                 kept = restrict_pairs(g, start, pairs)
                 start = kept if np.linalg.norm(kept) >= np.linalg.norm(start) / 2 else None
-        lambda1, excited = _lowest_eigenpair(len(phi), op.apply, start, lock=phi)
-    if pairs and lambda1 >= 1.0:
-        lambda1, gap, excited = 1.0, 1.0, _pair_excitation(h, psi)
-    else:
-        gap = lambda1 - lambda0
-        if pairs:
-            excited = expand_pairs(g, excited, pairs)
+        theta, ritz = _lowest_eigenpair(len(phi), op.apply, start, lock=phi)
+        excited = expand_pairs(g, ritz, pairs)
+        excited = excited - np.vdot(psi, excited) * psi
+        excited = excited / np.linalg.norm(excited)
+    lambda1, gap = (1.0, 1.0) if pairs and theta >= 1.0 else (theta, theta - lambda0)
     if lambda1 < zero_tol:
         raise DegenerateGroundSpaceError(
             f"step {h.step}: ground space is degenerate (second eigenvalue "
@@ -558,14 +541,13 @@ def ground_analysis(
             f"step {h.step}: zero-energy state is certified only to infidelity "
             f"{infidelity:.3e} (residual {residual:.3e}, gap {lambda1:.3e})"
         )
-    excited = excited - np.vdot(psi, excited) * psi
     return GroundAnalysis(
         lambda0=lambda0,
         lambda1=lambda1,
         gap=gap,
         ground_degeneracy=1,
         ground_state=psi,
-        excited_state=excited / np.linalg.norm(excited),
+        excited_state=excited,
     )
 
 

@@ -512,16 +512,7 @@ def to_explicit_config(
     )
     edge_order = tuple(tuple(o) for o in edge_order_of(graph))
     spec = TensorSpec(source="explicit", entries=entries, edge_order=edge_order)
-    return InstanceConfig(
-        graph=cfg.graph,
-        bond_dim=cfg.bond_dim,
-        tensors=spec,
-        seed=cfg.seed,
-        order=cfg.order,
-        eps=cfg.eps,
-        c=cfg.c,
-        zero_tol=cfg.zero_tol,
-    )
+    return replace(cfg, tensors=spec)
 
 
 def edge_order_of(graph: InteractionGraph) -> list[list[int]]:
@@ -591,9 +582,10 @@ def sweep(
     Trial ``i`` uses seed ``base_seed + i`` (default base: the config seed;
     it must be >= 0), so any row can be reproduced with a single ``run`` at
     its listed seed.
-    Trials run serially in seed order. ``jobs`` must be >= 1 and has no
-    effect: a trial is a short scalar loop in the interpreter, which a
-    thread pool slows down rather than speeds up.
+    Trials run serially in seed order: a trial is a short scalar loop in
+    the interpreter, which a thread pool slows down rather than speeds up.
+    ``jobs`` must be >= 1 and has no effect; it stays only for the
+    benchmark workloads, which pass ``jobs=1``.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")

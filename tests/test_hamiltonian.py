@@ -13,6 +13,7 @@ from _helpers import CHAIN2, CHAIN3, RING4, kernel_basis, random_complex, random
 from peps_forge import hamiltonian, linalg, network
 from peps_forge.dynamics import PreparedInstance, repair_loop_trials, run_algorithm
 from peps_forge.errors import (
+    ConditioningError,
     DegenerateGroundSpaceError,
     InvalidInputError,
     NumericalFailureError,
@@ -132,6 +133,28 @@ class TestParentTerm:
         ]
         with pytest.raises(ConditioningError):
             parent_term(g, tensors, 0, frozenset({0, 1}))
+
+    @pytest.mark.parametrize("scale, accepted", [(2e-6, True), (5e-7, False)])
+    def test_conditioning_boundary(self, scale, accepted):
+        # the chain above with spectator scale s has Gram condition exactly
+        # 1 / s^2: 2.5e11 builds a term, 4e12 exceeds GRAM_COND_LIMIT
+        g = InteractionGraph.build(3, [(0, 1), (1, 2)])
+        tensors = [
+            canonicalize(0, np.eye(2)),
+            canonicalize(1, np.diag([1.0, scale, 1.0, scale])),
+            canonicalize(2, np.eye(2)),
+        ]
+        assert (scale**-2 < hamiltonian.GRAM_COND_LIMIT) == accepted
+        if not accepted:
+            with pytest.raises(ConditioningError, match="ill-conditioned"):
+                parent_term(g, tensors, 0, frozenset({0, 1}))
+            return
+        term = parent_term(g, tensors, 0, frozenset({0, 1}))
+        assert np.abs(term.matrix @ term.matrix - term.matrix).max() <= 1e-12
+        # the target after vertex 1, the step that processes the edge
+        state, _ = network.contract_partial(g, tensors, 2)
+        embedded = linalg.embed_term(term.matrix, term.support, g.register_dims)
+        assert np.linalg.norm(embedded @ state) <= 1e-10 * np.linalg.norm(state)
 
 
 def _kinds(h: LocalHamiltonian) -> list[str]:
@@ -348,17 +371,23 @@ class TestCertifiedKernel:
             prep = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
             # step 0 has only pair edges and no solve; every later step one
             assert len(calls) == len(starts) == graph.num_vertices, name
-            # each solve starts, before the lock is applied, from the
-            # previous excitation restricted to the step's solved slots, plus
-            # START_NOISE times the unit fixed random vector of the solved
-            # dimension; it is locked on the restricted target
+            # step 1 starts from the fixed random vector of the solved
+            # dimension alone; every later solve starts, before the lock is
+            # applied, from the previous excitation restricted to the step's
+            # solved slots, plus START_NOISE times that vector normalised; each
+            # is locked on the restricted target
             for t, ((dim, lock), v0) in enumerate(zip(calls, starts), start=1):
                 pairs = prep.hamiltonians[t].pair_edges
-                warm = network.restrict_pairs(graph, prep.analyses[t - 1].excited_state, pairs)
-                assert np.linalg.norm(warm) == pytest.approx(1.0, abs=1e-12), (name, t)
                 noise = np.random.default_rng(0).standard_normal(dim)
-                warm = warm + START_NOISE * noise / np.linalg.norm(noise)
-                np.testing.assert_allclose(v0, warm, rtol=0, atol=1e-15)
+                if t == 1:
+                    assert prep.analyses[0].excited_state is None, name
+                    np.testing.assert_array_equal(v0, noise)
+                else:
+                    excited = prep.analyses[t - 1].excited_state
+                    warm = network.restrict_pairs(graph, excited, pairs)
+                    assert np.linalg.norm(warm) == pytest.approx(1.0, abs=1e-12), (name, t)
+                    warm = warm + START_NOISE * noise / np.linalg.norm(noise)
+                    np.testing.assert_allclose(v0, warm, rtol=0, atol=1e-15)
                 phi = network.restrict_pairs(graph, prep.targets[t], pairs)
                 np.testing.assert_allclose(lock, phi / np.linalg.norm(phi), rtol=0, atol=1e-15)
 
@@ -453,12 +482,20 @@ class TestCertifiedKernel:
 
     def test_excited_state_is_the_lambda1_ritz_vector(self, prepared_zoo, ring5_prepared):
         for prep in [*prepared_zoo.values(), *ring5_prepared]:
+            # an eigenvector of H, of energy lambda1 unless the free pairs
+            # set lambda1 = 1; None only where nothing was solved (step 0)
             for h, a in zip(prep.hamiltonians, prep.analyses):
                 e = a.excited_state
+                if len(h.pair_edges) == len(prep.graph.edges):
+                    assert e is None
+                    continue
                 assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
                 assert abs(np.vdot(a.ground_state, e)) <= 1e-8
-                rayleigh = np.vdot(e, h.apply(e)).real
-                assert rayleigh == pytest.approx(a.lambda1, abs=1e-10)
+                he = h.apply(e)
+                theta = np.vdot(e, he).real
+                assert np.linalg.norm(he - theta * e) <= 1e-8
+                if a.lambda1 < 1.0:
+                    assert theta == pytest.approx(a.lambda1, abs=1e-10)
 
     def test_two_fold_kernel_rejected_from_a_warm_start(self):
         # the dim-64 two-fold kernel of TestMatrixFree, with the gap solve
@@ -728,7 +765,9 @@ class TestRestrictedSolve:
         for prep in [*dense, *full_space]:
             for t, (h, a) in enumerate(zip(prep.hamiltonians, prep.analyses)):
                 e = a.excited_state
-                assert np.linalg.norm(h.apply(e) - a.lambda1 * e) <= 1e-8, t
+                if e is not None:
+                    he = h.apply(e)
+                    assert np.linalg.norm(he - np.vdot(e, he).real * e) <= 1e-8, t
                 if not h.pair_edges:
                     continue
                 if prep in dense:

@@ -451,7 +451,8 @@ class TestReports:
         assert {"success", "fidelity", "total_measurements", "vertices"} <= set(parsed)
 
     # report_to_json(run_algorithm(chain3, 0.1, seed=7, mode="until_success")),
-    # recorded while the records were frozen dataclasses
+    # recorded while the records were frozen dataclasses; the gap digits
+    # were recorded again when parent terms came to be built from an SVD
     GOLDEN_REPORT = """\
 {
   "alternation_cap": null,
@@ -459,12 +460,12 @@ class TestReports:
   "fidelity": 1.0,
   "gaps": [
     1.0,
-    0.9999999999999997,
-    0.3835057341084219,
-    0.4125005980559752
+    0.9999999999999996,
+    0.3835057341084227,
+    0.41250059805597533
   ],
   "kappa_max": 4.508645458108852,
-  "min_gap": 0.3835057341084219,
+  "min_gap": 0.3835057341084227,
   "mode": "until_success",
   "seed": 7,
   "success": true,
@@ -473,7 +474,7 @@ class TestReports:
     {
       "alternations": 0,
       "first_shot_probability": 0.9541436225731065,
-      "gap": 0.9999999999999997,
+      "gap": 0.9999999999999996,
       "kappa": 1.5615622576746238,
       "measurements": 1,
       "outcomes": [
@@ -487,7 +488,7 @@ class TestReports:
     {
       "alternations": 1,
       "first_shot_probability": 0.6891890873562899,
-      "gap": 0.3835057341084219,
+      "gap": 0.3835057341084227,
       "kappa": 4.508645458108852,
       "measurements": 3,
       "outcomes": [
@@ -503,7 +504,7 @@ class TestReports:
     {
       "alternations": 0,
       "first_shot_probability": 0.9610896159051636,
-      "gap": 0.4125005980559752,
+      "gap": 0.41250059805597533,
       "kappa": 1.5207043234358812,
       "measurements": 1,
       "outcomes": [
