@@ -117,6 +117,23 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_jobs_flag_deterministic(self, capsys):
+        # the command takes no jobs value: its CSV is the one any jobs value gives
+        _, out = run_cli(
+            capsys, "sweep", "--config", CHAIN2, "--trials", "4", "--format", "csv"
+        )
+        cfg = harness.load_config(CHAIN2)
+        assert out == harness.sweep_csv(harness.sweep(cfg, trials=4, jobs=2))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_invalid(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", CHAIN2, "--trials", "2", "--jobs", jobs])
+        assert exc.value.code == 2
+        cfg = harness.load_config(CHAIN2)
+        with pytest.raises(peps_forge.InvalidInputError, match="jobs must be >= 1"):
+            harness.sweep(cfg, trials=2, jobs=int(jobs))
+
 
 class TestVerifyCommands:
     def test_lemma1_fixture_passes(self, capsys):
