@@ -206,22 +206,14 @@ def p_fail_bound(p: float, m: float) -> float:
     """Exponential upper bound ``(1-p) exp(-2 m p (1-p))`` on the failure tail.
 
     ``m`` may be fractional (the theory picks ``m`` as a multiple of
-    ``1/p``); for integer ``m`` the bound is cross-checked against the
-    closed form.
+    ``1/p``); :func:`verify_failure_tail` checks the bound against the
+    closed form :func:`p_term` at integer ``m``.
     """
     p = _check_p(p)
     m = float(m)
     if m < 0:
         raise InvalidInputError(f"alternation count must be non-negative, got {m}")
-    bound = (1.0 - p) * math.exp(-2.0 * m * p * (1.0 - p))
-    if m.is_integer():
-        fail = 1.0 - p_term(p, int(m))
-        if fail > bound + 1e-12:
-            raise BoundViolationError(
-                f"closed-form failure {fail:.3e} exceeds bound {bound:.3e} "
-                f"at p={p}, m={m}"
-            )
-    return bound
+    return (1.0 - p) * math.exp(-2.0 * m * p * (1.0 - p))
 
 
 class UniformSource(Protocol):
@@ -651,7 +643,8 @@ def verify_failure_tail(
     Verifies ``1 - p_term(p, m) <= (1-p) exp(-2 m p (1-p))`` on the product
     of ``p_grid`` and ``m_grid``, and ``p_fail(p, s/p) <= 1/(2 e s)`` on the
     product of ``p_grid_s`` (default ``p_grid``) and ``s_grid``. Returns
-    margin statistics; raises :class:`BoundViolationError` on any violation.
+    margin statistics; raises :class:`BoundViolationError` when a margin of
+    either inequality falls below ``-tol``.
 
     The second inequality is tight wherever ``1 - p = 1/(2s)``, so its
     smallest margin is reported with the first ``[p, s]`` attaining it and
@@ -662,8 +655,14 @@ def verify_failure_tail(
     min_margin = math.inf
     for p in p_grid:
         for m in m_grid:
-            bound = p_fail_bound(p, m)  # raises if the closed form exceeds it
-            min_margin = min(min_margin, bound - (1.0 - p_term(p, int(m))))
+            bound = p_fail_bound(p, m)
+            fail = 1.0 - p_term(p, m)
+            if bound - fail < -tol:
+                raise BoundViolationError(
+                    f"closed-form failure {fail:.3e} exceeds bound {bound:.3e} "
+                    f"at p={p}, m={m}"
+                )
+            min_margin = min(min_margin, bound - fail)
     min_s_margin = math.inf
     argmin = None
     for p in p_grid_s:

@@ -17,8 +17,9 @@ target state:
 A parent term for edge ``(u, v)`` with maps ``M_u, M_v`` is the projector
 onto the orthogonal complement of ``(M_u (x) M_v)(omega_e (x) C^rest)``,
 where ``omega_e`` is the edge's entangled pair and ``rest`` collects the
-other virtual factors of the two registers. This is the unique two-register
-projector family whose kernel is exactly the locally reachable subspace.
+other virtual factors of the two registers: the two maps contracted over
+their shared bond. This is the unique two-register projector family whose
+kernel is exactly the locally reachable subspace.
 
 The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
 computes ``H x`` with one matrix product per term on the register tensor.
@@ -32,10 +33,10 @@ the :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the
 same ``apply`` on a smaller register layout) and the free pairs enter in
 closed form. Called without a state, it first finds one with a second solve,
 both on the full space, as an independent oracle. scipy (BLAS and LAPACK) is
-imported on first use of this layer. :func:`parent_term` orthonormalises its
-image basis with one thin SVD. The dense ``global_matrix`` and its full
-eigensystem ``spectral``, the layer's only Hermitian eigensolve, remain as an
-oracle for tests at small dimension.
+imported on first use of this layer. :func:`parent_term` contracts the two
+maps with one einsum and orthonormalises the result with one thin SVD. The
+dense ``global_matrix`` and its full eigensystem ``spectral``, the layer's
+only Hermitian eigensolve, remain as an oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -114,33 +115,8 @@ def edge_term(bond_dim: int) -> np.ndarray:
     """
     if bond_dim < 2:
         raise InvalidInputError(f"bond dimension must be >= 2, got {bond_dim}")
-    omega = pair_vector(bond_dim)
-    return np.eye(bond_dim**2, dtype=complex) - np.outer(omega, omega.conj())
-
-
-def pair_vector(bond_dim: int) -> np.ndarray:
-    """Unit vector ``(1/sqrt(D)) sum_i |ii>`` on two bond factors."""
-    omega = np.zeros(bond_dim**2, dtype=complex)
-    omega[:: bond_dim + 1] = 1.0 / math.sqrt(bond_dim)
-    return omega
-
-
-def _pair_support_layout(
-    g: InteractionGraph, edge_id: int
-) -> tuple[tuple[int, int], tuple[int, ...], tuple[int, int]]:
-    """Factor layout of the two registers supporting ``edge_id``.
-
-    Returns the support vertices ``(u, v)``, the combined factor dimensions
-    (u's factors then v's factors, each in register order), and the
-    positions of the edge's own two factors inside that combined list.
-    """
-    u, v = g.edges[edge_id]
-    u_edges = g.incident_edges(u)
-    v_edges = g.incident_edges(v)
-    dims = tuple(g.bond_dims[e] for e in u_edges) + tuple(g.bond_dims[e] for e in v_edges)
-    pos_u = u_edges.index(edge_id)
-    pos_v = len(u_edges) + v_edges.index(edge_id)
-    return (u, v), dims, (pos_u, pos_v)
+    omega = np.eye(bond_dim, dtype=complex).reshape(-1) / math.sqrt(bond_dim)
+    return np.eye(bond_dim**2, dtype=complex) - np.outer(omega, omega)
 
 
 def edge_term_on_registers(g: InteractionGraph, edge_id: int) -> LocalTerm:
@@ -148,9 +124,12 @@ def edge_term_on_registers(g: InteractionGraph, edge_id: int) -> LocalTerm:
 
     Direct construction (no orthonormalization): the local projector
     :func:`edge_term` tensored with the identity on the remaining virtual
-    factors of both registers.
+    factors of both registers, u's factors then v's, each in register order.
     """
-    (u, v), dims, positions = _pair_support_layout(g, edge_id)
+    u, v = g.edges[edge_id]
+    u_edges, v_edges = g.incident_edges(u), g.incident_edges(v)
+    dims = tuple(g.bond_dims[e] for e in u_edges + v_edges)
+    positions = (u_edges.index(edge_id), len(u_edges) + v_edges.index(edge_id))
     matrix = linalg.embed_term(edge_term(g.bond_dims[edge_id]), positions, dims)
     return LocalTerm(support=(u, v), matrix=matrix, kind="edge_pair")
 
@@ -163,26 +142,30 @@ def parent_term(
 ) -> LocalTerm:
     """Projector onto the complement of the reachable subspace of one edge.
 
-    ``processed`` lists the vertices whose positive map already acts
-    (including the vertex currently being processed). An endpoint outside
-    ``processed`` keeps the identity map, which makes the term a temporary
-    boundary term; with both endpoints unprocessed the term reduces to the
-    plain edge pair term.
+    The subspace is ``(M_u (x) M_v)(omega_e (x) C^rest)``: each endpoint's
+    map, reshaped to ``(r, rest, d)`` with the edge's bond slot last, is
+    contracted with the other's over that slot, which spans it with one
+    column per index of the two registers' other factors. ``processed``
+    lists the vertices whose positive map already acts (including the
+    vertex currently being processed). An endpoint outside ``processed``
+    keeps the identity map, which makes the term a temporary boundary term;
+    with both endpoints unprocessed the term reduces to the plain edge pair
+    term. The columns are orthonormalised by one thin SVD and rejected as
+    ill-conditioned beyond :data:`GRAM_COND_LIMIT`.
     """
-    (u, v), dims, positions = _pair_support_layout(g, edge_id)
+    u, v = g.edges[edge_id]
     d = g.bond_dims[edge_id]
+    maps = []
+    for w in (u, v):
+        r = g.register_dim(w)
+        m = tensors[w].positive_factor if w in processed else np.eye(r, dtype=complex)
+        slots = g.incident_edges(w)
+        m = m.reshape(r, *(g.bond_dims[e] for e in slots))
+        maps.append(np.moveaxis(m, 1 + slots.index(edge_id), -1).reshape(r, -1, d))
     r_u, r_v = g.register_dim(u), g.register_dim(v)
-    n_image = (r_u * r_v) // d**2
+    image = np.einsum("aik,bjk->abij", *maps) / math.sqrt(d)
 
-    # orthonormal basis of omega_e (x) C^rest, rows in natural factor order
-    block = np.kron(pair_vector(d)[:, None], np.eye(n_image, dtype=complex))
-    basis = linalg.embed_columns(block, positions, dims)
-
-    m_u = tensors[u].positive_factor if u in processed else np.eye(r_u, dtype=complex)
-    m_v = tensors[v].positive_factor if v in processed else np.eye(r_v, dtype=complex)
-    mapped = np.kron(m_u, m_v) @ basis
-
-    dec = linalg.svd(mapped)
+    dec = linalg.svd(image.reshape(r_u * r_v, -1))
     sigma = dec.sigma
     if not sigma[-1] > 0.0 or (sigma[0] / sigma[-1]) ** 2 > GRAM_COND_LIMIT:
         raise ConditioningError(

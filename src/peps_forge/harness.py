@@ -26,8 +26,8 @@ from .dynamics import (
     repair_loop_trials,
     run_algorithm,
 )
-from .errors import ConfigError, InvalidInputError
-from .limits import check_dim
+from .errors import CapacityError, ConfigError, InvalidInputError
+from .limits import check_dim, dim_cap
 from .linalg import ZERO_TOL
 from .network import InteractionGraph, PepsTensor, canonicalize, canonicalize_stack
 from .streams import TENSORS, SeedStreams
@@ -432,20 +432,51 @@ def random_tensors(
     return tensors
 
 
+def _check_spec_dim(cfg: InstanceConfig) -> None:
+    """Check the spec's global dimension ``D^(2|E|)`` against the cap.
+
+    The product runs edge by edge and stops once past the cap, so a huge
+    graph costs a few multiplications. A custom graph's vertex count is
+    capped too: isolated vertices add no dimension, but every per-vertex
+    loop runs over them.
+    """
+    spec, cap = cfg.graph, dim_cap()
+    if spec.topology in ("chain", "ring"):
+        num_edges = spec.length - (spec.topology == "chain")
+    elif spec.topology == "grid":
+        num_edges = spec.rows * (spec.cols - 1) + spec.cols * (spec.rows - 1)
+    elif spec.num_vertices > cap:
+        raise CapacityError(f"custom graph has more vertices than the cap {cap}")
+    else:
+        num_edges = len(spec.edges)
+    dim = 1
+    for counted in range(1, num_edges + 1):
+        dim *= cfg.bond_dim**2
+        if dim > cap:
+            what = "instance state"
+            if counted < num_edges:
+                what += f" on {counted} of its {num_edges} edges"
+            check_dim(dim, what)
+
+
 def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTensor]]:
     """Materialize the graph and canonicalized tensors of a configuration.
 
-    The graph's global dimension is checked against the cap before any
-    tensor is sampled or decomposed: a register too large to simulate raises
+    The global dimension is checked against the cap from the spec, before
+    the graph is built or any tensor is sampled or decomposed, and so is
+    every physical register: one too large to simulate raises
     :class:`~peps_forge.errors.CapacityError` without allocating it.
     """
+    _check_spec_dim(cfg)
     n, edges = topology_edges(cfg.graph)
     if cfg.tensors.source == "random":
         dims = cfg.tensors.physical_dims
-        if dims is not None and len(dims) != n:
-            raise ConfigError(
-                "/tensors/physical_dims", f"expected {n} entries, got {len(dims)}"
-            )
+        if dims is not None:
+            if len(dims) != n:
+                raise ConfigError(
+                    "/tensors/physical_dims", f"expected {n} entries, got {len(dims)}"
+                )
+            check_dim(max(dims), "largest physical register")
         graph = InteractionGraph.build(
             n,
             edges,
@@ -453,7 +484,6 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
             physical_dims=list(dims) if dims is not None else None,
             order=list(cfg.order) if cfg.order is not None else None,
         )
-        check_dim(graph.global_dim, "instance state")
         return graph, random_tensors(graph, cfg.tensors.kappa_max, cfg.tensors.seed)
     entries = cfg.tensors.entries
     if len(entries) != n:
@@ -469,7 +499,6 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
         physical_dims=[m.shape[0] for m in matrices],
         order=list(cfg.order) if cfg.order is not None else None,
     )
-    check_dim(graph.global_dim, "instance state")
     for v, m in enumerate(matrices):
         expected_cols = graph.register_dim(v)
         if m.shape[1] != expected_cols:

@@ -10,6 +10,7 @@ override.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import CapacityError, InvalidInputError
@@ -34,10 +35,18 @@ def dim_cap() -> int:
 
 
 def check_dim(dim: int, what: str) -> None:
-    """Raise :class:`CapacityError` when ``dim`` exceeds the active cap."""
+    """Raise :class:`CapacityError` when ``dim`` exceeds the active cap.
+
+    A dimension of more than 128 bits is reported as a power of ten below
+    it, never in full.
+    """
     cap = dim_cap()
     if dim > cap:
+        bits = int(dim).bit_length()
+        # dim >= 2^(bits - 1) > 10^k, and str() of a huge int may raise
+        k = math.floor((bits - 1) * math.log10(2))
+        text = str(dim) if bits <= 128 else f"more than 10^{k}"
         raise CapacityError(
-            f"{what} requires dimension {dim}, above the cap {cap} "
+            f"{what} requires dimension {text}, above the cap {cap} "
             f"(set {_ENV_VAR} to raise it)"
         )

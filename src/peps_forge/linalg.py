@@ -1,10 +1,12 @@
-"""Dense complex linear-algebra kernel.
+"""Dense complex linear algebra: the SVD wrapper and the dense oracles.
 
-All higher-level modules funnel their numerics through the handful of
-operations here: SVD, Hermitian eigendecomposition and register
-embeddings. Matrices are plain complex ``numpy`` arrays; every function
-validates its preconditions and raises a typed error instead of
-propagating raw LAPACK failures.
+:func:`svd` is the thin SVD that the network and term layers use.
+:func:`hermitian_eig` and :func:`embed_term` build and diagonalise dense
+global matrices, which only the test oracles read (for example
+``LocalHamiltonian.global_matrix``); the matrix-free Hamiltonian layer calls
+numpy and scipy's BLAS and LAPACK directly. Matrices are plain complex
+``numpy`` arrays; every function validates its preconditions and raises a
+typed error instead of propagating raw LAPACK failures.
 
 Index convention: a tensor product of registers is flattened in mixed-radix
 order with register 0 as the most significant digit. ``numpy.kron`` follows
@@ -107,28 +109,6 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecompos
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _embedding_layout(
-    support: tuple[int, ...], dims: tuple[int, ...]
-) -> tuple[list[int], list[int]]:
-    """Validate support indices and return (permutation, inverse permutation).
-
-    ``permutation`` lists factor indices with the support first, the rest in
-    natural order; ``inverse`` undoes it.
-    """
-    n = len(dims)
-    if len(set(support)) != len(support):
-        raise InvalidInputError(f"support registers must be distinct, got {support}")
-    for s in support:
-        if not 0 <= s < n:
-            raise InvalidInputError(f"support register {s} out of range for {n} registers")
-    rest = [i for i in range(n) if i not in support]
-    perm = list(support) + rest
-    inv = [0] * n
-    for pos, p in enumerate(perm):
-        inv[p] = pos
-    return perm, inv
-
-
 def embed_term(
     term: np.ndarray, support: tuple[int, ...], register_dims: tuple[int, ...]
 ) -> np.ndarray:
@@ -140,41 +120,23 @@ def embed_term(
     """
     term = as_matrix(term, "term")
     dims = tuple(int(d) for d in register_dims)
-    perm, inv = _embedding_layout(tuple(support), dims)
+    n = len(dims)
+    if len(set(support)) != len(support):
+        raise InvalidInputError(f"support registers must be distinct, got {support}")
+    for s in support:
+        if not 0 <= s < n:
+            raise InvalidInputError(f"support register {s} out of range for {n} registers")
     support_dim = math.prod(dims[s] for s in support)
     if term.shape != (support_dim, support_dim):
         raise InvalidInputError(
             f"term shape {term.shape} does not match support dimension {support_dim}"
         )
-    n = len(dims)
-    rest_dim = math.prod(dims[p] for p in perm[len(support):]) if n > len(support) else 1
-    full = np.kron(term, np.eye(rest_dim, dtype=complex))
+    # support first, the rest in natural order; inv undoes the permutation
+    perm = [*support, *(i for i in range(n) if i not in support)]
+    inv = [perm.index(i) for i in range(n)]
+    total = math.prod(dims)
+    full = np.kron(term, np.eye(total // support_dim, dtype=complex))
     dims_perm = [dims[p] for p in perm]
     tensor = full.reshape(dims_perm + dims_perm)
     tensor = tensor.transpose(inv + [n + i for i in inv])
-    total = math.prod(dims)
     return np.ascontiguousarray(tensor.reshape(total, total))
-
-
-def embed_columns(
-    block: np.ndarray, support: tuple[int, ...], dims: tuple[int, ...]
-) -> np.ndarray:
-    """Reorder the rows of a stack of column vectors between factor layouts.
-
-    ``block`` columns live on the product of all ``dims`` factors, flattened
-    with the ``support`` factors most significant (in the given order) and
-    the remaining factors following in natural order. The result has rows in
-    the natural mixed-radix order of ``dims``.
-    """
-    block = np.asarray(block, dtype=complex)
-    dims = tuple(int(d) for d in dims)
-    perm, inv = _embedding_layout(tuple(support), dims)
-    total = math.prod(dims)
-    if block.shape[0] != total:
-        raise InvalidInputError(
-            f"column block has {block.shape[0]} rows, expected {total}"
-        )
-    ncols = block.shape[1]
-    tensor = block.reshape([dims[p] for p in perm] + [ncols])
-    tensor = tensor.transpose(inv + [len(dims)])
-    return np.ascontiguousarray(tensor.reshape(total, ncols))

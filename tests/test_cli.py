@@ -143,6 +143,26 @@ class TestVerifyCommands:
         assert doc["passed"] is True
         assert doc["min_overlap_margin"] >= -1e-10
 
+    def test_lemma1_physical_registers_below_the_cap(self, capsys, tmp_path):
+        # only verify-lemma1 can use a physical register this large: every
+        # other command builds a state over the physical registers
+        config = {
+            "graph": {"topology": "chain", "length": 2},
+            "bond_dim": 2,
+            "tensors": {
+                "source": "random",
+                "kappa_max": 2.0,
+                "seed": 3,
+                "physical_dims": [100, 100],
+            },
+            "seed": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli(capsys, "verify-lemma1", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_lemma1_trials_below_one_invalid(self, capsys, tmp_path, trials):
         config = {
@@ -348,22 +368,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["run", "verify-lemma1"])
     def test_capacity_exceeded_before_sampling(self, capsys, tmp_path, monkeypatch, command):
-        # ring3 at D = 1000 would need terabytes for its tensors alone
         def unreachable(*args):
             raise AssertionError("tensors were sampled for an instance above the cap")
 
         monkeypatch.setattr(harness, "random_tensors", unreachable)
-        config = {
-            "graph": {"topology": "ring", "length": 3},
-            "bond_dim": 1000,
-            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 3},
-            "seed": 1,
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        code, out = run_cli(capsys, command, "--config", str(path))
-        assert code == 3
-        assert out == ""
+        tensors = {"source": "random", "kappa_max": 2.0, "seed": 3}
+        configs = [
+            # ring3 at D = 1000 would need terabytes for its tensors alone
+            {"graph": {"topology": "ring", "length": 3}, "bond_dim": 1000},
+            # a 4,816-digit dimension, rejected before its graph is built
+            {"graph": {"topology": "chain", "length": 8000}, "bond_dim": 2},
+            # a physical register beyond what numpy can allocate
+            {
+                "graph": {"topology": "chain", "length": 2},
+                "bond_dim": 2,
+                "tensors": dict(tensors, physical_dims=[10**30, 2]),
+            },
+        ]
+        for config in configs:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"tensors": tensors, "seed": 1, **config}))
+            code = cli.main([command, "--config", str(path)])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("capacity exceeded: ")
+            assert len(captured.err) < 200
 
     def test_config_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -34,7 +34,7 @@ from peps_forge.dynamics import (
     verify_failure_tail,
     verify_lemma1,
 )
-from peps_forge.errors import InvalidInputError, OrthogonalTargetsError
+from peps_forge.errors import BoundViolationError, InvalidInputError, OrthogonalTargetsError
 from peps_forge.harness import FIXTURE_NAMES, random_tensors
 from peps_forge.network import InteractionGraph, canonicalize
 
@@ -320,6 +320,21 @@ class TestFailureBound:
         )
         assert stats["min_exp_bound_margin"] >= 0.0
         assert stats["min_s_bound_margin"] >= -1e-12
+
+    @pytest.mark.parametrize("excess, passes", [(1e-10, True), (1e-8, False)])
+    def test_closed_form_checked_against_tol(self, monkeypatch, excess, passes):
+        # at m = 0 the closed form meets the bound exactly; raise the failure
+        # probability by ``excess``, above 1e-12 but below or above tol
+        exact = dynamics.p_term
+        monkeypatch.setattr(dynamics, "p_term", lambda p, m: exact(p, m) - excess)
+        args = dict(p_grid=[0.5], m_grid=[0, 1], s_grid=[1], p_grid_s=[0.3], tol=1e-9)
+        if not passes:
+            with pytest.raises(BoundViolationError, match="closed-form failure"):
+                verify_failure_tail(**args)
+            return
+        stats = verify_failure_tail(**args)
+        assert stats["min_exp_bound_margin"] == pytest.approx(-excess, rel=1e-6)
+        assert stats["pairs_checked"] == 2
 
 
 class _CountingGenerator:

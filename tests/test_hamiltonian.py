@@ -95,15 +95,21 @@ class TestParentTerm:
         assert np.linalg.norm(term.matrix @ state) <= 1e-10
 
     def test_projector_and_complement_rank(self):
+        # the image has one dimension per index of the two registers' other
+        # factors, r_u r_v / d^2; the term projects onto the rest
         graph, tensors = random_instance(RING4, 3.0, 12)
-        term = parent_term(graph, tensors, 0, frozenset({0, 1}))
-        m = term.matrix
-        assert np.abs(m @ m - m).max() <= 1e-9
-        eigs = np.linalg.eigvalsh(m)
-        r_u = graph.register_dim(0)
-        r_v = graph.register_dim(1)
-        expected_rank = r_u * r_v - (r_u * r_v) // 4
-        assert int(np.sum(eigs > 0.5)) == expected_rank
+        cases = [(graph, tensors, 0, frozenset({0, 1}))]
+        for graph, tensors in _mixed_bond_instances():
+            for t in range(graph.num_vertices + 1):
+                processed = frozenset(graph.order[:t])
+                cases += [(graph, tensors, eid, processed) for eid in range(len(graph.edges))]
+        for graph, tensors, eid, processed in cases:
+            m = parent_term(graph, tensors, eid, processed).matrix
+            assert np.abs(m @ m - m).max() <= 1e-9
+            eigs = np.linalg.eigvalsh(m)
+            u, v = graph.edges[eid]
+            pair = graph.register_dim(u) * graph.register_dim(v)
+            assert int(np.sum(eigs > 0.5)) == pair - pair // graph.bond_dims[eid] ** 2
 
     def test_annihilates_every_later_prefix(self):
         graph, tensors = random_instance(CHAIN3, 3.0, 13)
@@ -113,6 +119,18 @@ class TestParentTerm:
         for prefix in (2, 3):
             state, _ = network.contract_partial(graph, tensors, prefix)
             assert np.linalg.norm(embedded @ state) <= 1e-10
+        # on mixed bonds: every term annihilates its step's target, and a
+        # parent term every later one too
+        for graph, tensors in _mixed_bond_instances():
+            n = graph.num_vertices
+            targets = [network.contract_partial(graph, tensors, t)[0] for t in range(n + 1)]
+            for t in range(n + 1):
+                for eid in range(len(graph.edges)):
+                    term = parent_term(graph, tensors, eid, frozenset(graph.order[:t]))
+                    h = LocalHamiltonian(graph, t, [term])
+                    later = targets[t:] if term.kind == "parent" else targets[t : t + 1]
+                    for state in later:
+                        assert np.linalg.norm(h.apply(state)) <= 1e-10
 
     def test_boundary_term_annihilates_prefix(self):
         graph, tensors = random_instance(CHAIN3, 3.0, 14)
@@ -155,6 +173,16 @@ class TestParentTerm:
         state, _ = network.contract_partial(g, tensors, 2)
         embedded = linalg.embed_term(term.matrix, term.support, g.register_dims)
         assert np.linalg.norm(embedded @ state) <= 1e-10 * np.linalg.norm(state)
+
+
+def _mixed_bond_instances() -> list[tuple[InteractionGraph, list]]:
+    """A star whose centre register interleaves bonds 3, 2, 2 against the
+    edge order, and a ring4 with bonds 2, 3, 2, 3, each with random maps."""
+    graphs = [
+        InteractionGraph.build(4, [(1, 2), (0, 1), (1, 3)], bond_dim=[2, 3, 2]),
+        InteractionGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], bond_dim=[2, 3, 2, 3]),
+    ]
+    return [(g, random_tensors(g, 3.0, 15)) for g in graphs]
 
 
 def _kinds(h: LocalHamiltonian) -> list[str]:

@@ -12,6 +12,7 @@ from _helpers import CHAIN3, per_vertex_tensors, random_config, random_instance
 from peps_forge import harness
 from peps_forge.dynamics import PreparedInstance, run_algorithm
 from peps_forge.errors import CapacityError, ConfigError, InvalidInputError
+from peps_forge.limits import check_dim
 from peps_forge.harness import (
     FIXTURE_NAMES,
     build_instance,
@@ -319,15 +320,64 @@ class TestBuildInstance:
             build_instance(cfg)
 
     def test_capacity_checked_before_sampling(self, monkeypatch):
-        # ring3 at D = 20 has registers of 400 and dimension 400^3, far above
-        # the default cap; no tensor may be sampled for it
         def unreachable(*args):
             raise AssertionError("tensors were sampled for an instance above the cap")
 
         monkeypatch.setattr(harness, "random_tensors", unreachable)
-        cfg = random_config(harness.GraphSpec(topology="ring", length=3), 2.0, 1, bond_dim=20)
-        with pytest.raises(CapacityError):
-            build_instance(cfg)
+        configs = [
+            # ring3 at D = 20 has registers of 400 and dimension 400^3, far
+            # above the default cap; no tensor may be sampled for it
+            random_config(harness.GraphSpec(topology="ring", length=3), 2.0, 1, bond_dim=20),
+            # dimension 4^7999, rejected before its graph is built
+            random_config(harness.GraphSpec(topology="chain", length=8000), 2.0, 1),
+            # a physical register beyond what numpy can allocate
+            random_config(
+                harness.GraphSpec(topology="chain", length=2),
+                2.0,
+                1,
+                physical_dims=(10**30, 2),
+            ),
+        ]
+        for cfg in configs:
+            with pytest.raises(CapacityError):
+                build_instance(cfg)
+
+    def test_custom_vertex_count_checked(self, monkeypatch):
+        # isolated vertices add no dimension, but every per-vertex loop
+        # would still run over them
+        def unreachable(*args):
+            raise AssertionError("the graph was built for a vertex count above the cap")
+
+        monkeypatch.setattr(harness, "topology_edges", unreachable)
+        spec = harness.GraphSpec(topology="custom", num_vertices=4097, edges=((0, 1),))
+        with pytest.raises(CapacityError, match="more vertices than the cap 4096"):
+            build_instance(random_config(spec, 2.0, 1))
+
+    @pytest.mark.parametrize(
+        "topology, edges",
+        [
+            (harness.GraphSpec(topology="chain", length=7), 6),
+            (harness.GraphSpec(topology="ring", length=6), 6),
+            (harness.GraphSpec(topology="grid", rows=2, cols=3), 7),
+            (harness.GraphSpec(topology="custom", num_vertices=5, edges=((0, 1), (1, 4))), 2),
+        ],
+        ids=["chain", "ring", "grid", "custom"],
+    )
+    def test_capacity_boundary_is_the_pair_state_dimension(self, monkeypatch, topology, edges):
+        # the spec's dimension D^(2|E|) is compared with the cap exactly
+        dim = 2 ** (2 * edges)
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", str(dim))
+        graph, _ = build_instance(random_config(topology, 2.0, 1))
+        assert graph.global_dim == dim
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", str(dim - 1))
+        with pytest.raises(CapacityError, match=f"dimension {dim},"):
+            build_instance(random_config(topology, 2.0, 1))
+
+    def test_unbounded_dimension_message(self):
+        with pytest.raises(CapacityError) as info:
+            check_dim(4**8000, "x")
+        assert "more than 10^4816" in str(info.value)
+        assert len(str(info.value)) < 200
 
     def test_capacity_checked_for_explicit_entries(self, monkeypatch):
         cfg, _ = load_fixture("chain3")
@@ -461,11 +511,11 @@ class TestReports:
   "gaps": [
     1.0,
     0.9999999999999996,
-    0.3835057341084227,
-    0.41250059805597533
+    0.3835057341084228,
+    0.4125005980559755
   ],
   "kappa_max": 4.508645458108852,
-  "min_gap": 0.3835057341084227,
+  "min_gap": 0.3835057341084228,
   "mode": "until_success",
   "seed": 7,
   "success": true,
@@ -488,7 +538,7 @@ class TestReports:
     {
       "alternations": 1,
       "first_shot_probability": 0.6891890873562899,
-      "gap": 0.3835057341084227,
+      "gap": 0.3835057341084228,
       "kappa": 4.508645458108852,
       "measurements": 3,
       "outcomes": [
@@ -504,7 +554,7 @@ class TestReports:
     {
       "alternations": 0,
       "first_shot_probability": 0.9610896159051636,
-      "gap": 0.41250059805597533,
+      "gap": 0.4125005980559755,
       "kappa": 1.5207043234358812,
       "measurements": 1,
       "outcomes": [

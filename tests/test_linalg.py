@@ -294,15 +294,3 @@ class TestKronAndEmbed:
     def test_embed_duplicate_support(self):
         with pytest.raises(InvalidInputError):
             linalg.embed_term(np.eye(4), (0, 0), (2, 2))
-
-    def test_embed_columns_consistent_with_embed_term(self):
-        rng = np.random.default_rng(5)
-        dims = (2, 3, 2)
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w /= np.linalg.norm(w)
-        # subspace w (x) C^3 on factors (0, 2), expressed two ways
-        block = np.kron(w[:, None], np.eye(3, dtype=complex))
-        basis = linalg.embed_columns(block, (0, 2), dims)
-        projector = basis @ basis.conj().T
-        expected = linalg.embed_term(np.outer(w, w.conj()), (0, 2), dims)
-        assert np.abs(projector - expected).max() <= 1e-12
