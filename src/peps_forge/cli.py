@@ -8,7 +8,9 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -176,13 +178,11 @@ def cmd_gap_scan(args) -> int:
         with open(args.dump_terms, "w", encoding="utf-8") as f:
             json.dump(terms, f, sort_keys=True)
     if args.format == "csv":
-        lines = ["step,lambda0,lambda1,gap,ground_degeneracy"]
-        lines += [
-            f"{r['step']},{r['lambda0']!r},{r['lambda1']!r},{r['gap']!r},"
-            f"{r['ground_degeneracy']}"
-            for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        _emit(buf.getvalue(), args.out)
     else:
         _dump({"instance": harness.instance_label(cfg), "steps": rows}, args.out)
     return EXIT_OK
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="instance config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="instance config JSON")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_run = sub.add_parser("run", help="one seeded run, JSON report")

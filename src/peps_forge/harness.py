@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -337,10 +337,10 @@ def load_config(path: str | Path) -> InstanceConfig:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError("", f"not UTF-8 text: {exc}") from exc
+        # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+        # past Python's int-string limit; RecursionError too deep a nesting
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError("", f"not readable JSON: {exc}") from exc
     if isinstance(doc, dict) and "graph" not in doc and isinstance(doc.get("config"), dict):
         doc = doc["config"]
     return parse_config(doc)
@@ -591,10 +591,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    instance: str
-    mode: str
-    eps: float
-    trials: int
     rows: tuple[SweepRow, ...]
     summary: dict
 
@@ -665,65 +661,43 @@ def sweep(
         "kappa": prepared.kappa_max,
         "min_gap": prepared.min_gap,
     }
-    return SweepResult(
-        instance=label,
-        mode=mode,
-        eps=cfg.eps,
-        trials=trials,
-        rows=tuple(rows),
-        summary=summary,
-    )
+    return SweepResult(rows=tuple(rows), summary=summary)
 
 
 def sweep_csv(result: SweepResult) -> str:
     """Stable long-format CSV, one row per trial.
 
-    Columns: instance, seed, success, fidelity, total_measurements,
-    measurement_bound, bound_margin, kappa, min_gap, then one ``p_step_t``
-    column per processing step and one ``gap_step_t`` column per step
-    Hamiltonian.
+    The columns are :class:`SweepRow`'s fields in order, with ``success`` as
+    0/1 and ``overlaps`` and ``gaps`` spread into one ``p_step_t`` column
+    per processing step and one ``gap_step_t`` column per step Hamiltonian.
+    ``csv`` writes floats as their ``repr`` and a missing fidelity as an
+    empty cell.
     """
     if not result.rows:
         raise InvalidInputError("empty sweep result")
-    n_steps = len(result.rows[0].overlaps)
-    n_gaps = len(result.rows[0].gaps)
-    header = [
-        "instance",
-        "seed",
-        "success",
-        "fidelity",
-        "total_measurements",
-        "measurement_bound",
-        "bound_margin",
-        "kappa",
-        "min_gap",
-    ]
-    header += [f"p_step_{t}" for t in range(n_steps)]
-    header += [f"gap_step_{t}" for t in range(n_gaps)]
+    *scalars, _, _ = (f.name for f in fields(SweepRow))  # overlaps, gaps
+    first = result.rows[0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(
+        scalars
+        + [f"p_step_{t}" for t in range(len(first.overlaps))]
+        + [f"gap_step_{t}" for t in range(len(first.gaps))]
+    )
     for r in result.rows:
-        row = [
-            r.instance,
-            r.seed,
-            int(r.success),
-            "" if r.fidelity is None else repr(r.fidelity),
-            r.total_measurements,
-            repr(r.measurement_bound),
-            repr(r.bound_margin),
-            repr(r.kappa),
-            repr(r.min_gap),
-        ]
-        row += [repr(p) for p in r.overlaps]
-        row += [repr(g) for g in r.gaps]
-        writer.writerow(row)
+        cells = (getattr(r, name) for name in scalars)
+        writer.writerow(
+            [int(c) if isinstance(c, bool) else c for c in cells] + [*r.overlaps, *r.gaps]
+        )
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
+
+#: smallest expected count a chi-square bin may keep before it is merged
+MIN_EXPECTED = 5.0
 
 
 def chi_square_vs_markov(
@@ -732,7 +706,6 @@ def chi_square_vs_markov(
     max_alternations: int,
     trials: int,
     seed: int,
-    min_expected: float = 5.0,
 ) -> dict:
     """Goodness of fit of full-space repair statistics to the four-state chain.
 
@@ -757,7 +730,7 @@ def chi_square_vs_markov(
     expected = probs * trials
     # merge the sparse tail into the last healthy bin
     obs_list, exp_list = list(observed), list(expected)
-    while len(obs_list) > 2 and (exp_list[-1] < min_expected or exp_list[-2] < min_expected):
+    while len(obs_list) > 2 and min(exp_list[-2:]) < MIN_EXPECTED:
         obs_list[-2] += obs_list[-1]
         exp_list[-2] += exp_list[-1]
         del obs_list[-1], exp_list[-1]
@@ -782,8 +755,8 @@ def theorem_sweep_check(result: SweepResult, sigmas: float = 3.0) -> dict:
     ``sigmas`` binomial standard deviations (computed at ``1 - eps``), and
     every run must stay within the measurement bound.
     """
-    eps = result.eps
-    trials = result.trials
+    eps = result.summary["eps"]
+    trials = result.summary["trials"]
     sigma = math.sqrt(eps * (1.0 - eps) / trials)
     threshold = 1.0 - eps - sigmas * sigma
     rate = result.summary["success_rate"]

@@ -85,21 +85,21 @@ def svd(m: np.ndarray) -> SingularDecomposition:
     return SingularDecomposition(u=u, sigma=s, vh=vh)
 
 
-def hermitian_eig(h: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomposition:
+def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is symmetrized before solving; deviations from hermiticity
-    beyond ``herm_tol`` (relative to the largest entry) are rejected.
+    beyond ``HERM_TOL`` (relative to the largest entry) are rejected.
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {h.shape}")
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     dev = float(np.abs(h - h.conj().T).max(initial=0.0))
-    if dev > herm_tol * scale:
+    if dev > HERM_TOL * scale:
         raise InvalidInputError(
             f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e} "
-            f"exceeds {herm_tol:.1e} * {scale:.3e}"
+            f"exceeds {HERM_TOL:.1e} * {scale:.3e}"
         )
     h = (h + h.conj().T) / 2
     try:

@@ -41,9 +41,6 @@ from .errors import (
 )
 from .limits import check_dim
 
-#: unit-norm slack allowed on states returned by this module
-NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class InteractionGraph:

@@ -286,6 +286,11 @@ class TestGapScan:
         lines = out.strip().split("\n")
         assert lines[0] == "step,lambda0,lambda1,gap,ground_degeneracy"
         assert len(lines) == 5
+        # every cell is the repr of the value the JSON table gives
+        _, json_out = run_cli(capsys, "gap-scan", "--config", CHAIN3)
+        columns = lines[0].split(",")
+        for line, row in zip(lines[1:], json.loads(json_out)["steps"], strict=True):
+            assert line.split(",") == [repr(row[name]) for name in columns]
 
     def test_dump_terms(self, capsys, tmp_path):
         dump = tmp_path / "terms.json"
@@ -397,11 +402,21 @@ class TestExitCodes:
             assert len(captured.err) < 200
 
     def test_config_not_utf8(self, capsys, tmp_path):
+        unreadable = [
+            b'{"graph": "\xff\xfe"}',  # Latin-1 text, invalid UTF-8
+            b'{"bond_dim": ' + b"9" * 5000 + b"}",  # past Python's int-string limit
+            b"[" * 100_000,  # nested deeper than the JSON reader recurses
+        ]
         path = tmp_path / "cfg.json"
-        path.write_bytes(b'{"graph": "\xff\xfe"}')  # Latin-1 text, invalid UTF-8
-        code, out = run_cli(capsys, "run", "--config", str(path))
-        assert code == 2
-        assert out == ""
+        for content in unreadable:
+            path.write_bytes(content)
+            code = cli.main(["run", "--config", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("invalid input: ")
+            assert "9" * 10 not in captured.err
 
     def test_config_is_a_directory(self, capsys, tmp_path):
         code, out = run_cli(capsys, "run", "--config", str(tmp_path))

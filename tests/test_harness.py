@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -165,9 +166,10 @@ class TestConfigSchema:
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for content in ["{not json", '{"bond_dim": ' + "9" * 5000 + "}", "[" * 100_000]:
+            path.write_text(content)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     def test_instance_labels(self):
         assert instance_label(parse_config(_minimal_doc())) == "chain3-D2-random"
@@ -571,6 +573,29 @@ class TestReports:
     def test_report_json_text_pinned(self, prepared_zoo):
         report = run_algorithm(prepared_zoo["chain3"], 0.1, seed=7, mode="until_success")
         assert report_to_json(report) == self.GOLDEN_REPORT
+
+    # sweep_csv of chain3 (trials=3, base_seed=1) with its first row made a
+    # failure without a fidelity, recorded while the header was a literal
+    ROW_TAIL = (
+        "676.0389501446303,673.0389501446303,4.508645458108852,0.3835057341084228,"
+        "0.9541436225731065,0.6891890873562899,0.9610896159051636,"
+        "1.0,0.9999999999999996,0.3835057341084228,0.4125005980559755\n"
+    )
+    GOLDEN_CSV = (
+        "instance,seed,success,fidelity,total_measurements,measurement_bound,"
+        "bound_margin,kappa,min_gap,p_step_0,p_step_1,p_step_2,"
+        "gap_step_0,gap_step_1,gap_step_2,gap_step_3\n"
+        "chain3-D2-explicit,1,0,,3," + ROW_TAIL
+        + "chain3-D2-explicit,2,1,1.0,3," + ROW_TAIL
+        + "chain3-D2-explicit,3,1,1.0,3," + ROW_TAIL
+    )
+
+    def test_sweep_csv_text_pinned(self):
+        cfg, _ = load_fixture("chain3")
+        result = sweep(cfg, trials=3, base_seed=1)
+        failed = dataclasses.replace(result.rows[0], success=False, fidelity=None)
+        result = dataclasses.replace(result, rows=(failed, *result.rows[1:]))
+        assert sweep_csv(result) == self.GOLDEN_CSV
 
     def test_records_are_slotted(self, prepared_zoo):
         report = run_algorithm(prepared_zoo["chain3"], 0.1, seed=7)
