@@ -38,7 +38,7 @@ from .hamiltonian import (
     assemble_step,
     ground_analysis,
 )
-from .limits import check_dim
+from .limits import check_dim, check_trials
 from .linalg import ZERO_TOL
 from .network import (
     InteractionGraph,
@@ -286,12 +286,14 @@ def markov_trials(
     """Vectorized batch of :func:`markov_simulate` trajectories.
 
     Returns boolean ``terminated`` and integer ``measurements`` arrays of
-    length ``trials``. Statistics match the scalar simulation; the draw
-    order differs, so individual trajectories are not comparable.
+    length ``trials``, at most :data:`~peps_forge.limits.MAX_TRIALS`.
+    Statistics match the scalar simulation; the draw order differs, so
+    individual trajectories are not comparable.
     """
     p = _check_p(p)
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    check_trials(trials)
     if max_alternations < 0:
         raise InvalidInputError("max_alternations must be >= 0")
     terminated = rng.random(trials) < p

@@ -46,7 +46,7 @@ class BoundViolationError(PepsForgeError):
 
 
 class CapacityError(PepsForgeError):
-    """A requested global Hilbert-space dimension exceeds the configured cap."""
+    """A requested global Hilbert-space dimension or trial count exceeds its cap."""
 
 
 class ConfigError(InvalidInputError):

@@ -22,28 +22,29 @@ their shared bond. This is the unique two-register projector family whose
 kernel is exactly the locally reachable subspace.
 
 The spectral layer never forms a global matrix: :meth:`LocalHamiltonian.apply`
-computes ``H x`` with one matrix product per term on the register tensor.
-:func:`ground_analysis` certifies a given zero-energy state (the
-contraction target) by its full residual ``||H psi||`` and finds the gap with
-at most one Lanczos solve on that product in the state's orthogonal
-complement, stopped at :data:`KRYLOV_TOL` and optionally warm-started from the
-previous step's Ritz vector. An assembled step knows its edges with no
+computes ``H x`` with one gather, one matrix product and one scatter per term.
+:func:`ground_analysis` certifies a given zero-energy state (the contraction
+target) by its full residual ``||H psi||`` and finds the gap with at most one
+Lanczos solve on that product in the state's orthogonal complement, stopped at
+the absolute residual :data:`GAP_RESIDUAL_TOL` and optionally warm-started from
+the previous step's Ritz vector. An assembled step knows its edges with no
 processed endpoint, which still hold their bare pair terms; the solve runs on
 the :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the
-same ``apply`` on a smaller register layout) and the free pairs enter in
-closed form. Called without a state, it first finds one with a second solve,
-both on the full space, as an independent oracle. scipy (BLAS and LAPACK) is
-imported on first use of this layer. :func:`parent_term` contracts the two
-maps with one einsum and orthonormalises the result with one thin SVD. The
-dense ``global_matrix`` and its full eigensystem ``spectral``, the layer's
-only Hermitian eigensolve, remain as an oracle for tests at small dimension.
+same ``apply`` on a smaller register layout) and the free pairs enter in closed
+form. Called without a state, it first finds one with a second solve, stopped
+at :data:`KRYLOV_TOL`, both on the full space, as an independent oracle. scipy
+(BLAS and LAPACK) is imported on first use of this layer. :func:`parent_term`
+contracts the two maps with one einsum and orthonormalises the result with one
+thin SVD. The dense ``global_matrix`` and its full eigensystem ``spectral``,
+the layer's only Hermitian eigensolve, remain as an oracle for tests at small
+dimension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -71,8 +72,11 @@ GRAM_COND_LIMIT = 1e12
 #: largest certified infidelity between a zero-energy state and the kernel
 KERNEL_INFIDELITY_TOL = 1e-9
 
-#: Lanczos stopping tolerance, relative to the Ritz value of ``H + 1``
+#: Lanczos stopping tolerance of a ground-state solve, relative to ``theta + 1``
 KRYLOV_TOL = 1e-10
+
+#: largest Ritz residual, absolute, at which a gap solve stops
+GAP_RESIDUAL_TOL = 5e-9
 
 #: most Lanczos vectors kept; a full basis restarts from its Ritz vector
 KRYLOV_BASIS = 64
@@ -179,6 +183,20 @@ def parent_term(
     return LocalTerm(support=(u, v), matrix=matrix, kind=kind)
 
 
+@cache
+def _support_first(dims: tuple[int, ...], support: tuple[int, int]) -> tuple:
+    """Read-only ``gather, scatter``: ``x[gather]`` is the state's register tensor
+    transposed support first, flattened; ``y[scatter]`` undoes it."""
+    perm = [*support, *(r for r in range(len(dims)) if r not in support)]
+    if perm == sorted(perm):  # already support first: views, no copies
+        return slice(None), slice(None)
+    index = np.arange(math.prod(dims))
+    gather = index.reshape(dims).transpose(perm).ravel()
+    scatter = index.reshape([dims[r] for r in perm]).transpose(np.argsort(perm)).ravel()
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
+
+
 class LocalHamiltonian:
     """Sum of local terms at one step of the growth procedure.
 
@@ -208,21 +226,14 @@ class LocalHamiltonian:
         from scipy.linalg.blas import zgemm
 
         self._zgemm = zgemm
-        # per term: the transposed matrix, the support-first register
-        # permutation, the permuted register shape and the inverse permutation
-        dims = graph.register_dims
-        self._plan = []
-        for term in self.terms:
-            rest = [r for r in range(len(dims)) if r not in term.support]
-            perm = [*term.support, *rest]
-            self._plan.append(
-                (
-                    np.ascontiguousarray(term.matrix, dtype=complex).T,
-                    perm,
-                    [dims[r] for r in perm],
-                    np.argsort(perm),
-                )
+        # per term: the transposed matrix and the support-first index arrays
+        self._plan = [
+            (
+                np.ascontiguousarray(term.matrix, dtype=complex).T,
+                *_support_first(graph.register_dims, term.support),
             )
+            for term in self.terms
+        ]
 
     @cached_property
     def restricted(self) -> LocalHamiltonian:
@@ -271,22 +282,21 @@ class LocalHamiltonian:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``H @ x`` summed term by term on the register tensor.
 
-        Each term costs one transpose-copy of the state with its support
-        registers first, one matrix product at O(N r_u r_v), and one
-        transposed add.
+        Per term: one gather of the state with its support registers first,
+        one product at O(N r_u r_v), one scatter back, added in place.
         """
-        tensor = np.asarray(x, dtype=complex).reshape(self.graph.register_dims)
-        out = np.zeros_like(tensor)
-        for op_t, perm, shape, inverse in self._plan:
-            block = tensor.transpose(perm).reshape(len(op_t), -1)
+        x = np.asarray(x, dtype=complex).reshape(self.graph.global_dim)
+        out = None
+        for op_t, gather, scatter in self._plan:
+            block = x[gather].reshape(len(op_t), -1)
             # (M @ block).T = block.T @ M.T on F-contiguous views, no copies.
             # scipy's zgemm rather than numpy's matmul: numpy and scipy each
             # bundle their own OpenBLAS, and the Lanczos solve runs on scipy's;
             # with all products on one pool, the other pool's idle threads do
             # not spin against it between matrix-vector products.
-            product = self._zgemm(1.0, block.T, op_t)
-            out += product.T.reshape(shape).transpose(inverse)
-        return out.reshape(-1)
+            y = self._zgemm(1.0, block.T, op_t).T.reshape(-1)[scatter]
+            out = y if out is None else np.add(out, y, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -357,8 +367,12 @@ def _lowest_eigenpair(
     space never leaves an invariant subspace that holds its start, and a
     warm start can lie in one (an excitation of one component of a
     disconnected graph). On a breakdown the solve goes on from the fixed
-    generator's next vector. From 20 vectors on (ARPACK's ``ncv``), it stops
-    once the Ritz residual is at most ``KRYLOV_TOL * (theta + 1)``, ARPACK's
+    generator's next vector. From 20 vectors on (ARPACK's ``ncv``), a locked
+    (gap) solve stops once the Ritz residual ``rho`` is at most
+    ``GAP_RESIDUAL_TOL``: an eigenvalue lies within ``rho`` of ``theta``, and
+    Kato–Temple bounds the error by ``rho**2 / delta``, ``delta`` the distance
+    to the rest of the spectrum (Parlett 1998). An unlocked solve, whose
+    vector gets certified, stops at ``KRYLOV_TOL * (theta + 1)``, ARPACK's
     test on ``H + 1``. A full basis restarts from its Ritz vector (thick
     restart with one vector, Wu & Simon 2000). All products run on scipy's
     BLAS, like ``LocalHamiltonian.apply``'s.
@@ -409,7 +423,8 @@ def _lowest_eigenpair(
         w, beta = orthogonalize(w, k)
         if products >= min(20, dim - locked) or m == KRYLOV_BASIS:
             theta, s = ritz(m)
-            if m == dim - locked or beta * abs(s[-1]) <= KRYLOV_TOL * (theta + 1.0):
+            tol = GAP_RESIDUAL_TOL if locked else KRYLOV_TOL * (theta + 1.0)
+            if m == dim - locked or beta * abs(s[-1]) <= tol:
                 y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
                 return theta, y / dznrm2(y)
         coupling = beta if beta > 1e-12 * scale else 0.0
@@ -466,13 +481,13 @@ def ground_analysis(
     around one vertex; without it (step 1 follows the unsolved step 0), or
     when less than half of its norm survives the restriction, the solve
     starts from a fixed random vector.
-    Both solves stop at :data:`KRYLOV_TOL`, and both find the true
-    ``lambda1`` only if their start has weight on its eigenvector. The
-    fixed random vector is therefore mixed into every start (see
-    :func:`_lowest_eigenpair`); otherwise a start confined to one
-    component of a disconnected graph would report a gap larger than the
-    true one. Warm and cold gaps agree to about 2e-14 on the test instances,
-    disconnected ones included.
+    The ``psi0`` search stops at :data:`KRYLOV_TOL` and the ``lambda1`` solve
+    at :data:`GAP_RESIDUAL_TOL` (see :func:`_lowest_eigenpair`), and both find
+    the true ``lambda1`` only if their start has weight on its eigenvector. The
+    fixed random vector is therefore mixed into every start; otherwise a start
+    confined to one component of a disconnected graph would report a gap larger
+    than the true one. Warm and cold gaps agree to about 2e-14 on the test
+    instances, disconnected ones included.
 
     Raises :class:`NumericalFailureError` when the state is not a
     zero-energy state (the parent construction guarantees one), the

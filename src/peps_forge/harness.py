@@ -27,7 +27,7 @@ from .dynamics import (
     run_algorithm,
 )
 from .errors import CapacityError, ConfigError, InvalidInputError
-from .limits import check_dim, dim_cap
+from .limits import check_dim, check_trials, dim_cap
 from .linalg import ZERO_TOL
 from .network import InteractionGraph, PepsTensor, canonicalize, canonicalize_stack
 from .streams import TENSORS, SeedStreams
@@ -606,7 +606,8 @@ def sweep(
 
     Trial ``i`` uses seed ``base_seed + i`` (default base: the config seed;
     it must be >= 0), so any row can be reproduced with a single ``run`` at
-    its listed seed.
+    its listed seed. At most :data:`~peps_forge.limits.MAX_TRIALS` trials
+    run, checked before the instance is built.
     Trials run serially in seed order: a trial is a short scalar loop in
     the interpreter, which a thread pool slows down rather than speeds up.
     ``jobs`` must be >= 1 and has no effect; it stays only for the
@@ -614,6 +615,7 @@ def sweep(
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    check_trials(trials)
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     if base_seed is not None and base_seed < 0:

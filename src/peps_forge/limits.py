@@ -1,11 +1,12 @@
-"""Global-dimension cap for exact state-vector simulation.
+"""Caps on the global dimension and on trial counts.
 
 States are stored as dense vectors over the product of the register
 dimensions, so that product is capped. Step Hamiltonians are applied term
 by term and never stored as matrices (the dense ``global_matrix`` is a test
-oracle), so memory grows with a few such vectors, not with their square.
-The default suits desk-scale experiments; set ``PEPS_FORGE_DIM_CAP`` to
-override.
+oracle), so memory grows with such vectors, up to the 65 of a Lanczos basis,
+not with their square. The default suits desk-scale experiments; set
+``PEPS_FORGE_DIM_CAP`` to override. Batches of trials keep a record or a
+draw per trial, so their count is capped at :data:`MAX_TRIALS`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import os
 from .errors import CapacityError, InvalidInputError
 
 DEFAULT_DIM_CAP = 4096
+
+#: most trials one sweep or Lemma 2 batch runs
+MAX_TRIALS = 10**6
 
 _ENV_VAR = "PEPS_FORGE_DIM_CAP"
 
@@ -50,3 +54,9 @@ def check_dim(dim: int, what: str) -> None:
             f"{what} requires dimension {text}, above the cap {cap} "
             f"(set {_ENV_VAR} to raise it)"
         )
+
+
+def check_trials(trials: int) -> None:
+    """Raise :class:`CapacityError` when ``trials`` exceeds :data:`MAX_TRIALS`."""
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"trials must be at most {MAX_TRIALS}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import peps_forge
-from peps_forge import cli, dynamics, harness
+from peps_forge import cli, dynamics, harness, limits
 from peps_forge.harness import fixture_path
 
 
@@ -400,6 +400,23 @@ class TestExitCodes:
             assert captured.err.count("\n") == 1
             assert captured.err.startswith("capacity exceeded: ")
             assert len(captured.err) < 200
+
+    def test_trial_count_capped_before_allocating(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an instance was built for a sweep above the trial cap")
+
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        for trials in (10**15, limits.MAX_TRIALS + 1):
+            for argv in (
+                ["verify-lemma2", "--trials", str(trials)],
+                ["sweep", "--config", CHAIN2, "--trials", str(trials)],
+            ):
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                assert code == 3, argv
+                assert captured.out == ""
+                assert captured.err.count("\n") == 1
+                assert captured.err.startswith("capacity exceeded: ")
 
     def test_config_not_utf8(self, capsys, tmp_path):
         unreadable = [

@@ -34,8 +34,14 @@ from peps_forge.dynamics import (
     verify_failure_tail,
     verify_lemma1,
 )
-from peps_forge.errors import BoundViolationError, InvalidInputError, OrthogonalTargetsError
+from peps_forge.errors import (
+    BoundViolationError,
+    CapacityError,
+    InvalidInputError,
+    OrthogonalTargetsError,
+)
 from peps_forge.harness import FIXTURE_NAMES, random_tensors
+from peps_forge.limits import MAX_TRIALS
 from peps_forge.network import InteractionGraph, canonicalize
 
 
@@ -457,6 +463,16 @@ class TestMarkovChain:
             markov_simulate(0.5, -1, rng)
         with pytest.raises(InvalidInputError, match="max_alternations"):
             markov_trials(0.5, -1, 5, rng)
+
+    def test_trial_count_capped_before_drawing(self):
+        rng = np.random.default_rng(0)
+        for trials in (10**15, MAX_TRIALS + 1):
+            with pytest.raises(CapacityError, match="trials"):
+                markov_trials(0.5, 3, trials, rng)
+        # nothing was drawn, and the cap itself runs
+        assert rng.random() == np.random.default_rng(0).random()
+        terminated, used = markov_trials(0.5, 3, MAX_TRIALS, rng)
+        assert len(terminated) == len(used) == MAX_TRIALS
 
     def test_exact_distribution_consistency(self):
         for p in (0.2, 0.5, 0.8):

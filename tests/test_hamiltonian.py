@@ -305,6 +305,30 @@ class TestMatrixFree:
                 x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 assert np.abs(h.apply(x) - h.global_matrix @ x).max() <= 1e-12, (name, t)
 
+    def test_apply_on_mixed_bonds_and_restricted(self):
+        # registers of unequal bond sizes, supports out of edge order and the
+        # smaller layouts of the restricted Hamiltonians
+        rng = np.random.default_rng(6)
+        checked = 0
+        for graph, tensors in _mixed_bond_instances():
+            for t in range(graph.num_vertices + 1):
+                h = assemble_step(graph, tensors, t)
+                ops = [h]
+                if 0 < len(h.pair_edges) < len(graph.edges):
+                    ops.append(h.restricted)
+                for op in ops:
+                    x = random_complex(op.graph.global_dim, 1, rng)[:, 0]
+                    assert np.abs(op.apply(x) - op.global_matrix @ x).max() <= 1e-12, t
+                    checked += 1
+        assert checked > 10
+
+    def test_apply_rejects_a_state_of_another_dimension(self):
+        graph, tensors = random_instance(CHAIN3, 2.0, 61)
+        h = assemble_step(graph, tensors, 1)
+        for dim in (graph.global_dim - 1, graph.global_dim + 1):
+            with pytest.raises(ValueError):
+                h.apply(np.ones(dim, dtype=complex))
+
     def test_spectrum_matches_dense_oracle(self, fixture_zoo):
         # the certified contraction target and the searched ground state give
         # the same spectrum as the dense oracle and the same state
@@ -646,6 +670,40 @@ class TestLanczos:
             )
             assert a.lambda1 == pytest.approx(prep.analyses[t].lambda1, abs=1e-12), t
         assert max(products) > 8  # some solves restarted
+
+    def test_gap_solves_stop_before_the_oracle_tolerance(self, monkeypatch):
+        # a gap solve stops at an absolute residual of GAP_RESIDUAL_TOL, not
+        # at the oracle's KRYLOV_TOL; every gap stays where the tighter stop
+        # puts it, and every excited state an eigenvector to 1e-8
+        products = [0]
+        apply = LocalHamiltonian.apply
+
+        def counted(h, x):
+            products[0] += 1
+            return apply(h, x)
+
+        monkeypatch.setattr(LocalHamiltonian, "apply", counted)
+        graph, tensors = random_instance(RING5, 2.0, 71)
+        shipped = PreparedInstance(graph, tensors)
+        shipped_products, products[0] = products[0], 0
+        monkeypatch.setattr(hamiltonian, "GAP_RESIDUAL_TOL", KRYLOV_TOL)
+        tight = PreparedInstance(graph, tensors)
+        assert shipped_products < products[0]
+        assert shipped.gaps == pytest.approx(tight.gaps, abs=1e-12)
+        for h, a in zip(shipped.hamiltonians[1:], shipped.analyses[1:]):
+            he = apply(h, a.excited_state)
+            residual = he - np.vdot(a.excited_state, he).real * a.excited_state
+            assert np.linalg.norm(residual) <= 1e-8
+
+    def test_clustered_levels(self):
+        # two levels 1e-7 apart above the locked level 0: the stop must still
+        # land within 1e-8 of the lower one
+        rng = np.random.default_rng(9)
+        levels = np.concatenate([[0.0, 0.3, 0.3 + 1e-7], rng.uniform(1.0, 3.0, 37)])
+        lock = np.eye(40, dtype=complex)[0]
+        theta, v = hamiltonian._lowest_eigenpair(40, lambda x: levels * x, lock=lock)
+        assert theta == pytest.approx(0.3, abs=1e-8)
+        assert abs(np.vdot(lock, v)) <= 1e-12
 
     @pytest.mark.parametrize("locked", [False, True])
     def test_start_inside_an_invariant_subspace(self, monkeypatch, locked):

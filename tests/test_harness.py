@@ -13,7 +13,7 @@ from _helpers import CHAIN3, per_vertex_tensors, random_config, random_instance
 from peps_forge import harness
 from peps_forge.dynamics import PreparedInstance, run_algorithm
 from peps_forge.errors import CapacityError, ConfigError, InvalidInputError
-from peps_forge.limits import check_dim
+from peps_forge.limits import MAX_TRIALS, check_dim
 from peps_forge.harness import (
     FIXTURE_NAMES,
     build_instance,
@@ -418,6 +418,16 @@ class TestSweep:
         assert result.summary["mean_measurements"] == pytest.approx(
             sum(r.total_measurements for r in result.rows) / 8
         )
+
+    def test_trial_count_capped_before_the_instance_is_built(self, fixture_zoo, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an instance was built for a sweep above the trial cap")
+
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        cfg, _, _, _ = fixture_zoo["chain2"]
+        for trials in (10**15, MAX_TRIALS + 1):
+            with pytest.raises(CapacityError, match="trials"):
+                sweep(cfg, trials=trials)
 
     def test_rows_reproducible_from_seed(self, fixture_zoo):
         cfg, _, graph, tensors = fixture_zoo["chain2"]

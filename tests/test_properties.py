@@ -135,6 +135,12 @@ def test_matrix_free_layer_matches_dense_oracle(instance):
     for t, h in enumerate(prep.hamiltonians):
         dense = h.global_matrix
         assert np.abs(h.apply(x) - dense @ x).max() <= 1e-12, t
+        if 0 < len(h.pair_edges) < len(graph.edges):
+            sub = h.restricted
+            y = rng.standard_normal(sub.graph.global_dim) + 1j * rng.standard_normal(
+                sub.graph.global_dim
+            )
+            assert np.abs(sub.apply(y) - sub.global_matrix @ y).max() <= 1e-12, t
         lam = np.linalg.eigvalsh(dense)
         assert prep.gaps[t] == pytest.approx(lam[1] - lam[0], abs=1e-8), t
 
