@@ -2,8 +2,9 @@
 """Regenerate the shipped fixture instances under src/peps_forge/fixtures/.
 
 Each fixture pins explicit tensor entries (sampled once from the seeds
-below) together with oracle-computed expected values: per-vertex condition
-numbers, per-step spectral gaps, step overlaps and partial norms.
+below) together with expected values read off the built instance and its
+``PreparedInstance``: per-vertex condition numbers, per-step spectral gaps
+from the certified Lanczos solves, step overlaps and partial norms.
 """
 
 from __future__ import annotations

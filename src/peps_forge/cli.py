@@ -189,16 +189,25 @@ def cmd_gap_scan(args) -> int:
 
 
 def cmd_cost_model(args) -> int:
+    # the seven parameters: from the config or the defaults, then the flags
     if args.config:
+        given = [flag for flag in ("V", "E") if getattr(args, flag) is not None]
+        if given:
+            raise InvalidInputError(
+                f"cost-model --config reads the graph from the config; "
+                f"drop --{' and --'.join(given)}"
+            )
         cfg, prepared = _prepared_from_config(args.config, None, None)
-        eps = args.eps if args.eps is not None else cfg.eps
-        kappa = args.kappa if args.kappa is not None else prepared.kappa_max
-        delta = args.delta if args.delta is not None else prepared.min_gap
         graph = prepared.graph
-        num_vertices = graph.num_vertices
-        num_edges = len(graph.edges)
-        phys_dim = args.d if args.d is not None else max(graph.physical_dims)
-        degree = args.k if args.k is not None else graph.degree_bound
+        params = {
+            "num_vertices": graph.num_vertices,
+            "num_edges": len(graph.edges),
+            "kappa": prepared.kappa_max,
+            "eps": cfg.eps,
+            "gap": prepared.min_gap,
+            "phys_dim": max(graph.physical_dims),
+            "degree": graph.degree_bound,
+        }
     else:
         missing = [
             name
@@ -209,26 +218,24 @@ def cmd_cost_model(args) -> int:
             raise InvalidInputError(
                 f"cost-model needs --config or {', '.join(missing)}"
             )
-        num_vertices = args.V
-        num_edges = args.E if args.E is not None else num_vertices - 1
-        kappa = args.kappa
-        eps = args.eps
-        delta = args.delta if args.delta is not None else 1.0
-        phys_dim = args.d if args.d is not None else 2
-        degree = args.k if args.k is not None else 2
-    s, m = dynamics.required_alternations(kappa, num_vertices, eps)
-    model = dynamics.cost_model(
-        num_vertices, num_edges, kappa, eps, delta, phys_dim, degree
+        params = {"num_edges": args.V - 1, "gap": 1.0, "phys_dim": 2, "degree": 2}
+    flags = {
+        "num_vertices": args.V,
+        "num_edges": args.E,
+        "kappa": args.kappa,
+        "eps": args.eps,
+        "gap": args.delta,
+        "phys_dim": args.d,
+        "degree": args.k,
+    }
+    params.update((name, val) for name, val in flags.items() if val is not None)
+    s, m = dynamics.required_alternations(
+        params["kappa"], params["num_vertices"], params["eps"]
     )
+    model = dynamics.cost_model(**params)
     _dump(
         {
-            "num_vertices": num_vertices,
-            "num_edges": num_edges,
-            "kappa": kappa,
-            "eps": eps,
-            "gap": delta,
-            "phys_dim": phys_dim,
-            "degree": degree,
+            **params,
             "s": s,
             "m": m,
             "measurement_bound": model.measurement_bound,

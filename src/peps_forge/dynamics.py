@@ -342,7 +342,8 @@ def required_alternations(
 
     Returns ``(s, m)`` with ``s = ceil(|V| / (2 e eps))`` and
     ``m = ceil(kappa^2 |V| / (2 e eps))``; ``m`` is the per-vertex cap used
-    by bounded-mode runs.
+    by bounded-mode runs. A budget past the float range raises
+    :class:`~peps_forge.errors.InvalidInputError`.
     """
     if not 1.0 <= kappa < math.inf:
         raise InvalidInputError(f"condition number must be finite and >= 1, got {kappa}")
@@ -350,8 +351,13 @@ def required_alternations(
         raise InvalidInputError(f"need at least 2 vertices, got {num_vertices}")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"failure budget must be in (0, 1), got {eps}")
-    s = math.ceil(num_vertices / (2.0 * math.e * eps))
-    m = math.ceil(kappa**2 * num_vertices / (2.0 * math.e * eps))
+    try:
+        s = math.ceil(num_vertices / (2.0 * math.e * eps))
+        m = math.ceil(kappa**2 * num_vertices / (2.0 * math.e * eps))
+    except OverflowError:  # an int, a power or a ceiling past the float range
+        raise InvalidInputError(
+            f"alternation budget for kappa={kappa}, eps={eps} overflows a float"
+        ) from None
     return s, m
 
 
@@ -377,7 +383,8 @@ def cost_model(
     ``measurement_bound`` is ``kappa^2 |V|^2 / (e eps) + |V|``; the runtime
     bound evaluates ``|V|^2 |E|^2 kappa^2 / (eps gap) + |V| k d^6`` with the
     polylogarithmic factor of the energy-measurement subroutine set to 1,
-    so it is an order-of-magnitude figure, not a promise.
+    so it is an order-of-magnitude figure, not a promise. A bound past the
+    float range raises :class:`~peps_forge.errors.InvalidInputError`.
     """
     for name, val in [
         ("num_vertices", num_vertices),
@@ -390,11 +397,16 @@ def cost_model(
     ]:
         if not 0 < val < math.inf:
             raise InvalidInputError(f"{name} must be positive and finite, got {val}")
-    measurements = kappa**2 * num_vertices**2 / (math.e * eps) + num_vertices
-    runtime = (
-        num_vertices**2 * num_edges**2 * kappa**2 / (eps * gap)
-        + num_vertices * degree * phys_dim**6
-    )
+    try:
+        measurements = kappa**2 * num_vertices**2 / (math.e * eps) + num_vertices
+        runtime = (
+            num_vertices**2 * num_edges**2 * kappa**2 / (eps * gap)
+            + num_vertices * degree * phys_dim**6
+        )
+    except (OverflowError, ZeroDivisionError):  # past the float range, or eps * gap == 0
+        measurements = runtime = math.inf
+    if not (math.isfinite(measurements) and math.isfinite(runtime)):
+        raise InvalidInputError("cost bounds overflow a float at these parameters")
     return CostModel(measurement_bound=measurements, runtime_bound=runtime)
 
 

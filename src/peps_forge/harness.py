@@ -290,46 +290,25 @@ def with_overrides(
 
 
 def config_to_dict(cfg: InstanceConfig) -> dict:
-    """Serialize a config back to its schema document (lossless round trip)."""
-    graph: dict = {"topology": cfg.graph.topology}
-    if cfg.graph.topology in ("chain", "ring"):
-        graph["length"] = cfg.graph.length
-    elif cfg.graph.topology == "grid":
-        graph["rows"] = cfg.graph.rows
-        graph["cols"] = cfg.graph.cols
-    else:
-        graph["num_vertices"] = cfg.graph.num_vertices
-        graph["edges"] = [list(e) for e in cfg.graph.edges]
-    if cfg.tensors.source == "random":
-        tensors: dict = {
-            "source": "random",
-            "kappa_max": cfg.tensors.kappa_max,
-            "physical_dims": (
-                list(cfg.tensors.physical_dims)
-                if cfg.tensors.physical_dims is not None
-                else None
-            ),
-            "seed": cfg.tensors.seed,
-        }
-    else:
-        tensors = {
-            "source": "explicit",
-            "entries": [
-                [[[re, im] for re, im in row] for row in matrix]
-                for matrix in cfg.tensors.entries
-            ],
-            "edge_order": [list(o) for o in cfg.tensors.edge_order],
-        }
-    return {
-        "graph": graph,
-        "bond_dim": cfg.bond_dim,
-        "tensors": tensors,
-        "seed": cfg.seed,
-        "order": list(cfg.order) if cfg.order is not None else None,
-        "eps": cfg.eps,
-        "c": cfg.c,
-        "tolerances": {"zero_tol": cfg.zero_tol},
-    }
+    """Serialize a config back to its schema document (lossless round trip).
+
+    Unset graph and tensor fields are left out and tuples become lists, so
+    the parser alone knows which fields each topology and source takes.
+    """
+    doc = _lists(asdict(cfg))
+    for part in ("graph", "tensors"):
+        doc[part] = {key: val for key, val in doc[part].items() if val is not None}
+    doc["tolerances"] = {"zero_tol": doc.pop("zero_tol")}
+    return doc
+
+
+def _lists(value):
+    """``value`` with every tuple, at any depth, turned into a list."""
+    if isinstance(value, dict):
+        return {key: _lists(val) for key, val in value.items()}
+    if isinstance(value, tuple):
+        return [_lists(x) for x in value]
+    return value
 
 
 def load_config(path: str | Path) -> InstanceConfig:
@@ -469,59 +448,39 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
     """
     _check_spec_dim(cfg)
     n, edges = topology_edges(cfg.graph)
-    if cfg.tensors.source == "random":
-        dims = cfg.tensors.physical_dims
+    spec = cfg.tensors
+    if spec.source == "random":
+        dims = spec.physical_dims
         if dims is not None:
             if len(dims) != n:
                 raise ConfigError(
                     "/tensors/physical_dims", f"expected {n} entries, got {len(dims)}"
                 )
             check_dim(max(dims), "largest physical register")
-        graph = InteractionGraph.build(
-            n,
-            edges,
-            bond_dim=cfg.bond_dim,
-            physical_dims=list(dims) if dims is not None else None,
-            order=list(cfg.order) if cfg.order is not None else None,
-        )
-        return graph, random_tensors(graph, cfg.tensors.kappa_max, cfg.tensors.seed)
-    entries = cfg.tensors.entries
-    if len(entries) != n:
-        raise ConfigError("/tensors/entries", f"expected {n} matrices, got {len(entries)}")
-    matrices = [
-        np.array([[complex(re, im) for re, im in row] for row in matrix])
-        for matrix in entries
-    ]
+    elif len(spec.entries) != n:
+        raise ConfigError("/tensors/entries", f"expected {n} matrices, got {len(spec.entries)}")
+    else:
+        # each (re, im) pair is the two float64 halves of one complex128
+        matrices = [np.array(m, dtype=float).view(complex)[..., 0] for m in spec.entries]
+        dims = tuple(m.shape[0] for m in matrices)
     graph = InteractionGraph.build(
-        n,
-        edges,
-        bond_dim=cfg.bond_dim,
-        physical_dims=[m.shape[0] for m in matrices],
-        order=list(cfg.order) if cfg.order is not None else None,
+        n, edges, bond_dim=cfg.bond_dim, physical_dims=dims, order=cfg.order
     )
-    for v, m in enumerate(matrices):
-        expected_cols = graph.register_dim(v)
-        if m.shape[1] != expected_cols:
+    if spec.source == "random":
+        return graph, random_tensors(graph, spec.kappa_max, spec.seed)
+    for v, (m, actual) in enumerate(zip(matrices, edge_order_of(graph))):
+        if m.shape[1] != graph.register_dim(v):
             raise ConfigError(
                 f"/tensors/entries/{v}",
-                f"matrix has {m.shape[1]} columns, register needs {expected_cols}",
+                f"matrix has {m.shape[1]} columns, register needs {graph.register_dim(v)}",
             )
-        declared = cfg.tensors.edge_order[v]
-        actual = tuple(
-            g_neighbor(graph, v, eid) for eid in graph.incident_edges(v)
-        )
-        if declared != actual:
+        if spec.edge_order[v] != tuple(actual):
             raise ConfigError(
                 f"/tensors/edge_order/{v}",
-                f"declared neighbor order {declared} does not match the "
-                f"register convention {actual} (ascending neighbor ids)",
+                f"declared neighbor order {spec.edge_order[v]} does not match the "
+                f"register convention {tuple(actual)} (ascending neighbor ids)",
             )
     return graph, [canonicalize(v, m) for v, m in enumerate(matrices)]
-
-
-def g_neighbor(graph: InteractionGraph, v: int, edge_id: int) -> int:
-    u, w = graph.edges[edge_id]
-    return w if u == v else u
 
 
 def to_explicit_config(
@@ -546,8 +505,9 @@ def to_explicit_config(
 
 def edge_order_of(graph: InteractionGraph) -> list[list[int]]:
     """Per-vertex neighbor lists in register (ascending) order."""
+    # an edge's other end is the sum of its two ends minus v
     return [
-        [g_neighbor(graph, v, eid) for eid in graph.incident_edges(v)]
+        [sum(graph.edges[eid]) - v for eid in graph.incident_edges(v)]
         for v in range(graph.num_vertices)
     ]
 
@@ -790,9 +750,9 @@ def fixture_path(name: str) -> Path:
 def load_fixture(name: str) -> tuple[InstanceConfig, dict]:
     """Load a shipped instance: (config, expected-values dict).
 
-    Expected values (condition numbers, gaps, step overlaps) were computed
-    by the contraction and diagonalization oracles at generation time and
-    are pinned for regression checks.
+    Expected values were read off the built instance and its
+    :class:`~peps_forge.dynamics.PreparedInstance` (gaps from the certified
+    Lanczos solves) at generation time and are pinned for regression checks.
     """
     with open(fixture_path(name), encoding="utf-8") as f:
         doc = json.load(f)

@@ -103,8 +103,8 @@ class InteractionGraph:
         num_vertices: int,
         edges: list[tuple[int, int]] | tuple[tuple[int, int], ...],
         bond_dim: int | list[int] = 2,
-        physical_dims: list[int] | None = None,
-        order: list[int] | None = None,
+        physical_dims: list[int] | tuple[int, ...] | None = None,
+        order: list[int] | tuple[int, ...] | None = None,
     ) -> "InteractionGraph":
         """Convenience constructor that normalizes edges and fills defaults.
 

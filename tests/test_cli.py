@@ -354,6 +354,60 @@ class TestCostModel:
         code, _ = run_cli(capsys, "cost-model", *[x for kv in argv.items() for x in kv])
         assert code == 2
 
+    def test_flags_override_config_values(self, capsys):
+        code, out = run_cli(
+            capsys, "cost-model", "--config", CHAIN3,
+            "--kappa", "3", "--eps", "0.2", "--delta", "0.5", "--d", "5", "--k", "4",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["num_vertices"], doc["num_edges"]) == (3, 2)
+        assert (doc["kappa"], doc["eps"], doc["gap"]) == (3.0, 0.2, 0.5)
+        assert (doc["phys_dim"], doc["degree"]) == (5, 4)
+        expected = dynamics.cost_model(3, 2, 3.0, 0.2, 0.5, 5, 4)
+        assert doc["runtime_bound"] == expected.runtime_bound
+
+    @pytest.mark.parametrize("flag", ["--V", "--E"])
+    def test_config_rejects_size_flags(self, capsys, monkeypatch, flag):
+        # the config fixes the graph; a vertex or edge count beside it was ignored
+        def unreachable(*args):
+            raise AssertionError("the instance was built for a rejected command")
+
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        code = cli.main(["cost-model", "--config", CHAIN3, flag, "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ") and flag in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", CHAIN3, "--eps", "5e-324"],
+            ["sweep", "--config", "TINY_EPS", "--trials", "2"],
+            ["cost-model", "--V", "2", "--kappa", "1e200", "--eps", "0.1"],
+            ["cost-model", "--config", CHAIN3, "--eps", "1e-320"],
+            ["cost-model", "--V", "1" + "0" * 400, "--kappa", "2", "--eps", "0.1"],
+            ["cost-model", "--V", "3", "--E", "1" + "0" * 200, "--kappa", "2", "--eps", "0.1"],
+            ["cost-model", "--V", "3", "--d", "1" + "0" * 59, "--kappa", "2", "--eps", "0.1"],
+            ["cost-model", "--V", "2", "--kappa", "2", "--eps", "0.1", "--delta", "1e-320"],
+        ],
+        ids=["run", "sweep", "kappa", "config-eps", "V", "E", "d", "delta"],
+    )
+    def test_bound_past_the_float_range_exits_2(self, capsys, tmp_path, argv):
+        # a bound that overflows (or reads inf, which JSON cannot hold) is
+        # a bad parameter set: one line on stderr, no traceback, no output
+        tiny_eps = tmp_path / "tiny_eps.json"
+        doc = json.loads(Path(CHAIN3).read_text())["config"]
+        tiny_eps.write_text(json.dumps({**doc, "eps": 5e-324}))
+        code = cli.main([str(tiny_eps) if a == "TINY_EPS" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("invalid input: ")
+        assert len(captured.err) < 200
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):

@@ -497,6 +497,15 @@ class TestRequiredAlternations:
         with pytest.raises(InvalidInputError):
             required_alternations(1.0, 4, 0.0)
 
+    @pytest.mark.parametrize(
+        "kappa, num_vertices, eps",
+        [(1.0, 3, 5e-324), (1e200, 2, 0.1), (2.0, 10**400, 0.1)],
+        ids=["eps", "kappa", "vertices"],
+    )
+    def test_budget_past_the_float_range_invalid(self, kappa, num_vertices, eps):
+        with pytest.raises(InvalidInputError, match="alternation budget"):
+            required_alternations(kappa, num_vertices, eps)
+
 
 class TestCostModel:
     def test_frozen_examples(self):
@@ -521,6 +530,22 @@ class TestCostModel:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
             cost_model(0, 1, 1.0, 0.1, 1.0, 2, 2)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 1, 1e200, 0.1, 1.0, 2, 2),  # kappa**2 overflows
+            (10**400, 1, 1.0, 0.1, 1.0, 2, 2),  # |V|^2 is no float
+            (3, 10**200, 1.0, 0.1, 1.0, 2, 2),  # |E|^2 is no float
+            (3, 2, 1.0, 0.1, 1.0, 10**59, 2),  # d^6 is no float
+            (2, 1, 2.0, 0.1, 1e-320, 2, 2),  # runtime bound is inf
+            (3, 2, 1.0, 5e-324, 0.1, 2, 2),  # eps * gap underflows to 0
+        ],
+        ids=["kappa", "vertices", "edges", "phys_dim", "gap", "eps"],
+    )
+    def test_bound_past_the_float_range_invalid(self, args):
+        with pytest.raises(InvalidInputError, match="cost bounds"):
+            cost_model(*args)
 
 
 class TestRunAlgorithm:

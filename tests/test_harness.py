@@ -32,7 +32,7 @@ from peps_forge.harness import (
     to_explicit_config,
     topology_edges,
 )
-from peps_forge.network import InteractionGraph
+from peps_forge.network import InteractionGraph, canonicalize
 
 
 def _minimal_doc() -> dict:
@@ -60,6 +60,27 @@ class TestConfigSchema:
         for name in FIXTURE_NAMES:
             cfg, _ = load_fixture(name)
             assert parse_config(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_serializes_the_shipped_config_block(self, name):
+        cfg, _ = load_fixture(name)
+        shipped = json.loads(harness.fixture_path(name).read_text())["config"]
+        assert config_to_dict(cfg) == shipped
+
+    def test_unset_fields_left_out(self):
+        cfg = parse_config(_minimal_doc())
+        assert cfg.tensors.physical_dims is None
+        doc = config_to_dict(cfg)
+        assert doc["graph"] == {"topology": "chain", "length": 3}
+        assert doc["tensors"] == {"source": "random", "kappa_max": 2.0, "seed": 5}
+        assert parse_config(doc) == cfg
+
+    def test_set_physical_dims_serialized_as_a_list(self):
+        doc = _minimal_doc()
+        doc["tensors"]["physical_dims"] = [4, 4, 4]
+        cfg = parse_config(doc)
+        assert config_to_dict(cfg)["tensors"]["physical_dims"] == [4, 4, 4]
+        assert parse_config(config_to_dict(cfg)) == cfg
 
     def test_explicit_round_trip_preserves_entries(self):
         cfg, _ = load_fixture("chain2")
@@ -143,6 +164,19 @@ class TestConfigSchema:
         cfg = parse_config(doc)
         assert cfg.graph.edges == ((0, 1), (1, 2), (2, 3))
         assert parse_config(config_to_dict(cfg)) == cfg
+
+    def test_custom_graph_serialized_with_list_edges(self):
+        doc = _minimal_doc()
+        doc["graph"] = {"topology": "custom", "num_vertices": 3, "edges": [[1, 0], [1, 2]]}
+        cfg = parse_config(doc)
+        out = config_to_dict(cfg)
+        # a tuple never equals a list, so this also pins the edges' type
+        assert out["graph"] == {
+            "topology": "custom",
+            "num_vertices": 3,
+            "edges": [[0, 1], [1, 2]],
+        }
+        assert parse_config(out) == cfg
 
     def test_bad_explicit_cell(self):
         doc = _minimal_doc()
@@ -312,14 +346,41 @@ class TestBuildInstance:
         for a, b in zip(tensors, tensors2):
             assert np.abs(a.matrix - b.matrix).max() <= 1e-15
 
+    @pytest.mark.parametrize(
+        "tensors, location",
+        [
+            ({"entries": lambda e: e[:1], "edge_order": lambda o: o[:1]}, "/tensors/entries"),
+            ({"entries": lambda e: [e[0], [row[:-1] for row in e[1]]]}, "/tensors/entries/1"),
+            ({"edge_order": lambda o: [o[0], [1]]}, "/tensors/edge_order/1"),
+        ],
+        ids=["entries", "columns", "edge_order"],
+    )
+    def test_explicit_build_errors_carry_locations(self, tensors, location):
+        # chain2's maps, edited past what only the built graph can check
+        doc = config_to_dict(load_fixture("chain2")[0])
+        for key, edit in tensors.items():
+            doc["tensors"][key] = edit(doc["tensors"][key])
+        with pytest.raises(ConfigError) as err:
+            build_instance(parse_config(doc))
+        assert err.value.location == location
+
+    def test_explicit_entries_read_exactly(self):
+        # chain2 holds one rectangular map; each cell must read as complex(re, im)
+        cfg, _ = load_fixture("chain2")
+        _, tensors = build_instance(cfg)
+        for v, matrix in enumerate(cfg.tensors.entries):
+            exact = np.array([[complex(re, im) for re, im in row] for row in matrix])
+            assert np.array_equal(canonicalize(v, exact).matrix, tensors[v].matrix)
+
     def test_edge_order_listing(self):
         graph, _ = random_instance(CHAIN3, 2.0, 90)
         assert edge_order_of(graph) == [[1], [0, 2], [1]]
 
     def test_physical_dims_length_check(self):
         cfg = random_config(CHAIN3, 2.0, tensor_seed=1, physical_dims=(2, 4))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             build_instance(cfg)
+        assert err.value.location == "/tensors/physical_dims"
 
     def test_capacity_checked_before_sampling(self, monkeypatch):
         def unreachable(*args):
