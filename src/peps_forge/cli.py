@@ -78,12 +78,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = harness.load_config(args.config)
     result = harness.sweep(cfg, trials=args.trials, base_seed=args.seed, mode=args.mode)
-    csv_text = harness.sweep_csv(result)
-    if args.format == "csv":
-        _emit(csv_text, args.out)
-    else:
-        if args.out:
-            _emit(csv_text, args.out)
+    if args.format == "csv" or args.out:
+        _emit(harness.sweep_csv(result), args.out)
+    if args.format == "json":
         _dump(result.summary, None)
     return EXIT_OK
 
@@ -188,7 +185,25 @@ def cmd_gap_scan(args) -> int:
     return EXIT_OK
 
 
+def _check_cost_flags(args) -> None:
+    """Reject a parameter flag out of its range before any instance is prepared.
+
+    The ranges are those that :func:`~peps_forge.dynamics.required_alternations`
+    and :func:`~peps_forge.dynamics.cost_model` check again once the
+    parameters are assembled, and ``--eps`` that of the config's ``eps``.
+    """
+    if args.eps is not None and not 0.0 < args.eps < 1.0:
+        raise InvalidInputError(f"--eps must be in (0, 1), got {args.eps}")
+    if args.kappa is not None and not 1.0 <= args.kappa < math.inf:
+        raise InvalidInputError(f"--kappa must be finite and >= 1, got {args.kappa}")
+    for flag in ("delta", "d", "k"):
+        value = getattr(args, flag)
+        if value is not None and not 0 < value < math.inf:
+            raise InvalidInputError(f"--{flag} must be positive and finite, got {value}")
+
+
 def cmd_cost_model(args) -> int:
+    _check_cost_flags(args)
     # the seven parameters: from the config or the defaults, then the flags
     if args.config:
         given = [flag for flag in ("V", "E") if getattr(args, flag) is not None]

@@ -11,7 +11,9 @@ a four-state Markov chain whose only parameter is the certified overlap
 ``p`` of the two targets, with closed-form termination statistics.
 
 The end-to-end driver runs that chain directly: one scalar
-:func:`markov_simulate` per vertex, with no state vectors. The
+:func:`markov_simulate` per vertex, with no state vectors.
+:func:`run_seeds` runs many seeds as one batch, drawing every first
+measurement in bulk and the rest of a chain with the same body. The
 full-Hilbert-space measurement (:func:`measure_zero_energy`) and repair
 loop (:func:`repair_loop_trials`) stay as the independent oracle the chain
 is tested against. This module also provides the closed forms and the
@@ -48,7 +50,7 @@ from .network import (
     peps_state,
     restore_gauge,
 )
-from .streams import MEASUREMENTS, SeedStreams
+from .streams import MEASUREMENTS, SeedStreams, StreamBatch
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -222,14 +224,32 @@ class UniformSource(Protocol):
     def random(self) -> float: ...
 
 
-def _lands(prob: float, rng: UniformSource, zero_tol: float) -> bool:
-    """One binary measurement in the plane, with the rules of :func:`measure_zero_energy`."""
-    draw = rng.random()
+def _threshold(prob: float, zero_tol: float) -> float:
+    """What a draw in [0, 1) must fall below to land a branch of Born probability ``prob``.
+
+    The rules of :func:`measure_zero_energy`: a branch within ``zero_tol``
+    of probability 0 never lands, one within ``zero_tol`` of 1 always does.
+    """
     if prob <= zero_tol:
-        return False
+        return 0.0
     if 1.0 - prob <= zero_tol:
-        return True
-    return draw < prob
+        return 1.0
+    return prob
+
+
+def _check_chain(p: float, max_alternations: int | None, zero_tol: float) -> None:
+    """Reject a chain :func:`markov_simulate` cannot run: ``p`` out of range,
+    a negative cap, or no cap on a chain that never lands."""
+    if not 0.0 <= p <= 1.0 + zero_tol:
+        raise InvalidInputError(f"transition probability must be in [0, 1], got {p}")
+    if max_alternations is None:
+        if p <= zero_tol:
+            raise OrthogonalTargetsError(
+                f"overlap {p:.3e} is below zero_tol {zero_tol:.1e}: "
+                "the repair loop would never terminate"
+            )
+    elif max_alternations < 0:
+        raise InvalidInputError("max_alternations must be >= 0")
 
 
 def markov_simulate(
@@ -257,24 +277,24 @@ def markov_simulate(
     cap.
     """
     p = float(p)
-    if not 0.0 <= p <= 1.0 + zero_tol:
-        raise InvalidInputError(f"transition probability must be in [0, 1], got {p}")
-    if max_alternations is None:
-        if p <= zero_tol:
-            raise OrthogonalTargetsError(
-                f"overlap {p:.3e} is below zero_tol {zero_tol:.1e}: "
-                "the repair loop would never terminate"
-            )
-    elif max_alternations < 0:
-        raise InvalidInputError("max_alternations must be >= 0")
-    if _lands(p, rng, zero_tol):
+    _check_chain(p, max_alternations, zero_tol)
+    if rng.random() < _threshold(p, zero_tol):
         return ("zero",)
+    return _after_a_miss(p, max_alternations, rng, zero_tol)
+
+
+def _after_a_miss(
+    p: float, max_alternations: int | None, rng: UniformSource, zero_tol: float
+) -> tuple[str, ...]:
+    """The labels of a :func:`markov_simulate` chain whose first measurement
+    missed, that one included; ``rng`` is past the first draw."""
+    land, stay = _threshold(p, zero_tol), _threshold(1.0 - p, zero_tol)
     outcomes = ["nonzero"]
     hit = False
     alternations = 0
     while not hit and (max_alternations is None or alternations < max_alternations):
-        on_old_target = _lands(1.0 - p, rng, zero_tol)
-        hit = _lands(p if on_old_target else 1.0 - p, rng, zero_tol)
+        on_old_target = rng.random() < stay
+        hit = rng.random() < (land if on_old_target else stay)
         outcomes += ["zero" if on_old_target else "nonzero", "zero" if hit else "nonzero"]
         alternations += 1
     return tuple(outcomes)
@@ -526,6 +546,21 @@ class RunReport:
     vertices: tuple[VertexRecord, ...]
 
 
+def _alternation_cap(
+    prepared: PreparedInstance, eps: float, mode: str, max_alternations: int | None
+) -> int | None:
+    """The per-vertex alternation cap of a run: ``None`` means none."""
+    if mode not in ("bounded", "until_success"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if not 0.0 < eps < 1.0:
+        raise InvalidInputError(f"failure budget must be in (0, 1), got {eps}")
+    if max_alternations is not None:
+        return int(max_alternations)
+    if mode == "bounded":
+        return required_alternations(prepared.kappa_max, prepared.graph.num_vertices, eps)[1]
+    return None
+
+
 def run_algorithm(
     prepared: PreparedInstance,
     eps: float,
@@ -552,26 +587,15 @@ def run_algorithm(
     by :class:`~peps_forge.streams.SeedStreams` with the seed's share
     derived once per run.
     """
-    if mode not in ("bounded", "until_success"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    cap = _alternation_cap(prepared, eps, mode, max_alternations)
     g = prepared.graph
-    n = g.num_vertices
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError(f"failure budget must be in (0, 1), got {eps}")
-    if max_alternations is not None:
-        cap: int | None = int(max_alternations)
-    elif mode == "bounded":
-        _, cap = required_alternations(prepared.kappa_max, n, eps)
-    else:
-        cap = None
-
     streams = SeedStreams(seed, MEASUREMENTS)
     records: list[VertexRecord] = []
     total = 0
     success = True
-    for t in range(n):
+    for t in range(g.num_vertices):
         p = prepared.overlaps[t]
         outcomes = markov_simulate(p, cap, streams.uniforms(t), prepared.zero_tol)
         vertex_ok = outcomes[-1] == "zero"
@@ -607,6 +631,34 @@ def run_algorithm(
         total_measurements=total,
         vertices=tuple(records),
     )
+
+
+def run_seeds(
+    prepared: PreparedInstance, eps: float, seeds: Sequence[int], mode: str = "bounded"
+) -> tuple[list[bool], list[int]]:
+    """The ``success`` and ``total_measurements`` of :func:`run_algorithm` at each seed.
+
+    Runs the seeds as one batch, bit for bit like one :func:`run_algorithm`
+    per seed. At each vertex a :class:`~peps_forge.streams.StreamBatch`
+    takes the first draw of every seed's stream in bulk: a trial whose
+    first measurement lands is done with the vertex, and one that misses
+    runs the rest of its chain, as :func:`markov_simulate` would, from its
+    stream past that draw. A trial that spends the cap stops there.
+    """
+    cap = _alternation_cap(prepared, eps, mode, None)
+    zero_tol = prepared.zero_tol
+    streams = StreamBatch(seeds, MEASUREMENTS)
+    live = np.ones(len(seeds), dtype=bool)
+    totals = np.zeros(len(seeds), dtype=np.int64)
+    for t, p in enumerate(prepared.overlaps):
+        _check_chain(p, cap, zero_tol)
+        draws, resume = streams.first_draws(t)
+        totals += live
+        for k in np.flatnonzero(live & (draws >= _threshold(p, zero_tol))).tolist():
+            outcomes = _after_a_miss(p, cap, resume(k), zero_tol)
+            totals[k] += len(outcomes) - 1
+            live[k] = outcomes[-1] == "zero"
+    return live.tolist(), totals.tolist()
 
 
 def repair_loop_trials(

@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from .dynamics import (
     cost_model_for_graph,
     markov_exact_distribution,
     repair_loop_trials,
+    # no caller here: the benchmark's traced run hooks harness.run_algorithm
     run_algorithm,
+    run_seeds,
 )
 from .errors import CapacityError, ConfigError, InvalidInputError
 from .limits import check_dim, check_trials, dim_cap
@@ -568,10 +571,12 @@ def sweep(
     it must be >= 0), so any row can be reproduced with a single ``run`` at
     its listed seed. At most :data:`~peps_forge.limits.MAX_TRIALS` trials
     run, checked before the instance is built.
-    Trials run serially in seed order: a trial is a short scalar loop in
-    the interpreter, which a thread pool slows down rather than speeds up.
-    ``jobs`` must be >= 1 and has no effect; it stays only for the
-    benchmark workloads, which pass ``jobs=1``.
+    The trials run as one batch (see :func:`~peps_forge.dynamics.run_seeds`):
+    the streams of every seed are derived in ``uint64`` arrays and every
+    first measurement is drawn in bulk, so only a trial that misses a first
+    shot runs a scalar chain, and no per-trial report is built. ``jobs``
+    must be >= 1 and has no effect; it stays only for the benchmark
+    workloads, which pass ``jobs=1``.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
@@ -588,24 +593,26 @@ def sweep(
     start = cfg.seed if base_seed is None else base_seed
     bounds = cost_model_for_graph(graph, prepared.kappa_max, cfg.eps, prepared.min_gap)
 
-    def one(seed: int) -> SweepRow:
-        report = run_algorithm(prepared, cfg.eps, seed, mode=mode)
-        return SweepRow(
+    seeds = range(start, start + trials)
+    succeeded, totals = run_seeds(prepared, cfg.eps, seeds, mode)
+    bound = bounds.measurement_bound
+    rows = [
+        SweepRow(
             instance=label,
             seed=seed,
-            success=report.success,
-            fidelity=report.fidelity,
-            total_measurements=report.total_measurements,
-            measurement_bound=bounds.measurement_bound,
-            bound_margin=bounds.measurement_bound - report.total_measurements,
+            success=ok,
+            fidelity=prepared.fidelity if ok else None,
+            total_measurements=total,
+            measurement_bound=bound,
+            bound_margin=bound - total,
             kappa=prepared.kappa_max,
             min_gap=prepared.min_gap,
             overlaps=prepared.overlaps,
             gaps=prepared.gaps,
         )
-
-    rows = [one(start + i) for i in range(trials)]
-    successes = sum(r.success for r in rows)
+        for seed, ok, total in zip(seeds, succeeded, totals)
+    ]
+    successes = sum(succeeded)
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
     summary = {
@@ -616,10 +623,10 @@ def sweep(
         "successes": successes,
         "success_rate": rate,
         "success_rate_stderr": stderr,
-        "mean_measurements": float(np.mean([r.total_measurements for r in rows])),
-        "max_measurements": int(max(r.total_measurements for r in rows)),
-        "measurement_bound": bounds.measurement_bound,
-        "all_within_bound": all(r.bound_margin >= 0 for r in rows),
+        "mean_measurements": float(np.mean(totals)),
+        "max_measurements": max(totals),
+        "measurement_bound": bound,
+        "all_within_bound": bound >= max(totals),
         "kappa": prepared.kappa_max,
         "min_gap": prepared.min_gap,
     }
@@ -633,7 +640,8 @@ def sweep_csv(result: SweepResult) -> str:
     0/1 and ``overlaps`` and ``gaps`` spread into one ``p_step_t`` column
     per processing step and one ``gap_step_t`` column per step Hamiltonian.
     ``csv`` writes floats as their ``repr`` and a missing fidelity as an
-    empty cell.
+    empty cell. The rows of a sweep share one instance's overlaps and gaps,
+    so their cells are formatted once for each tuple the rows hold.
     """
     if not result.rows:
         raise InvalidInputError("empty sweep result")
@@ -646,11 +654,13 @@ def sweep_csv(result: SweepResult) -> str:
         + [f"p_step_{t}" for t in range(len(first.overlaps))]
         + [f"gap_step_{t}" for t in range(len(first.gaps))]
     )
+    cells_of = attrgetter(*scalars)
+    overlaps = gaps = tail = None
     for r in result.rows:
-        cells = (getattr(r, name) for name in scalars)
-        writer.writerow(
-            [int(c) if isinstance(c, bool) else c for c in cells] + [*r.overlaps, *r.gaps]
-        )
+        if r.overlaps is not overlaps or r.gaps is not gaps:
+            overlaps, gaps = r.overlaps, r.gaps
+            tail = [repr(x) for x in (*overlaps, *gaps)]
+        writer.writerow([int(c) if isinstance(c, bool) else c for c in cells_of(r)] + tail)
     return buf.getvalue()
 
 

@@ -111,6 +111,15 @@ class TestSweepCommand:
         assert code == 0
         assert out.startswith("instance,seed,")
 
+    def test_summary_alone_builds_no_csv(self, capsys, monkeypatch):
+        def unreachable(result):
+            raise AssertionError("CSV text was built but not written")
+
+        monkeypatch.setattr(harness, "sweep_csv", unreachable)
+        code, out = run_cli(capsys, "sweep", "--config", CHAIN2, "--trials", "3")
+        assert code == 0
+        assert json.loads(out)["trials"] == 3
+
     def test_jobs_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", CHAIN2, "--trials", "2", "--jobs", "2"])
@@ -375,6 +384,32 @@ class TestCostModel:
 
         monkeypatch.setattr(harness, "build_instance", unreachable)
         code = cli.main(["cost-model", "--config", CHAIN3, flag, "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ") and flag in captured.err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--eps", "1.5"),
+            ("--eps", "0"),
+            ("--kappa", "0.5"),
+            ("--kappa", "inf"),
+            ("--delta", "-1"),
+            ("--delta", "nan"),
+            ("--d", "0"),
+            ("--k", "-2"),
+        ],
+    )
+    def test_config_checks_flags_before_preparing(self, capsys, monkeypatch, flag, value):
+        # preparing the config's instance takes up to a second; a bad flag
+        # beside it must not wait for that
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the instance was prepared for a rejected command")
+
+        monkeypatch.setattr(cli, "PreparedInstance", unreachable)
+        code = cli.main(["cost-model", "--config", CHAIN3, flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -16,6 +16,7 @@ from peps_forge.errors import CapacityError, ConfigError, InvalidInputError
 from peps_forge.limits import MAX_TRIALS, check_dim
 from peps_forge.harness import (
     FIXTURE_NAMES,
+    MODES,
     build_instance,
     chi_square_vs_markov,
     config_to_dict,
@@ -31,6 +32,7 @@ from peps_forge.harness import (
     theorem_sweep_check,
     to_explicit_config,
     topology_edges,
+    with_overrides,
 )
 from peps_forge.network import InteractionGraph, canonicalize
 
@@ -500,6 +502,44 @@ class TestSweep:
             assert report.success == row.success
             if row.fidelity is not None:
                 assert report.fidelity == row.fidelity
+
+    @staticmethod
+    def _sweep_prepared(monkeypatch, zoo_entry, prep) -> None:
+        """Have ``sweep`` reuse the session's instance and preparation."""
+        _, _, graph, tensors = zoo_entry
+        monkeypatch.setattr(harness, "build_instance", lambda cfg: (graph, tensors))
+        monkeypatch.setattr(harness, "PreparedInstance", lambda *args, **kwargs: prep)
+
+    @staticmethod
+    def _single_runs(prep, cfg, result, mode):
+        rows = [(r.seed, r.success, r.fidelity, r.total_measurements) for r in result.rows]
+        reports = [run_algorithm(prep, cfg.eps, r.seed, mode=mode) for r in result.rows]
+        want = [(r.seed, r.success, r.fidelity, r.total_measurements) for r in reports]
+        return rows, want
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_batch_rows_equal_single_runs(
+        self, fixture_zoo, prepared_zoo, monkeypatch, name, mode
+    ):
+        # trials that cross into a seed's second, third and fifth 32-bit
+        # word; the fifth lengthens the SeedSequence prefix
+        cfg = fixture_zoo[name][0]
+        prep = prepared_zoo[name]
+        self._sweep_prepared(monkeypatch, fixture_zoo[name], prep)
+        for base in (2**32 - 3, 2**64 - 2, 2**128 - 2):
+            rows, want = self._single_runs(prep, cfg, sweep(cfg, 6, base, mode), mode)
+            assert rows == want, base
+
+    def test_batch_rows_with_misses_and_spent_caps(self, fixture_zoo, prepared_zoo, monkeypatch):
+        # eps = 0.9 caps chain2's repair loops at one alternation
+        cfg = with_overrides(fixture_zoo["chain2"][0], eps=0.9)
+        prep = prepared_zoo["chain2"]
+        self._sweep_prepared(monkeypatch, fixture_zoo["chain2"], prep)
+        rows, want = self._single_runs(prep, cfg, sweep(cfg, 80, 2**64 - 40), "bounded")
+        assert rows == want
+        assert any(ok and total > 2 for _, ok, _, total in rows), "no first shot missed"
+        assert not all(ok for _, ok, _, _ in rows), "no cap was spent"
 
     def test_thread_pool_matches_serial(self, fixture_zoo):
         cfg, _, _, _ = fixture_zoo["chain2"]

@@ -9,7 +9,7 @@ import pytest
 
 from _helpers import vertex_rng
 from peps_forge.errors import InvalidInputError
-from peps_forge.streams import MEASUREMENTS, TENSORS, SeedStreams
+from peps_forge.streams import MEASUREMENTS, TENSORS, SeedStreams, StreamBatch
 
 SEEDS = [0, 1, 7, 123, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64]
 SEEDS += [2**64 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**160 + 1, 2**200]
@@ -71,3 +71,24 @@ class TestSeededBitGenerator:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidInputError):
             SeedStreams(-1, TENSORS)
+        with pytest.raises(InvalidInputError):
+            StreamBatch([3, -1], TENSORS)
+
+
+class TestStreamBatch:
+    """The array derivation of many seeds at once, one batch per index."""
+
+    @pytest.mark.parametrize("namespace", [MEASUREMENTS, TENSORS])
+    def test_states_match_numpy(self, namespace):
+        # shuffled, so that each word count's seeds sit apart in the batch
+        seeds = random.Random(namespace).sample(SEEDS, len(SEEDS))
+        batch = StreamBatch(seeds, namespace)
+        for index in INDICES:
+            draws, resume = batch.first_draws(index)
+            for k, seed in enumerate(seeds):
+                seq = np.random.SeedSequence(seed, spawn_key=(namespace, index))
+                bitgen = np.random.PCG64(seq)
+                assert draws[k] == np.random.Generator(bitgen).random(), (seed, index)
+                rest = resume(k)
+                want = {"state": rest.state, "inc": rest.inc}
+                assert bitgen.state["state"] == want, (seed, index)
