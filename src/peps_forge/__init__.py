@@ -15,7 +15,7 @@ from .dynamics import (
     RunReport,
     VertexRecord,
     cost_model,
-    cost_model_for_graph,
+    graph_cost_parameters,
     markov_exact_distribution,
     markov_simulate,
     markov_trials,

@@ -213,15 +213,11 @@ def cmd_cost_model(args) -> int:
                 f"drop --{' and --'.join(given)}"
             )
         cfg, prepared = _prepared_from_config(args.config, None, None)
-        graph = prepared.graph
         params = {
-            "num_vertices": graph.num_vertices,
-            "num_edges": len(graph.edges),
+            **dynamics.graph_cost_parameters(prepared.graph),
             "kappa": prepared.kappa_max,
             "eps": cfg.eps,
             "gap": prepared.min_gap,
-            "phys_dim": max(graph.physical_dims),
-            "degree": graph.degree_bound,
         }
     else:
         missing = [

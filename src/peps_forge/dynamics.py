@@ -430,19 +430,14 @@ def cost_model(
     return CostModel(measurement_bound=measurements, runtime_bound=runtime)
 
 
-def cost_model_for_graph(
-    g: InteractionGraph, kappa: float, eps: float, gap: float
-) -> CostModel:
-    """Cost bounds with size parameters read off an interaction graph."""
-    return cost_model(
-        num_vertices=g.num_vertices,
-        num_edges=len(g.edges),
-        kappa=kappa,
-        eps=eps,
-        gap=gap,
-        phys_dim=max(g.physical_dims),
-        degree=g.degree_bound,
-    )
+def graph_cost_parameters(g: InteractionGraph) -> dict[str, int]:
+    """The size parameters of :func:`cost_model` read off an interaction graph."""
+    return {
+        "num_vertices": g.num_vertices,
+        "num_edges": len(g.edges),
+        "phys_dim": max(g.physical_dims),
+        "degree": g.degree_bound,
+    }
 
 
 class PreparedInstance:

@@ -31,8 +31,10 @@ the previous step's Ritz vector. An assembled step knows its edges with no
 processed endpoint, which still hold their bare pair terms; the solve runs on
 the :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the
 same ``apply`` on a smaller register layout) and the free pairs enter in closed
-form. Called without a state, it first finds one with a second solve, stopped
-at :data:`KRYLOV_TOL`, both on the full space, as an independent oracle. scipy
+form: one gather takes them out of the state and the start, one scatter puts
+them back into the Ritz vector (:func:`~peps_forge.network.restrict_pairs`).
+Called without a state, it first finds one with a second solve, stopped at
+:data:`KRYLOV_TOL`, both on the full space, as an independent oracle. scipy
 (BLAS and LAPACK) is imported on first use of this layer. :func:`parent_term`
 contracts the two maps with one einsum and orthonormalises the result with one
 thin SVD. The dense ``global_matrix`` and its full eigensystem ``spectral``,

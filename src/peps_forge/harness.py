@@ -22,7 +22,8 @@ import numpy as np
 from .dynamics import (
     PreparedInstance,
     RunReport,
-    cost_model_for_graph,
+    cost_model,
+    graph_cost_parameters,
     markov_exact_distribution,
     repair_loop_trials,
     # no caller here: the benchmark's traced run hooks harness.run_algorithm
@@ -267,8 +268,9 @@ def parse_config(doc: dict) -> InstanceConfig:
         _check_keys(tol_doc, {"zero_tol"}, "/tolerances")
         if "zero_tol" in tol_doc:
             zero_tol = _as_number(tol_doc["zero_tol"], "/tolerances/zero_tol")
-            if zero_tol <= 0.0:
-                raise ConfigError("/tolerances/zero_tol", "must be positive")
+            # from 1/2 up a branch can be within zero_tol of both 0 and 1
+            if not 0.0 < zero_tol < 0.5:
+                raise ConfigError("/tolerances/zero_tol", f"must be in (0, 0.5), got {zero_tol}")
     return InstanceConfig(
         graph=graph,
         bond_dim=bond_dim,
@@ -591,7 +593,8 @@ def sweep(
     prepared = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
     label = instance_label(cfg)
     start = cfg.seed if base_seed is None else base_seed
-    bounds = cost_model_for_graph(graph, prepared.kappa_max, cfg.eps, prepared.min_gap)
+    sizes = graph_cost_parameters(graph)
+    bounds = cost_model(**sizes, kappa=prepared.kappa_max, eps=cfg.eps, gap=prepared.min_gap)
 
     seeds = range(start, start + trials)
     succeeded, totals = run_seeds(prepared, cfg.eps, seeds, mode)
@@ -633,6 +636,18 @@ def sweep(
     return SweepResult(rows=tuple(rows), summary=summary)
 
 
+def _csv_cell(value) -> str:
+    """``value`` as ``csv`` writes it in a row of several cells, a bool as 0/1."""
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is bool:
+        return str(int(value))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, None])
+    return buf.getvalue()[:-2]  # drop the second, empty cell
+
+
 def sweep_csv(result: SweepResult) -> str:
     """Stable long-format CSV, one row per trial.
 
@@ -640,27 +655,31 @@ def sweep_csv(result: SweepResult) -> str:
     0/1 and ``overlaps`` and ``gaps`` spread into one ``p_step_t`` column
     per processing step and one ``gap_step_t`` column per step Hamiltonian.
     ``csv`` writes floats as their ``repr`` and a missing fidelity as an
-    empty cell. The rows of a sweep share one instance's overlaps and gaps,
-    so their cells are formatted once for each tuple the rows hold.
+    empty cell. A cell is formatted again only when it holds another object
+    than the previous row's; a sweep's rows share most of theirs.
     """
     if not result.rows:
         raise InvalidInputError("empty sweep result")
     *scalars, _, _ = (f.name for f in fields(SweepRow))  # overlaps, gaps
     first = result.rows[0]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    csv.writer(buf, lineterminator="\n").writerow(
         scalars
         + [f"p_step_{t}" for t in range(len(first.overlaps))]
         + [f"gap_step_{t}" for t in range(len(first.gaps))]
     )
     cells_of = attrgetter(*scalars)
+    seen = [object()] * len(scalars)  # a sentinel no row holds
+    cells = [""] * len(scalars)
     overlaps = gaps = tail = None
     for r in result.rows:
+        for i, value in enumerate(cells_of(r)):
+            if value is not seen[i]:
+                seen[i], cells[i] = value, _csv_cell(value)
         if r.overlaps is not overlaps or r.gaps is not gaps:
             overlaps, gaps = r.overlaps, r.gaps
-            tail = [repr(x) for x in (*overlaps, *gaps)]
-        writer.writerow([int(c) if isinstance(c, bool) else c for c in cells_of(r)] + tail)
+            tail = "".join("," + _csv_cell(repr(x)) for x in (*overlaps, *gaps))
+        buf.write(",".join(cells) + tail + "\n")
     return buf.getvalue()
 
 

@@ -16,13 +16,14 @@ id. Global states flatten registers in vertex order, vertex 0 most
 significant (see :mod:`peps_forge.linalg`).
 
 Per-graph and per-map constants are computed once: a graph caches its
-incident edges, register dimensions and (read-only) pair state, whose
-nonzero amplitudes are set at flat indices from slot strides, and
+incident edges, register dimensions and (read-only) pair state, and
 :func:`canonicalize_stack` takes the polar factors and singular values of
 same-shape maps from one stacked SVD (:func:`canonicalize` is its stack of
 one). :func:`apply_on_register` acts on one register with one matmul.
-:func:`restrict_pairs` contracts chosen edges' bond slots with their pair
-states and :func:`expand_pairs` tensors the pairs back in, one einsum each.
+Chosen edges' pair slots are one flat index, one diagonal per edge:
+:func:`restrict_pairs` contracts them with the pairs by a gather and a sum,
+:func:`expand_pairs` tensors the pairs back in by a scatter into zeros, and
+the pair state is the expansion of the scalar 1 over every edge.
 """
 
 from __future__ import annotations
@@ -173,24 +174,7 @@ class InteractionGraph:
     @cached_property
     def _pair_state(self) -> np.ndarray:
         """Read-only pair state; :func:`pair_state` checks the cap first."""
-        # flat stride of each (vertex, edge) slot: vertex 0 and, within a
-        # register, the first incident edge are most significant
-        stride: dict[tuple[int, int], int] = {}
-        step = 1
-        for v in reversed(range(self.num_vertices)):
-            for eid in reversed(self._incident[v]):
-                stride[v, eid] = step
-                step *= self.bond_dims[eid]
-        # edge e with value k adds k to both of its slots; amplitudes
-        # multiply in edge order
-        index = np.zeros(1, dtype=np.intp)
-        amplitude = 1.0
-        for eid, (u, v) in enumerate(self.edges):
-            d = self.bond_dims[eid]
-            index = (index[:, None] + np.arange(d) * (stride[u, eid] + stride[v, eid])).ravel()
-            amplitude *= 1.0 / math.sqrt(d)
-        state = np.zeros(self.global_dim, dtype=complex)
-        state[index] = amplitude
+        state = expand_pairs(self, np.ones(1), tuple(range(len(self.edges))))
         state.setflags(write=False)
         return state
 
@@ -336,25 +320,22 @@ def contract_partial(
     return state / math.sqrt(z), z
 
 
-def _pair_operands(
-    g: InteractionGraph, edges: tuple[int, ...]
-) -> tuple[list, list[int], list[int], list[int]]:
-    """einsum pieces for the pair states of ``edges``.
+def _pair_index(g: InteractionGraph, edges: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Global indices ``[kept slots, pair values]`` of ``edges`` and the pairs' amplitude.
 
-    Bond slots are labelled in the global layout (vertex 0 first, each
-    register in its incident-edge order). Returns one ``omega`` operand per
-    listed edge, its amplitudes ``eye(D) / sqrt(D)`` on the edge's two slot
-    labels; every label; the labels of the other slots; and every slot's
-    dimension.
+    Row ``i`` holds the other slots' ``i``-th value, in the layout of the graph
+    without ``edges``; every entry holds the same value on both slots of each
+    listed edge. The amplitude ``prod 1/sqrt(D)`` multiplies in the listed order.
     """
-    slots = [(v, e) for v in range(g.num_vertices) for e in g.incident_edges(v)]
-    operands: list = []
+    slots = [e for inc in g._incident for e in inc]
+    index = np.arange(g.global_dim).reshape([g.bond_dims[e] for e in slots])
+    amplitude = 1.0
     for e in edges:
-        d = g.bond_dims[e]
-        u, v = g.edges[e]
-        operands += [np.eye(d) / math.sqrt(d), [slots.index((u, e)), slots.index((v, e))]]
-    kept = [i for i, (_, e) in enumerate(slots) if e not in edges]
-    return operands, list(range(len(slots))), kept, [g.bond_dims[e] for _, e in slots]
+        a, b = (i for i, s in enumerate(slots) if s == e)
+        index = np.diagonal(index, axis1=a, axis2=b)  # drops both slots, appends the pair
+        del slots[b], slots[a]
+        amplitude *= 1.0 / math.sqrt(g.bond_dims[e])
+    return index.reshape(math.prod(index.shape[: len(slots)]), -1), amplitude
 
 
 def restrict_pairs(
@@ -365,8 +346,8 @@ def restrict_pairs(
     The result lives on the remaining slots, in the global layout of the
     graph without those edges (a vertex left with no edge has dimension 1).
     """
-    operands, every, kept, dims = _pair_operands(g, edges)
-    return np.einsum(np.reshape(state, dims), every, *operands, kept).reshape(-1)
+    index, amplitude = _pair_index(g, edges)
+    return np.asarray(state)[index].sum(axis=1) * amplitude
 
 
 def expand_pairs(
@@ -377,9 +358,10 @@ def expand_pairs(
     The inverse of :func:`restrict_pairs` on states in which those edges
     hold their pairs.
     """
-    operands, every, kept, dims = _pair_operands(g, edges)
-    shape = [dims[i] for i in kept]
-    return np.einsum(np.reshape(state, shape), kept, *operands, every).reshape(-1)
+    index, amplitude = _pair_index(g, edges)
+    out = np.zeros(g.global_dim, dtype=complex)
+    out[index] = (np.asarray(state) * amplitude)[:, None]
+    return out
 
 
 def restore_gauge(

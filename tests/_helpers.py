@@ -131,8 +131,8 @@ def per_vertex_tensors(
     return tensors
 
 
-def einsum_pair_state(graph: InteractionGraph) -> np.ndarray:
-    """Pair state from one einsum whose labels come from a fresh edge scan."""
+def _slot_labels(graph: InteractionGraph) -> dict[tuple[int, int], int]:
+    """einsum label of each (vertex, edge) bond slot, from a fresh edge scan."""
     labels = {}
     for v in range(graph.num_vertices):
         at_v = sorted(
@@ -140,11 +140,44 @@ def einsum_pair_state(graph: InteractionGraph) -> np.ndarray:
         )
         for _, e in at_v:
             labels[v, e] = len(labels)
+    return labels
+
+
+def _pair_operands(graph: InteractionGraph, edges) -> list:
+    """One ``eye(D) / sqrt(D)`` operand per listed edge, on its two slot labels."""
+    labels = _slot_labels(graph)
     operands = []
-    for e, (a, b) in enumerate(graph.edges):
+    for e in edges:
+        a, b = graph.edges[e]
         d = graph.bond_dims[e]
         operands += [np.eye(d, dtype=complex) / math.sqrt(d), [labels[a, e], labels[b, e]]]
-    return np.einsum(*operands, list(range(len(labels)))).reshape(-1)
+    return operands
+
+
+def einsum_pair_state(graph: InteractionGraph) -> np.ndarray:
+    """Pair state from one einsum whose labels come from a fresh edge scan."""
+    every = list(range(len(_slot_labels(graph))))
+    return np.einsum(*_pair_operands(graph, range(len(graph.edges))), every).reshape(-1)
+
+
+def einsum_restrict_pairs(graph: InteractionGraph, state: np.ndarray, edges) -> np.ndarray:
+    """``state`` with the listed edges' slots contracted with their pairs, by one einsum."""
+    labels = _slot_labels(graph)
+    dims = [graph.bond_dims[e] for _, e in labels]
+    kept = [i for (_, e), i in labels.items() if e not in edges]
+    every = list(labels.values())
+    operands = _pair_operands(graph, edges)
+    return np.einsum(np.reshape(state, dims), every, *operands, kept).reshape(-1)
+
+
+def einsum_expand_pairs(graph: InteractionGraph, state: np.ndarray, edges) -> np.ndarray:
+    """The listed edges' pairs tensored into a restricted ``state``, by one einsum."""
+    labels = _slot_labels(graph)
+    kept = [i for (_, e), i in labels.items() if e not in edges]
+    shape = [graph.bond_dims[e] for _, e in labels if e not in edges]
+    every = list(labels.values())
+    operands = _pair_operands(graph, edges)
+    return np.einsum(np.reshape(state, shape), kept, *operands, every).reshape(-1)
 
 
 def einsum_apply(op: np.ndarray, v: int, state: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:

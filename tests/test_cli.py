@@ -549,6 +549,26 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--trials", "2000"]], ids=["run", "sweep"]
+    )
+    def test_zero_tol_at_one_half_invalid(self, capsys, tmp_path, command):
+        # at zero_tol 0.9 a chain2 sweep read success rate 1.0 with 2.0 measurements
+        config = {
+            "graph": {"topology": "chain", "length": 2},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 1},
+            "seed": 1,
+            "tolerances": {"zero_tol": 0.5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([*command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "/tolerances/zero_tol" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("run", "--config", CHAIN2, "--seed", "-1"),

@@ -21,7 +21,7 @@ from peps_forge import dynamics, network
 from peps_forge.dynamics import (
     PreparedInstance,
     cost_model,
-    cost_model_for_graph,
+    graph_cost_parameters,
     markov_exact_distribution,
     markov_simulate,
     markov_trials,
@@ -523,9 +523,15 @@ class TestCostModel:
 
     def test_graph_wrapper(self):
         graph, tensors = random_instance(CHAIN4, 2.0, 7)
-        model = cost_model_for_graph(graph, 2.0, 0.1, 0.5)
-        direct = cost_model(4, 3, 2.0, 0.1, 0.5, max(graph.physical_dims), 2)
-        assert model == direct
+        params = graph_cost_parameters(graph)
+        assert params == {
+            "num_vertices": 4,
+            "num_edges": 3,
+            "phys_dim": max(graph.physical_dims),
+            "degree": 2,
+        }
+        model = cost_model(**params, kappa=2.0, eps=0.1, gap=0.5)
+        assert model == cost_model(4, 3, 2.0, 0.1, 0.5, max(graph.physical_dims), 2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):

@@ -107,6 +107,17 @@ class TestConfigSchema:
             (lambda d: d["tensors"].__setitem__("kappa_max", 0.5), "/tensors/kappa_max"),
             (lambda d: d["tensors"].__setitem__("source", "magic"), "/tensors/source"),
             (lambda d: d.__setitem__("tolerances", {"zero_tol": -1.0}), "/tolerances/zero_tol"),
+            # from 1/2 up a branch of probability 1/2 is within zero_tol of both 0 and 1
+            pytest.param(
+                lambda d: d.__setitem__("tolerances", {"zero_tol": 0.5}),
+                "/tolerances/zero_tol",
+                id="zero_tol=0.5",
+            ),
+            pytest.param(
+                lambda d: d.__setitem__("tolerances", {"zero_tol": 0.9}),
+                "/tolerances/zero_tol",
+                id="zero_tol=0.9",
+            ),
             (lambda d: d.__setitem__("tolerances", {"other": 1.0}), "/tolerances/other"),
         ],
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from _helpers import (
     CHAIN3,
     RING4,
     einsum_apply,
+    einsum_expand_pairs,
     einsum_pair_state,
+    einsum_restrict_pairs,
     haar_unitary,
     random_complex,
     random_instance,
@@ -237,6 +240,33 @@ class TestPairStateByIndex:
         with pytest.raises(CapacityError):
             network.pair_state(graph)
         assert "_pair_state" not in vars(graph)
+
+
+class TestPairSlots:
+    """restrict_pairs and expand_pairs against one einsum each, on every edge subset."""
+
+    @pytest.mark.parametrize("name", PAIR_GRAPHS)
+    def test_equal_to_einsum(self, name):
+        graph = PAIR_GRAPHS[name]
+        rng = np.random.default_rng(len(graph.edges))
+        edges = range(len(graph.edges))
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(edges, k) for k in range(len(graph.edges) + 1)
+        )
+        for pairs in subsets:
+            # random vectors hold no pairs, as a warm start need not
+            state = random_complex(graph.global_dim, 1, rng)[:, 0]
+            state /= np.linalg.norm(state)
+            got = network.restrict_pairs(graph, state, pairs)
+            want = einsum_restrict_pairs(graph, state, pairs)
+            assert got.shape == want.shape, pairs
+            assert np.abs(got - want).max() <= 1e-15, pairs
+            small = random_complex(len(want), 1, rng)[:, 0]
+            small /= np.linalg.norm(small)
+            got = network.expand_pairs(graph, small, pairs)
+            want = einsum_expand_pairs(graph, small, pairs)
+            assert got.shape == (graph.global_dim,), pairs
+            assert np.abs(got - want).max() <= 1e-15, pairs
 
 
 class TestApplyOnRegister:
