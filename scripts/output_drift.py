@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Compare every command's output on the shipped fixtures under two source trees.
+
+    python scripts/output_drift.py OLD_SRC NEW_SRC [--fixture NAME ...]
+
+Runs ``run``, ``sweep`` (JSON and CSV), ``gap-scan``, ``verify-lemma1`` and
+``cost-model --config`` on each fixture through ``python -m peps_forge.cli``,
+once with each ``src`` directory on ``PYTHONPATH``, both on the fixture file
+of ``OLD_SRC``. Prints one line per command and fixture: ``identical`` when
+the exit code and both output streams match exactly, otherwise the largest
+relative drift ``|a - b| / max(|a|, |b|)`` of each numeric field that moved,
+with the largest absolute drift for fields near zero (list positions and CSV
+rows folded into one field), and any field that differs in anything but its
+number. Exits 0 when every output is identical
+and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+#: command label -> subcommand and its arguments besides ``--config``
+COMMANDS = {
+    "run": ("run", []),
+    "sweep-json": ("sweep", ["--trials", "100"]),
+    "sweep-csv": ("sweep", ["--trials", "100", "--format", "csv"]),
+    "gap-scan": ("gap-scan", []),
+    "verify-lemma1": ("verify-lemma1", ["--trials", "3"]),
+    "cost-model": ("cost-model", []),
+}
+
+#: CLI processes run at once; each loads numpy and scipy
+WORKERS = 2
+
+
+def run_cli(src: Path, args: list[str]) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of ``python -m
+    peps_forge.cli *args`` on ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "peps_forge.cli", *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def fields(text: str) -> dict[str, list]:
+    """Field name -> values in output order, of a JSON document or a CSV table."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        rows = list(csv.DictReader(io.StringIO(text)))
+        return {key: [row[key] for row in rows] for key in (rows[0] if rows else {})}
+    out: dict[str, list] = {}
+
+    def walk(node, path: str) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, f"{path}[]")
+        else:
+            out.setdefault(path, []).append(node)
+
+    walk(doc, "")
+    return out
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def drift(old: str, new: str) -> list[str]:
+    """One line per field that differs: its largest relative and absolute
+    drift, or ``differs``."""
+    a, b = fields(old), fields(new)
+    lines = [f"{key}: only in one output" for key in sorted(set(a) ^ set(b))]
+    for key in sorted(set(a) & set(b)):
+        if a[key] == b[key]:
+            continue
+        if len(a[key]) != len(b[key]):
+            lines.append(f"{key}: differs")
+            continue
+        rel = absolute = 0.0
+        for x, y in zip(a[key], b[key]):
+            if x == y:
+                continue
+            fx, fy = _number(x), _number(y)
+            if fx is None or fy is None:
+                rel = None
+                break
+            rel = max(rel, abs(fx - fy) / max(abs(fx), abs(fy)))
+            absolute = max(absolute, abs(fx - fy))
+        lines.append(
+            f"{key}: differs" if rel is None else f"{key}: {rel:.2e} (abs {absolute:.1e})"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--fixture", action="append", help="only this fixture (repeatable)")
+    args = parser.parse_args(argv)
+    fixture_dir = args.old_src / "peps_forge" / "fixtures"
+    shipped = {p.stem: p.resolve() for p in fixture_dir.glob("*.json")}
+    names = args.fixture or sorted(shipped)
+    if not names or not set(names) <= set(shipped):
+        parser.error(f"fixtures {names} not all among those of OLD_SRC: {sorted(shipped)}")
+    cases = [(label, name) for name in names for label in COMMANDS]
+    jobs = [
+        (src, [COMMANDS[label][0], "--config", str(shipped[name]), *COMMANDS[label][1]])
+        for label, name in cases
+        for src in (args.old_src.resolve(), args.new_src.resolve())
+    ]
+    with ThreadPoolExecutor(WORKERS) as pool:
+        results = list(pool.map(lambda job: run_cli(*job), jobs))
+    identical = True
+    for i, (label, name) in enumerate(cases):
+        old, new = results[2 * i : 2 * i + 2]
+        if old == new:
+            print(f"{label:14s} {name:8s} identical")
+            continue
+        identical = False
+        lines = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
+        lines += ["standard error differs"] if old[2] != new[2] else []
+        if old[1] != new[1]:
+            lines += drift(old[1], new[1]) or ["differs in layout only"]
+        print(f"{label:14s} {name:8s} " + "; ".join(lines))
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

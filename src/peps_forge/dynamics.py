@@ -237,9 +237,20 @@ def _threshold(prob: float, zero_tol: float) -> float:
     return prob
 
 
+def check_zero_tol(zero_tol: float) -> None:
+    """Reject a ``zero_tol`` outside ``(0, 0.5)``.
+
+    From 1/2 up a branch can be within ``zero_tol`` of both 0 and 1, and
+    :func:`_threshold` would never land a branch of probability 1/2.
+    """
+    if not 0.0 < zero_tol < 0.5:
+        raise InvalidInputError(f"zero_tol must be in (0, 0.5), got {zero_tol}")
+
+
 def _check_chain(p: float, max_alternations: int | None, zero_tol: float) -> None:
-    """Reject a chain :func:`markov_simulate` cannot run: ``p`` out of range,
-    a negative cap, or no cap on a chain that never lands."""
+    """Reject a chain :func:`markov_simulate` cannot run: ``zero_tol`` or ``p``
+    out of range, a negative cap, or no cap on a chain that never lands."""
+    check_zero_tol(zero_tol)
     if not 0.0 <= p <= 1.0 + zero_tol:
         raise InvalidInputError(f"transition probability must be in [0, 1], got {p}")
     if max_alternations is None:
@@ -474,6 +485,7 @@ class PreparedInstance:
         c: float | None = None,
         zero_tol: float = ZERO_TOL,
     ):
+        check_zero_tol(zero_tol)
         # the reference state below needs the physical register product;
         # check it before any step is assembled or solved
         check_dim(math.prod(graph.physical_dims), "contracted state")

@@ -27,19 +27,25 @@ computes ``H x`` with one gather, one matrix product and one scatter per term.
 target) by its full residual ``||H psi||`` and finds the gap with at most one
 Lanczos solve on that product in the state's orthogonal complement, stopped at
 the absolute residual :data:`GAP_RESIDUAL_TOL` and optionally warm-started from
-the previous step's Ritz vector. An assembled step knows its edges with no
-processed endpoint, which still hold their bare pair terms; the solve runs on
-the :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the
-same ``apply`` on a smaller register layout) and the free pairs enter in closed
+the previous step's Ritz vector. The solve tests its Ritz pair on a schedule:
+from 20 products on, a failed test predicts from the residual's decay how many
+products the stop is away and runs :data:`RITZ_SKIP` of them before the next
+test. Its fixed random start vector is drawn once per dimension and kept
+read-only. An assembled step knows its edges with no processed endpoint, which
+still hold their bare pair terms; the solve runs on the
+:attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the same
+``apply`` on a smaller register layout) and the free pairs enter in closed
 form: one gather takes them out of the state and the start, one scatter puts
-them back into the Ritz vector (:func:`~peps_forge.network.restrict_pairs`).
+them back into the Ritz vector, all through one
+:class:`~peps_forge.network.PairSlots` index per step.
 Called without a state, it first finds one with a second solve, stopped at
 :data:`KRYLOV_TOL`, both on the full space, as an independent oracle. scipy
 (BLAS and LAPACK) is imported on first use of this layer. :func:`parent_term`
 contracts the two maps with one einsum and orthonormalises the result with one
-thin SVD. The dense ``global_matrix`` and its full eigensystem ``spectral``,
-the layer's only Hermitian eigensolve, remain as an oracle for tests at small
-dimension.
+thin SVD; a pair form (no processed endpoint) needs none, its columns
+``omega (x) 1`` being orthonormal already. The dense ``global_matrix`` and its
+full eigensystem ``spectral``, the layer's only Hermitian eigensolve, remain as
+an oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -59,13 +65,7 @@ from .errors import (
 )
 from .limits import check_dim
 from .linalg import ZERO_TOL
-from .network import (
-    InteractionGraph,
-    PepsTensor,
-    check_tensors,
-    expand_pairs,
-    restrict_pairs,
-)
+from .network import InteractionGraph, PepsTensor, check_tensors, pair_slots
 
 #: condition number of an image basis's Gram matrix, ``(sigma_max /
 #: sigma_min)**2`` of the basis, beyond which :func:`parent_term` rejects it
@@ -88,6 +88,10 @@ KRYLOV_MAX_PRODUCTS = 5000
 
 #: weight of the fixed random vector added to a unit warm start
 START_NOISE = 0.1
+
+#: share of the products that a failed Ritz test predicts to the stop, which
+#: the solve runs before its next test (at least one)
+RITZ_SKIP = 0.5
 
 TERM_KINDS = ("edge_pair", "parent", "boundary")
 
@@ -156,7 +160,8 @@ def parent_term(
     vertex currently being processed). An endpoint outside ``processed``
     keeps the identity map, which makes the term a temporary boundary term;
     with both endpoints unprocessed the term reduces to the plain edge pair
-    term. The columns are orthonormalised by one thin SVD and rejected as
+    term, whose columns ``omega (x) 1`` are already orthonormal. Otherwise
+    the columns are orthonormalised by one thin SVD and rejected as
     ill-conditioned beyond :data:`GRAM_COND_LIMIT`.
     """
     u, v = g.edges[edge_id]
@@ -166,21 +171,22 @@ def parent_term(
         r = g.register_dim(w)
         m = tensors[w].positive_factor if w in processed else np.eye(r, dtype=complex)
         slots = g.incident_edges(w)
-        m = m.reshape(r, *(g.bond_dims[e] for e in slots))
-        maps.append(np.moveaxis(m, 1 + slots.index(edge_id), -1).reshape(r, -1, d))
+        before = math.prod(g.bond_dims[e] for e in slots[: slots.index(edge_id)])
+        # (r, slots before, edge, slots after) -> (r, other slots, edge)
+        maps.append(m.reshape(r, before, d, -1).transpose(0, 1, 3, 2).reshape(r, -1, d))
     r_u, r_v = g.register_dim(u), g.register_dim(v)
-    image = np.einsum("aik,bjk->abij", *maps) / math.sqrt(d)
-
-    dec = linalg.svd(image.reshape(r_u * r_v, -1))
-    sigma = dec.sigma
-    if not sigma[-1] > 0.0 or (sigma[0] / sigma[-1]) ** 2 > GRAM_COND_LIMIT:
-        raise ConditioningError(
-            f"image basis of edge {edge_id} is ill-conditioned: "
-            f"singular values in [{sigma[-1]:.3e}, {sigma[0]:.3e}]"
-        )
-    matrix = np.eye(r_u * r_v, dtype=complex) - dec.u @ dec.u.conj().T
-
+    basis = (np.einsum("aik,bjk->abij", *maps) / math.sqrt(d)).reshape(r_u * r_v, -1)
     n_proc = (u in processed) + (v in processed)
+    if n_proc:  # with both maps the identity, the columns are omega (x) 1: orthonormal
+        dec = linalg.svd(basis)
+        sigma = dec.sigma
+        if not sigma[-1] > 0.0 or (sigma[0] / sigma[-1]) ** 2 > GRAM_COND_LIMIT:
+            raise ConditioningError(
+                f"image basis of edge {edge_id} is ill-conditioned: "
+                f"singular values in [{sigma[-1]:.3e}, {sigma[0]:.3e}]"
+            )
+        basis = dec.u
+    matrix = np.eye(r_u * r_v, dtype=complex) - basis @ basis.conj().T
     kind = {0: "edge_pair", 1: "boundary", 2: "parent"}[n_proc]
     return LocalTerm(support=(u, v), matrix=matrix, kind=kind)
 
@@ -350,12 +356,31 @@ def assemble_step(
     return LocalHamiltonian(graph=g, step=t, terms=terms, pair_edges=pairs)
 
 
-def _start_vector(dim: int, rng: np.random.Generator, start=None) -> np.ndarray:
-    """``rng``'s next vector ``r``, or ``start / |start| + START_NOISE * r / |r|``."""
-    v = rng.standard_normal(dim).astype(complex)
-    if start is not None:
-        v = start / np.linalg.norm(start) + START_NOISE * v / np.linalg.norm(v)
+@cache
+def _fixed_draw(dim: int) -> np.ndarray:
+    """Read-only: the first vector of length ``dim`` from the fixed generator
+    ``default_rng(0)``, as complex numbers."""
+    v = np.random.default_rng(0).standard_normal(dim).astype(complex)
+    v.flags.writeable = False
     return v
+
+
+def _fresh_vectors(dim: int):
+    """The fixed generator's vectors of length ``dim`` after :func:`_fixed_draw`'s;
+    the generator is built on the first ``next``."""
+    rng = np.random.default_rng(0)
+    rng.standard_normal(dim)
+    while True:
+        yield rng.standard_normal(dim).astype(complex)
+
+
+def _start_vector(dim: int, start=None) -> np.ndarray:
+    """A new array: the fixed vector ``r`` (:func:`_fixed_draw`), or ``start /
+    |start| + START_NOISE * r / |r|``."""
+    r = _fixed_draw(dim)
+    if start is None:
+        return r.copy()
+    return start / np.linalg.norm(start) + START_NOISE * r / np.linalg.norm(r)
 
 
 def _lowest_eigenpair(
@@ -368,22 +393,35 @@ def _lowest_eigenpair(
     The random part of the start gives every eigenvector a weight: a Krylov
     space never leaves an invariant subspace that holds its start, and a
     warm start can lie in one (an excitation of one component of a
-    disconnected graph). On a breakdown the solve goes on from the fixed
-    generator's next vector. From 20 vectors on (ARPACK's ``ncv``), a locked
-    (gap) solve stops once the Ritz residual ``rho`` is at most
-    ``GAP_RESIDUAL_TOL``: an eigenvalue lies within ``rho`` of ``theta``, and
-    Kato–Temple bounds the error by ``rho**2 / delta``, ``delta`` the distance
-    to the rest of the spectrum (Parlett 1998). An unlocked solve, whose
-    vector gets certified, stops at ``KRYLOV_TOL * (theta + 1)``, ARPACK's
-    test on ``H + 1``. A full basis restarts from its Ritz vector (thick
-    restart with one vector, Wu & Simon 2000). All products run on scipy's
-    BLAS, like ``LocalHamiltonian.apply``'s.
+    disconnected graph). That part is the fixed generator's first vector of
+    the dimension, drawn once per dimension (:func:`_fixed_draw`); on a
+    breakdown the solve goes on from the same generator's next vectors,
+    built only then (:func:`_fresh_vectors`).
+
+    From ``min(20, dim - locked)`` products on (ARPACK's ``ncv``), the solve
+    tests the Ritz pair of the tridiagonal ``T``. A locked (gap) solve stops
+    once the Ritz residual ``rho`` is at most ``GAP_RESIDUAL_TOL``: an
+    eigenvalue lies within ``rho`` of ``theta``, and Kato–Temple bounds the
+    error by ``rho**2 / delta``, ``delta`` the distance to the rest of the
+    spectrum (Parlett 1998). An unlocked solve, whose vector gets certified,
+    stops at ``KRYLOV_TOL * (theta + 1)``, ARPACK's test on ``H + 1``. The
+    tests run on a schedule: after a failed one, ``rho`` fell by some factor
+    ``r`` per product since the test before, so ``log(tol / rho) / log r``
+    more products are predicted to the stop, and the solve runs
+    :data:`RITZ_SKIP` of them, at least one, before it tests again (one
+    when ``rho`` did not fall, or after the first test). A full basis and
+    an exhausted space are always tested. The Krylov vectors do not depend
+    on the tests, so a skipped test can only move a stop later, never
+    earlier. A full basis restarts from its Ritz vector (thick restart with
+    one vector, Wu & Simon 2000). All products run on scipy's BLAS, like
+    ``LocalHamiltonian.apply``'s; the three-term recurrence subtracts in
+    place with ``zaxpy``.
     """
-    from scipy.linalg.blas import dznrm2, zdotc, zgemv
+    from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zgemv
     from scipy.linalg.lapack import dstebz, dstein
 
-    fixed = np.random.default_rng(0)
-    v = _start_vector(dim, fixed, start)
+    v = _start_vector(dim, start)
+    fresh = _fresh_vectors(dim)
     locked = int(lock is not None)
     basis = np.empty((dim, locked + KRYLOV_BASIS), dtype=complex, order="F")
     if locked:
@@ -413,25 +451,32 @@ def _lowest_eigenpair(
     v, norm = orthogonalize(v, locked)
     basis[:, locked] = v / norm
     k, scale = locked + 1, 0.0
+    next_test, last = min(20, dim - locked), None  # last: (products, rho) of the last test
     for products in range(1, KRYLOV_MAX_PRODUCTS + 1):
         m = k - locked
         v = basis[:, k - 1]
         w = matvec(v)
         scale = max(scale, dznrm2(w))
         if m > 1:
-            w -= off[m - 2] * basis[:, k - 2]
+            w = zaxpy(basis[:, k - 2], w, a=-off[m - 2])
         diag[m - 1] = zdotc(v, w).real
-        w -= diag[m - 1] * v
+        w = zaxpy(v, w, a=-diag[m - 1])
         w, beta = orthogonalize(w, k)
-        if products >= min(20, dim - locked) or m == KRYLOV_BASIS:
+        if products >= next_test or m in (KRYLOV_BASIS, dim - locked):
             theta, s = ritz(m)
+            rho = beta * abs(s[-1])
             tol = GAP_RESIDUAL_TOL if locked else KRYLOV_TOL * (theta + 1.0)
-            if m == dim - locked or beta * abs(s[-1]) <= tol:
+            if m == dim - locked or rho <= tol:
                 y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
                 return theta, y / dznrm2(y)
+            skip = 1
+            if last is not None and rho < last[1]:
+                decay = math.log(rho / last[1]) / (products - last[0])  # log r
+                skip = max(1, math.floor(RITZ_SKIP * math.log(tol / rho) / decay))
+            next_test, last = products + skip, (products, rho)
         coupling = beta if beta > 1e-12 * scale else 0.0
         if not coupling:  # breakdown: go on from a fresh vector orthogonal to the basis
-            w, beta = orthogonalize(fixed.standard_normal(dim).astype(complex), k)
+            w, beta = orthogonalize(next(fresh), k)
         w /= beta
         if m == KRYLOV_BASIS:  # restart from the Ritz vector
             y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
@@ -470,7 +515,8 @@ def ground_analysis(
     pairs as unique ground state. Hence ``lambda1 = min(theta, 1)`` for the
     lowest eigenvalue ``theta`` of ``A`` off the restricted ``psi``: the
     solve runs on ``A`` with ``psi`` and ``start`` contracted with the
-    pairs (:func:`~peps_forge.network.restrict_pairs`), and when the pairs
+    pairs (one :func:`~peps_forge.network.pair_slots` index serves both and
+    the Ritz vector's expansion), and when the pairs
     win, or every edge is a pair edge (step 0) and nothing is solved,
     ``lambda1`` and ``gap`` are exactly 1. The residual and the
     certificates stay on the full ``psi``. Without a ``kernel`` the solves
@@ -518,14 +564,15 @@ def ground_analysis(
     if len(pairs) < len(g.edges):
         op, phi = h, psi
         if pairs:
-            op = h.restricted
-            phi = restrict_pairs(g, psi, pairs)
+            op, slots = h.restricted, pair_slots(g, pairs)
+            phi = slots.restrict(psi)
             phi = phi / np.linalg.norm(phi)
             if start is not None:
-                kept = restrict_pairs(g, start, pairs)
+                kept = slots.restrict(start)
                 start = kept if np.linalg.norm(kept) >= np.linalg.norm(start) / 2 else None
-        theta, ritz = _lowest_eigenpair(len(phi), op.apply, start, lock=phi)
-        excited = expand_pairs(g, ritz, pairs)
+        theta, excited = _lowest_eigenpair(len(phi), op.apply, start, lock=phi)
+        if pairs:
+            excited = slots.expand(excited)
         excited = excited - np.vdot(psi, excited) * psi
         excited = excited / np.linalg.norm(excited)
     lambda1, gap = (1.0, 1.0) if pairs and theta >= 1.0 else (theta, theta - lambda0)

@@ -22,6 +22,7 @@ import numpy as np
 from .dynamics import (
     PreparedInstance,
     RunReport,
+    check_zero_tol,
     cost_model,
     graph_cost_parameters,
     markov_exact_distribution,
@@ -268,9 +269,10 @@ def parse_config(doc: dict) -> InstanceConfig:
         _check_keys(tol_doc, {"zero_tol"}, "/tolerances")
         if "zero_tol" in tol_doc:
             zero_tol = _as_number(tol_doc["zero_tol"], "/tolerances/zero_tol")
-            # from 1/2 up a branch can be within zero_tol of both 0 and 1
-            if not 0.0 < zero_tol < 0.5:
-                raise ConfigError("/tolerances/zero_tol", f"must be in (0, 0.5), got {zero_tol}")
+            try:
+                check_zero_tol(zero_tol)
+            except InvalidInputError as exc:
+                raise ConfigError("/tolerances/zero_tol", str(exc)) from None
     return InstanceConfig(
         graph=graph,
         bond_dim=bond_dim,

@@ -20,10 +20,11 @@ incident edges, register dimensions and (read-only) pair state, and
 :func:`canonicalize_stack` takes the polar factors and singular values of
 same-shape maps from one stacked SVD (:func:`canonicalize` is its stack of
 one). :func:`apply_on_register` acts on one register with one matmul.
-Chosen edges' pair slots are one flat index, one diagonal per edge:
-:func:`restrict_pairs` contracts them with the pairs by a gather and a sum,
-:func:`expand_pairs` tensors the pairs back in by a scatter into zeros, and
-the pair state is the expansion of the scalar 1 over every edge.
+Chosen edges' pair slots are one flat index, one diagonal per edge
+(:func:`pair_slots`, built once per edge set by its caller):
+:meth:`PairSlots.restrict` contracts them with the pairs by a gather and a
+sum, :meth:`PairSlots.expand` tensors the pairs back in by a scatter into
+zeros, and the pair state is the expansion of the scalar 1 over every edge.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class InteractionGraph:
     @cached_property
     def _pair_state(self) -> np.ndarray:
         """Read-only pair state; :func:`pair_state` checks the cap first."""
-        state = expand_pairs(self, np.ones(1), tuple(range(len(self.edges))))
+        state = pair_slots(self, tuple(range(len(self.edges)))).expand(np.ones(1))
         state.setflags(write=False)
         return state
 
@@ -320,13 +321,43 @@ def contract_partial(
     return state / math.sqrt(z), z
 
 
-def _pair_index(g: InteractionGraph, edges: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Global indices ``[kept slots, pair values]`` of ``edges`` and the pairs' amplitude.
+@dataclass(frozen=True)
+class PairSlots:
+    """The two bond slots of each of some edges of a graph, as one flat index.
 
-    Row ``i`` holds the other slots' ``i``-th value, in the layout of the graph
-    without ``edges``; every entry holds the same value on both slots of each
-    listed edge. The amplitude ``prod 1/sqrt(D)`` multiplies in the listed order.
+    Row ``i`` of ``index`` holds the global indices of the other slots'
+    ``i``-th value, in the layout of the graph without those edges; every
+    entry holds the same value on both slots of each edge. ``amplitude`` is
+    the pairs' ``prod 1/sqrt(D)``. Built by :func:`pair_slots`; a caller
+    that moves several states across the same edges builds it once.
     """
+
+    index: np.ndarray
+    amplitude: float
+    global_dim: int
+
+    def restrict(self, state: np.ndarray) -> np.ndarray:
+        """``state`` with the two bond slots of each edge contracted with ``omega*``.
+
+        The result lives on the remaining slots, in the global layout of the
+        graph without those edges (a vertex left with no edge has dimension 1).
+        """
+        return np.asarray(state)[self.index].sum(axis=1) * self.amplitude
+
+    def expand(self, state: np.ndarray) -> np.ndarray:
+        """Tensor the pair state ``omega`` of each edge back into a restricted state.
+
+        The inverse of :meth:`restrict` on states in which those edges hold
+        their pairs.
+        """
+        out = np.zeros(self.global_dim, dtype=complex)
+        out[self.index] = (np.asarray(state) * self.amplitude)[:, None]
+        return out
+
+
+def pair_slots(g: InteractionGraph, edges: tuple[int, ...]) -> PairSlots:
+    """The :class:`PairSlots` of ``edges`` in ``g``; the amplitude multiplies in
+    the listed order."""
     slots = [e for inc in g._incident for e in inc]
     index = np.arange(g.global_dim).reshape([g.bond_dims[e] for e in slots])
     amplitude = 1.0
@@ -335,33 +366,8 @@ def _pair_index(g: InteractionGraph, edges: tuple[int, ...]) -> tuple[np.ndarray
         index = np.diagonal(index, axis1=a, axis2=b)  # drops both slots, appends the pair
         del slots[b], slots[a]
         amplitude *= 1.0 / math.sqrt(g.bond_dims[e])
-    return index.reshape(math.prod(index.shape[: len(slots)]), -1), amplitude
-
-
-def restrict_pairs(
-    g: InteractionGraph, state: np.ndarray, edges: tuple[int, ...]
-) -> np.ndarray:
-    """``state`` with the two bond slots of each listed edge contracted with ``omega*``.
-
-    The result lives on the remaining slots, in the global layout of the
-    graph without those edges (a vertex left with no edge has dimension 1).
-    """
-    index, amplitude = _pair_index(g, edges)
-    return np.asarray(state)[index].sum(axis=1) * amplitude
-
-
-def expand_pairs(
-    g: InteractionGraph, state: np.ndarray, edges: tuple[int, ...]
-) -> np.ndarray:
-    """Tensor the pair state ``omega`` of each listed edge back into a restricted state.
-
-    The inverse of :func:`restrict_pairs` on states in which those edges
-    hold their pairs.
-    """
-    index, amplitude = _pair_index(g, edges)
-    out = np.zeros(g.global_dim, dtype=complex)
-    out[index] = (np.asarray(state) * amplitude)[:, None]
-    return out
+    index = index.reshape(math.prod(index.shape[: len(slots)]), -1)
+    return PairSlots(index, amplitude, g.global_dim)
 
 
 def restore_gauge(

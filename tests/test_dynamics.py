@@ -464,6 +464,23 @@ class TestMarkovChain:
         with pytest.raises(InvalidInputError, match="max_alternations"):
             markov_trials(0.5, -1, 5, rng)
 
+    @pytest.mark.parametrize("zero_tol", [0.0, -1e-9, 0.5, 0.9, math.inf, math.nan])
+    def test_zero_tol_outside_the_open_half_interval_rejected(self, zero_tol):
+        # from 1/2 up a branch of probability 1/2 is within zero_tol of both
+        # 0 and 1: at 0.9 such a chain never lands and spends its whole cap
+        with pytest.raises(InvalidInputError, match="zero_tol"):
+            markov_simulate(0.5, 3, np.random.default_rng(0), zero_tol=zero_tol)
+        graph = InteractionGraph.build(2, [(0, 1)])
+        tensors = [canonicalize(0, np.eye(2)), canonicalize(1, np.diag([3.0, 1.0]))]
+        with pytest.raises(InvalidInputError, match="zero_tol"):
+            PreparedInstance(graph, tensors, zero_tol=zero_tol)
+        prep = _chain2_prepared()
+        prep.zero_tol = zero_tol  # past the constructor: the chain's own check
+        with pytest.raises(InvalidInputError, match="zero_tol"):
+            run_algorithm(prep, 0.1, seed=0)
+        with pytest.raises(InvalidInputError, match="zero_tol"):
+            dynamics.run_seeds(prep, 0.1, [0, 1])
+
     def test_trial_count_capped_before_drawing(self):
         rng = np.random.default_rng(0)
         for trials in (10**15, MAX_TRIALS + 1):

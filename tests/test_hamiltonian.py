@@ -19,6 +19,7 @@ from peps_forge.errors import (
     NumericalFailureError,
 )
 from peps_forge.hamiltonian import (
+    GAP_RESIDUAL_TOL,
     KRYLOV_TOL,
     START_NOISE,
     LocalHamiltonian,
@@ -410,8 +411,8 @@ class TestCertifiedKernel:
             calls.append((dim, lock))
             return solve(dim, matvec, start, lock)
 
-        def recorded_start(dim, rng, start=None):
-            v0 = start_vector(dim, rng, start)
+        def recorded_start(dim, start=None):
+            v0 = start_vector(dim, start)
             starts.append(v0.copy())  # the solve orthogonalises it in place
             return v0
 
@@ -436,11 +437,11 @@ class TestCertifiedKernel:
                     np.testing.assert_array_equal(v0, noise)
                 else:
                     excited = prep.analyses[t - 1].excited_state
-                    warm = network.restrict_pairs(graph, excited, pairs)
+                    warm = network.pair_slots(graph, pairs).restrict(excited)
                     assert np.linalg.norm(warm) == pytest.approx(1.0, abs=1e-12), (name, t)
                     warm = warm + START_NOISE * noise / np.linalg.norm(noise)
                     np.testing.assert_allclose(v0, warm, rtol=0, atol=1e-15)
-                phi = network.restrict_pairs(graph, prep.targets[t], pairs)
+                phi = network.pair_slots(graph, pairs).restrict(prep.targets[t])
                 np.testing.assert_allclose(lock, phi / np.linalg.norm(phi), rtol=0, atol=1e-15)
 
     def test_start_that_excites_a_pair_edge_is_dropped(self, monkeypatch):
@@ -455,8 +456,8 @@ class TestCertifiedKernel:
         starts = []
         start_vector = hamiltonian._start_vector
 
-        def recorded(dim, rng, start=None):
-            v0 = start_vector(dim, rng, start)
+        def recorded(dim, start=None):
+            v0 = start_vector(dim, start)
             starts.append(v0.copy())  # the solve orthogonalises it in place
             return v0
 
@@ -465,6 +466,26 @@ class TestCertifiedKernel:
         cold = ground_analysis(h, kernel=psi)
         np.testing.assert_array_equal(starts[0], starts[1])
         assert warm.lambda1 == cold.lambda1
+
+    def test_pair_slots_built_once_per_solved_step(self, monkeypatch, fixture_zoo):
+        # the target, the warm start and the Ritz vector of a step cross its
+        # pair edges through one index; step 0 (only pairs) solves nothing
+        # and a step with no pair edge needs none
+        built = []
+        slots = hamiltonian.pair_slots
+
+        def counted(g, edges):
+            built.append(edges)
+            return slots(g, edges)
+
+        monkeypatch.setattr(hamiltonian, "pair_slots", counted)
+        for name, (cfg, _, graph, tensors) in fixture_zoo.items():
+            built.clear()
+            prep = PreparedInstance(graph, tensors, zero_tol=cfg.zero_tol)
+            edges = len(graph.edges)
+            solved = [h.pair_edges for h in prep.hamiltonians if 0 < len(h.pair_edges) < edges]
+            assert built == solved, name
+            assert len(solved) == (0 if edges == 1 else graph.num_vertices - 2), name
 
     def test_every_solve_product_goes_through_apply(self, monkeypatch):
         # one LocalHamiltonian.apply, and so one scipy zgemm per term, per
@@ -612,7 +633,7 @@ def _arpack_lambda1(op: LocalHamiltonian, phi: np.ndarray) -> float:
 def _solved(prep: PreparedInstance, t: int) -> tuple[LocalHamiltonian, np.ndarray]:
     """The operator that step ``t``'s gap solve runs on, and its unit lock."""
     h = prep.hamiltonians[t]
-    phi = network.restrict_pairs(prep.graph, prep.targets[t], h.pair_edges)
+    phi = network.pair_slots(prep.graph, h.pair_edges).restrict(prep.targets[t])
     return (h.restricted if h.pair_edges else h), phi / np.linalg.norm(phi)
 
 
@@ -695,6 +716,65 @@ class TestLanczos:
             residual = he - np.vdot(a.excited_state, he).real * a.excited_state
             assert np.linalg.norm(residual) <= 1e-8
 
+    def test_scheduled_stops_meet_their_tolerance_no_earlier(self, monkeypatch, fixture_zoo):
+        # every gap solve of the fixtures and of ring5 tensor seeds 0-3, run
+        # again on the same inputs with a Ritz test after every product
+        # (RITZ_SKIP = 0): the Krylov vectors do not depend on the tests, so
+        # the scheduled stop comes no earlier, never before min(20, dim - 1)
+        # products, and finds the same lambda1; the stopped Ritz vector's
+        # residual is within GAP_RESIDUAL_TOL, up to the rounding of the
+        # products that recompute it (1e-13)
+        solves = []
+        solve = hamiltonian._lowest_eigenpair
+
+        def counted(dim, matvec, start=None, lock=None):
+            products = [0]
+
+            def product(x):
+                products[0] += 1
+                return matvec(x)
+
+            theta, v = solve(dim, product, start, lock)
+            return theta, v, products[0]
+
+        def recorded(dim, matvec, start=None, lock=None):
+            theta, v, products = counted(dim, matvec, start, lock)
+            solves.append(((dim, matvec, start, lock), theta, v, products))
+            return theta, v
+
+        monkeypatch.setattr(hamiltonian, "_lowest_eigenpair", recorded)
+        instances = [(g, ts, cfg.zero_tol) for cfg, _, g, ts in fixture_zoo.values()]
+        instances += [(*random_instance(RING5, 2.0, seed), 1e-9) for seed in range(4)]
+        scheduled = [PreparedInstance(g, ts, zero_tol=tol) for g, ts, tol in instances]
+        monkeypatch.setattr(hamiltonian, "_lowest_eigenpair", solve)
+        monkeypatch.setattr(hamiltonian, "RITZ_SKIP", 0.0)
+        tested_later = 0
+        for args, theta, v, products in solves:
+            dim, matvec, _, lock = args
+            residual = np.linalg.norm(matvec(v) - theta * v)
+            assert residual <= GAP_RESIDUAL_TOL + 1e-13, (dim, residual)
+            assert abs(np.vdot(lock, v)) <= 1e-12
+            every_theta, _, every_products = counted(*args)
+            assert products >= every_products >= min(20, dim - 1), dim
+            assert theta == pytest.approx(every_theta, abs=1e-13), dim
+            tested_later += products > every_products
+        assert tested_later  # some stops moved
+        for (g, ts, tol), prep in zip(instances, scheduled):
+            every = PreparedInstance(g, ts, zero_tol=tol)
+            assert prep.gaps == pytest.approx(every.gaps, abs=1e-13)
+
+    def test_fresh_vectors_follow_the_start_draw(self):
+        # the start's fixed vector is built once per dimension, read-only;
+        # a breakdown goes on from the same generator's next draws
+        rng = np.random.default_rng(0)
+        draws = [rng.standard_normal(40) for _ in range(3)]
+        fixed = hamiltonian._fixed_draw(40)
+        assert hamiltonian._fixed_draw(40) is fixed and not fixed.flags.writeable
+        np.testing.assert_array_equal(fixed, draws[0])
+        fresh = hamiltonian._fresh_vectors(40)
+        np.testing.assert_array_equal(next(fresh), draws[1])
+        np.testing.assert_array_equal(next(fresh), draws[2])
+
     def test_clustered_levels(self):
         # two levels 1e-7 apart above the locked level 0: the stop must still
         # land within 1e-8 of the lower one
@@ -749,6 +829,27 @@ class TestTermCache:
                     assert (term.support, term.kind) == (fresh.support, fresh.kind), t
                     assert np.array_equal(term.matrix, fresh.matrix), t
 
+    def test_pair_forms_need_no_svd(self, monkeypatch, fixture_zoo):
+        # a form with both ends unprocessed has the orthonormal image
+        # omega (x) 1 and is built without an SVD; a boundary form needs one
+        calls = []
+        svd = linalg.svd
+
+        def counted(m):
+            calls.append(m.shape)
+            return svd(m)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        for name, (_, _, graph, tensors) in fixture_zoo.items():
+            for eid, (u, _) in enumerate(graph.edges):
+                calls.clear()
+                pair = parent_term(graph, tensors, eid, frozenset())
+                assert calls == [] and pair.kind == "edge_pair", (name, eid)
+                direct = edge_term_on_registers(graph, eid).matrix
+                assert np.abs(pair.matrix - direct).max() <= 1e-15, (name, eid)
+                parent_term(graph, tensors, eid, frozenset({u}))
+                assert len(calls) == 1, (name, eid)
+
 
 class TestHamiltonianExport:
     def test_terms_to_json_shape(self):
@@ -786,7 +887,8 @@ def _check_restriction(graph, hamiltonians, targets):
         processed = set(graph.order[:t])
         pairs = tuple(e for e, edge in enumerate(graph.edges) if processed.isdisjoint(edge))
         assert h.pair_edges == pairs, t
-        back = network.expand_pairs(graph, network.restrict_pairs(graph, psi, pairs), pairs)
+        slots = network.pair_slots(graph, pairs)
+        back = slots.expand(slots.restrict(psi))
         assert np.abs(back - psi).max() <= 1e-14, t
         if not 0 < len(pairs) < len(graph.edges):
             continue

@@ -626,7 +626,10 @@ class TestReports:
 
     # report_to_json(run_algorithm(chain3, 0.1, seed=7, mode="until_success")),
     # recorded while the records were frozen dataclasses; the gap digits
-    # were recorded again when parent terms came to be built from an SVD
+    # were recorded again when parent terms came to be built from an SVD,
+    # and again when pair-edge terms came to be built without one (step 1's
+    # energy of the target moved by 1.8e-16) and the Lanczos solve's
+    # recurrence went in place (step 3's lambda1 moved by 2.2e-16)
     GOLDEN_REPORT = """\
 {
   "alternation_cap": null,
@@ -634,9 +637,9 @@ class TestReports:
   "fidelity": 1.0,
   "gaps": [
     1.0,
-    0.9999999999999996,
+    0.9999999999999993,
     0.3835057341084228,
-    0.4125005980559755
+    0.4125005980559753
   ],
   "kappa_max": 4.508645458108852,
   "min_gap": 0.3835057341084228,
@@ -648,7 +651,7 @@ class TestReports:
     {
       "alternations": 0,
       "first_shot_probability": 0.9541436225731065,
-      "gap": 0.9999999999999996,
+      "gap": 0.9999999999999993,
       "kappa": 1.5615622576746238,
       "measurements": 1,
       "outcomes": [
@@ -678,7 +681,7 @@ class TestReports:
     {
       "alternations": 0,
       "first_shot_probability": 0.9610896159051636,
-      "gap": 0.4125005980559755,
+      "gap": 0.4125005980559753,
       "kappa": 1.5207043234358812,
       "measurements": 1,
       "outcomes": [
@@ -697,11 +700,12 @@ class TestReports:
         assert report_to_json(report) == self.GOLDEN_REPORT
 
     # sweep_csv of chain3 (trials=3, base_seed=1) with its first row made a
-    # failure without a fidelity, recorded while the header was a literal
+    # failure without a fidelity, recorded while the header was a literal;
+    # its gap digits were recorded again with GOLDEN_REPORT's
     ROW_TAIL = (
         "676.0389501446303,673.0389501446303,4.508645458108852,0.3835057341084228,"
         "0.9541436225731065,0.6891890873562899,0.9610896159051636,"
-        "1.0,0.9999999999999996,0.3835057341084228,0.4125005980559755\n"
+        "1.0,0.9999999999999993,0.3835057341084228,0.4125005980559753\n"
     )
     GOLDEN_CSV = (
         "instance,seed,success,fidelity,total_measurements,measurement_bound,"

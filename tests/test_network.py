@@ -243,7 +243,7 @@ class TestPairStateByIndex:
 
 
 class TestPairSlots:
-    """restrict_pairs and expand_pairs against one einsum each, on every edge subset."""
+    """PairSlots.restrict and PairSlots.expand against one einsum each, on every edge subset."""
 
     @pytest.mark.parametrize("name", PAIR_GRAPHS)
     def test_equal_to_einsum(self, name):
@@ -254,16 +254,17 @@ class TestPairSlots:
             itertools.combinations(edges, k) for k in range(len(graph.edges) + 1)
         )
         for pairs in subsets:
+            slots = network.pair_slots(graph, pairs)
             # random vectors hold no pairs, as a warm start need not
             state = random_complex(graph.global_dim, 1, rng)[:, 0]
             state /= np.linalg.norm(state)
-            got = network.restrict_pairs(graph, state, pairs)
+            got = slots.restrict(state)
             want = einsum_restrict_pairs(graph, state, pairs)
             assert got.shape == want.shape, pairs
             assert np.abs(got - want).max() <= 1e-15, pairs
             small = random_complex(len(want), 1, rng)[:, 0]
             small /= np.linalg.norm(small)
-            got = network.expand_pairs(graph, small, pairs)
+            got = slots.expand(small)
             want = einsum_expand_pairs(graph, small, pairs)
             assert got.shape == (graph.global_dim,), pairs
             assert np.abs(got - want).max() <= 1e-15, pairs

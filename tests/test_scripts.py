@@ -1,24 +1,33 @@
-"""The fixture generator reproduces the shipped fixtures."""
+"""The fixture generator reproduces the shipped fixtures; the output-drift
+script finds no drift between a tree and itself."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from peps_forge.harness import FIXTURE_NAMES, fixture_path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_fixtures.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "generate_fixtures.py"
+DRIFT = ROOT / "scripts" / "output_drift.py"
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def generator():
-    spec = importlib.util.spec_from_file_location("generate_fixtures", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(SCRIPT)
 
 
 def _assert_close(made, shipped, where: str) -> None:
@@ -47,3 +56,28 @@ def test_make_fixture_reproduces_the_shipped_fixture(generator, name):
     dump = {"sort_keys": True, "indent": 1}
     assert json.dumps(made["config"], **dump) == json.dumps(shipped["config"], **dump)
     _assert_close(made["expected"], shipped["expected"], "expected")
+
+
+def test_output_drift_of_a_tree_against_itself_is_identical():
+    # one fixture keeps the twelve CLI processes to a few seconds
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(DRIFT), src, src, "--fixture", "chain2"],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    commands = list(_load(DRIFT).COMMANDS)
+    assert [line.split()[:2] for line in lines] == [[c, "chain2"] for c in commands]
+    assert all(line.split()[2:] == ["identical"] for line in lines), proc.stdout
+
+
+def test_output_drift_reports_each_moved_field():
+    drift = _load(DRIFT).drift
+    old = '{"gaps": [1.0, 0.5], "name": "a", "steps": 3}'
+    new = '{"gaps": [1.0, 0.5000005], "name": "b", "steps": 3}'
+    assert drift(old, new) == ["gaps[]: 1.00e-06 (abs 5.0e-07)", "name: differs"]
+    old_csv = "seed,gap\n1,0.25\n2,0.5\n"
+    new_csv = "seed,gap\n1,0.25\n2,0.4999\n"
+    assert drift(old_csv, new_csv) == ["gap: 2.00e-04 (abs 1.0e-04)"]
+    assert drift(old_csv, "seed\n1\n2\n") == ["gap: only in one output"]
