@@ -6,13 +6,16 @@
 Runs ``run``, ``sweep`` (JSON and CSV), ``gap-scan``, ``verify-lemma1`` and
 ``cost-model --config`` on each fixture through ``python -m peps_forge.cli``,
 once with each ``src`` directory on ``PYTHONPATH``, both on the fixture file
-of ``OLD_SRC``. Prints one line per command and fixture: ``identical`` when
-the exit code and both output streams match exactly, otherwise the largest
-relative drift ``|a - b| / max(|a|, |b|)`` of each numeric field that moved,
-with the largest absolute drift for fields near zero (list positions and CSV
-rows folded into one field), and any field that differs in anything but its
-number. Exits 0 when every output is identical
-and 1 otherwise.
+of ``OLD_SRC``. The fixtures hold explicit tensors; the random-tensor configs
+in ``GENERATED`` cover sampling too. Each is written to a temporary
+directory, selected by name like a fixture and run with its own commands
+(``random-ring6``: ``verify-lemma1 --trials 8`` and ``gap-scan``).
+Prints one line per command and config: ``identical`` when the exit code
+and both output streams match exactly, otherwise the largest relative drift
+``|a - b| / max(|a|, |b|)`` of each numeric field that moved, with the
+largest absolute drift for fields near zero (list positions and CSV rows
+folded into one field), and any field that differs in anything but its
+number. Exits 0 when every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -35,6 +39,23 @@ COMMANDS = {
     "gap-scan": ("gap-scan", []),
     "verify-lemma1": ("verify-lemma1", ["--trials", "3"]),
     "cost-model": ("cost-model", []),
+}
+
+#: generated config name -> (config document, command labels); the
+#: commands sample the config's random tensors, so they see sampling drift
+GENERATED = {
+    "random-ring6": (
+        {
+            "graph": {"topology": "ring", "length": 6},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 17},
+            "seed": 0,
+        },
+        {
+            "verify-lemma1": ("verify-lemma1", ["--trials", "8"]),
+            "gap-scan": ("gap-scan", []),
+        },
+    ),
 }
 
 #: CLI processes run at once; each loads numpy and scipy
@@ -115,33 +136,43 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--fixture", action="append", help="only this fixture (repeatable)")
+    parser.add_argument(
+        "--fixture", action="append", help="only this fixture or generated config (repeatable)"
+    )
     args = parser.parse_args(argv)
     fixture_dir = args.old_src / "peps_forge" / "fixtures"
-    shipped = {p.stem: p.resolve() for p in fixture_dir.glob("*.json")}
-    names = args.fixture or sorted(shipped)
-    if not names or not set(names) <= set(shipped):
-        parser.error(f"fixtures {names} not all among those of OLD_SRC: {sorted(shipped)}")
-    cases = [(label, name) for name in names for label in COMMANDS]
-    jobs = [
-        (src, [COMMANDS[label][0], "--config", str(shipped[name]), *COMMANDS[label][1]])
-        for label, name in cases
-        for src in (args.old_src.resolve(), args.new_src.resolve())
-    ]
-    with ThreadPoolExecutor(WORKERS) as pool:
-        results = list(pool.map(lambda job: run_cli(*job), jobs))
+    shipped = {p.stem: (p.resolve(), COMMANDS) for p in fixture_dir.glob("*.json")}
+    known = sorted(shipped) + sorted(GENERATED)
+    names = args.fixture or known
+    if not names or not set(names) <= set(known):
+        parser.error(f"configs {names} not all among the fixtures of OLD_SRC and {known}")
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = dict(shipped)
+        for name, (doc, commands) in GENERATED.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            configs[name] = (path, commands)
+        cases = [(label, name) for name in names for label in configs[name][1]]
+        jobs = []
+        for label, name in cases:
+            path, commands = configs[name]
+            command, extra = commands[label]
+            for src in (args.old_src.resolve(), args.new_src.resolve()):
+                jobs.append((src, [command, "--config", str(path), *extra]))
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = list(pool.map(lambda job: run_cli(*job), jobs))
     identical = True
     for i, (label, name) in enumerate(cases):
         old, new = results[2 * i : 2 * i + 2]
         if old == new:
-            print(f"{label:14s} {name:8s} identical")
+            print(f"{label:14s} {name:12s} identical")
             continue
         identical = False
         lines = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
         lines += ["standard error differs"] if old[2] != new[2] else []
         if old[1] != new[1]:
             lines += drift(old[1], new[1]) or ["differs in layout only"]
-        print(f"{label:14s} {name:8s} " + "; ".join(lines))
+        print(f"{label:14s} {name:12s} " + "; ".join(lines))
     return 0 if identical else 1
 
 

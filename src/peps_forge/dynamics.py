@@ -113,9 +113,13 @@ def _prefix_targets(
     return targets, zs, overlaps
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lemma1StepCheck:
-    """Overlap and norm-ratio bound comparison at one step."""
+    """Overlap and norm-ratio bound comparison at one step.
+
+    Slotted rather than frozen, like :class:`VertexRecord`: a report builds
+    one per step. Treat it as read-only.
+    """
 
     step: int
     vertex: int
@@ -145,8 +149,9 @@ def verify_lemma1(
     and the squared-norm ratio is at least its smallest squared singular
     value. A violation beyond ``tol`` raises :class:`BoundViolationError`
     (it indicates an implementation bug, not a property of valid inputs).
+    The tensors are validated by the first prefix contraction, before any
+    work.
     """
-    check_tensors(g, tensors)
     _, zs, overlaps = _prefix_targets(g, tensors)
     checks = []
     for t, p in enumerate(overlaps):

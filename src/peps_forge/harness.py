@@ -10,6 +10,7 @@ unambiguous, diffable fixtures.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -102,26 +103,38 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"{where}/{key}", "unknown field")
 
 
+def _show(value) -> str:
+    """``repr`` of a document value for an error message; Python refuses to
+    print an integer past its int-string limit (4300 digits by default,
+    ``sys.get_int_max_str_digits``)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an integer too long to print"
+
+
 def _as_int(value, where: str, minimum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
+        raise ConfigError(where, f"expected an integer, got {_show(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(where, f"must be >= {minimum}, got {value}")
+        raise ConfigError(where, f"must be >= {minimum}, got {_show(value)}")
     return value
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; Python's ``json`` also reads ``Infinity`` and ``NaN``."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """A JSON number with a finite float value; Python's ``json`` also reads
+    ``Infinity`` and ``NaN``, and an integer past the float range has none."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _as_number(value, where: str) -> float:
     if not _is_number(value):
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
+        raise ConfigError(where, f"expected a finite number, got {_show(value)}")
     return float(value)
 
 
@@ -163,7 +176,7 @@ def _parse_graph(doc, where: str = "/graph") -> GraphSpec:
             or len(pair) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
         ):
-            raise ConfigError(f"{where}/edges/{i}", f"expected [u, v], got {pair!r}")
+            raise ConfigError(f"{where}/edges/{i}", f"expected [u, v], got {_show(pair)}")
         edges.append((min(pair), max(pair)))
     return GraphSpec(topology="custom", num_vertices=n, edges=tuple(edges))
 
@@ -214,7 +227,7 @@ def _parse_tensors(doc, where: str = "/tensors") -> TensorSpec:
                     _is_number(x) for x in cell
                 ):
                     raise ConfigError(
-                        f"{here}/{i}/{j}", f"expected finite [re, im], got {cell!r}"
+                        f"{here}/{i}/{j}", f"expected finite [re, im], got {_show(cell)}"
                     )
                 cells.append((float(cell[0]), float(cell[1])))
             rows.append(tuple(cells))
@@ -382,10 +395,12 @@ def random_tensors(
     generator that :class:`~peps_forge.streams.SeedStreams` puts at the
     start of each vertex's stream: singular values uniform in
     ``[1/kappa_max, 1]`` (no draw at ``kappa_max = 1``, which gives exact
-    isometries), then the Gaussians of a Haar isometry (physical x virtual)
-    and of a Haar unitary (virtual x virtual), real parts first. The map is
-    ``left @ diag(sigma) @ right^dag``. All Haar factors of one shape come
-    from one stacked QR, all maps of one shape from one stacked SVD.
+    isometries), then, in one ``standard_normal`` call split in this order,
+    the real and the imaginary Gaussians of a Haar isometry ``left``
+    (physical x virtual), then those of a Haar unitary ``right`` (virtual x
+    virtual). The map is ``left @ diag(sigma) @ right^dag``. All Haar
+    factors of one shape come from one stacked QR, all maps of one shape
+    from one stacked SVD.
     """
     if kappa_max < 1.0:
         raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
@@ -398,9 +413,10 @@ def random_tensors(
     for v, (p, r) in enumerate(shapes):
         streams.seed_bit_generator(bitgen, v)
         sigmas.append(np.ones(r) if kappa_max == 1.0 else rng.uniform(1.0 / kappa_max, 1.0, r))
-        for shape in ((p, r), (r, r)):
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            gaussians.setdefault(shape, []).append(z)
+        z = rng.standard_normal(2 * (p + r) * r)
+        left, right = z[: 2 * p * r].reshape(2, p, r), z[2 * p * r :].reshape(2, r, r)
+        gaussians.setdefault((p, r), []).append(left[0] + 1j * left[1])
+        gaussians.setdefault((r, r), []).append(right[0] + 1j * right[1])
     haar = {}
     for shape, zs in gaussians.items():
         q, upper = np.linalg.qr(np.stack(zs))
@@ -445,6 +461,20 @@ def _check_spec_dim(cfg: InstanceConfig) -> None:
             check_dim(dim, what)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _shape_graph(
+    num_vertices: int,
+    edges: tuple[tuple[int, int], ...],
+    bond_dim: int,
+    physical_dims: tuple[int, ...] | None,
+    order: tuple[int, ...] | None,
+) -> InteractionGraph:
+    """The graph of one instance shape; the last one built is kept."""
+    return InteractionGraph.build(
+        num_vertices, edges, bond_dim=bond_dim, physical_dims=physical_dims, order=order
+    )
+
+
 def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTensor]]:
     """Materialize the graph and canonicalized tensors of a configuration.
 
@@ -452,6 +482,11 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
     the graph is built or any tensor is sampled or decomposed, and so is
     every physical register: one too large to simulate raises
     :class:`~peps_forge.errors.CapacityError` without allocating it.
+    One graph is built per instance shape (vertex count, edges, bond
+    dimension, physical dimensions and order): a call of the same shape as
+    the previous one, such as the next tensor seed of ``verify-lemma1``,
+    reuses its graph, with the incident lists, register layout and
+    read-only pair state that the graph caches.
     """
     _check_spec_dim(cfg)
     n, edges = topology_edges(cfg.graph)
@@ -470,8 +505,12 @@ def build_instance(cfg: InstanceConfig) -> tuple[InteractionGraph, list[PepsTens
         # each (re, im) pair is the two float64 halves of one complex128
         matrices = [np.array(m, dtype=float).view(complex)[..., 0] for m in spec.entries]
         dims = tuple(m.shape[0] for m in matrices)
-    graph = InteractionGraph.build(
-        n, edges, bond_dim=cfg.bond_dim, physical_dims=dims, order=cfg.order
+    graph = _shape_graph(
+        n,
+        tuple((u, v) for u, v in edges),
+        cfg.bond_dim,
+        None if dims is None else tuple(dims),
+        None if cfg.order is None else tuple(cfg.order),
     )
     if spec.source == "random":
         return graph, random_tensors(graph, spec.kappa_max, spec.seed)

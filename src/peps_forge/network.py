@@ -17,9 +17,11 @@ significant (see :mod:`peps_forge.linalg`).
 
 Per-graph and per-map constants are computed once: a graph caches its
 incident edges, register dimensions and (read-only) pair state, and
-:func:`canonicalize_stack` takes the polar factors and singular values of
-same-shape maps from one stacked SVD (:func:`canonicalize` is its stack of
-one). :func:`apply_on_register` acts on one register with one matmul.
+:func:`~peps_forge.harness.build_instance` builds one graph per instance
+shape, so instances of one shape share them. :func:`canonicalize_stack`
+takes the polar factors and singular values of same-shape maps from one
+stacked SVD (:func:`canonicalize` is its stack of one).
+:func:`apply_on_register` acts on one register with one matmul.
 Chosen edges' pair slots are one flat index, one diagonal per edge
 (:func:`pair_slots`, built once per edge set by its caller):
 :meth:`PairSlots.restrict` contracts them with the pairs by a gather and a

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from peps_forge import harness
 from peps_forge.dynamics import (
     PreparedInstance,
     measure_zero_energy,
@@ -55,6 +57,26 @@ def random_config(
 
 def random_instance(graph: GraphSpec, kappa_max: float, tensor_seed: int, **kw):
     return build_instance(random_config(graph, kappa_max, tensor_seed, **kw))
+
+
+def count_pair_state_builds(monkeypatch) -> list[InteractionGraph]:
+    """Record every graph whose cached pair state is built from now on.
+
+    Also empties ``build_instance``'s graph memo, so that a graph whose pair
+    state an earlier test built is not handed out again.
+    """
+    builds = []
+    build = vars(InteractionGraph)["_pair_state"].func
+
+    def counting_build(self):
+        builds.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counting_build)
+    prop.__set_name__(InteractionGraph, "_pair_state")
+    monkeypatch.setattr(InteractionGraph, "_pair_state", prop)
+    harness._shape_graph.cache_clear()
+    return builds
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from _helpers import CHAIN2, CHAIN3, CHAIN4, RING4, random_instance
-from peps_forge import network
 from peps_forge.dynamics import (
     markov_trials,
     p_term,
@@ -24,12 +23,7 @@ from peps_forge.dynamics import (
     verify_failure_tail,
     verify_lemma1,
 )
-from peps_forge.hamiltonian import (
-    assemble_step,
-    edge_term_on_registers,
-    ground_analysis,
-    parent_term,
-)
+from peps_forge.hamiltonian import edge_term_on_registers, parent_term
 from peps_forge.harness import (
     FIXTURE_NAMES,
     chi_square_vs_markov,
@@ -165,7 +159,7 @@ def test_criterion_4_end_to_end_fidelity(prepared_zoo):
     )
 
 
-def test_criterion_5_parent_hamiltonian_correctness(fixture_zoo):
+def test_criterion_5_parent_hamiltonian_correctness(fixture_zoo, solved_steps):
     """Zero ground energy, uniqueness, positive gap, identity-map reduction."""
     worst_lambda0 = 0.0
     worst_fidelity = 1.0
@@ -173,12 +167,12 @@ def test_criterion_5_parent_hamiltonian_correctness(fixture_zoo):
     worst_identity_gap = 0.0
     steps = 0
     for name, (_, _, graph, tensors) in fixture_zoo.items():
-        for t in range(graph.num_vertices + 1):
-            h = assemble_step(graph, tensors, t)
-            spectrum = h.spectral.eigenvalues
+        # each step's assemble_step, its ground_analysis (which raises unless
+        # the zero kernel is unique), contraction target and dense spectrum
+        for step in solved_steps[name]:
+            spectrum = step.eigenvalues
             assert spectrum[0] >= -1e-9  # PSD
-            analysis = ground_analysis(h)  # raises unless unique zero kernel
-            target, _ = network.contract_partial(graph, tensors, t)
+            analysis, target = step.searched, step.target
             fid = abs(np.vdot(analysis.ground_state, target)) ** 2
             worst_lambda0 = max(worst_lambda0, abs(analysis.lambda0))
             worst_fidelity = min(worst_fidelity, fid)

@@ -161,6 +161,32 @@ class TestVerifyLemma1:
         assert check.kappa == pytest.approx(3.0)
         assert check.overlap_margin == pytest.approx(0.8 - 1.0 / 9.0, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ts: ts[:1], "need 2 tensors, got 1"),
+            (lambda ts: ts[::-1], "tensor at position 0 is labeled 1"),
+            (lambda ts: [ts[0], canonicalize(1, np.eye(3, 2))], "tensor at vertex 1 has shape"),
+        ],
+        ids=["count", "label", "shape"],
+    )
+    def test_mismatched_tensors_rejected_before_any_work(self, monkeypatch, edit, message):
+        # the first prefix contraction validates the tensors before the pair
+        # state is read
+        def unreachable(g):
+            raise AssertionError("the pair state was read before the tensors were checked")
+
+        monkeypatch.setattr(network, "pair_state", unreachable)
+        g = InteractionGraph.build(2, [(0, 1)])
+        tensors = [canonicalize(v, np.eye(2)) for v in range(2)]
+        with pytest.raises(InvalidInputError, match=message):
+            verify_lemma1(g, edit(tensors))
+
+    def test_steps_are_slotted(self):
+        g = InteractionGraph.build(2, [(0, 1)])
+        report = verify_lemma1(g, [canonicalize(v, np.eye(2)) for v in range(2)])
+        assert all(not hasattr(step, "__dict__") for step in report.steps)
+
     def test_many_random_chains_no_violation(self):
         for seed in range(25):
             graph, tensors = random_instance(CHAIN3, 5.0, 300 + seed)

@@ -330,17 +330,15 @@ class TestMatrixFree:
             with pytest.raises(ValueError):
                 h.apply(np.ones(dim, dtype=complex))
 
-    def test_spectrum_matches_dense_oracle(self, fixture_zoo):
+    def test_spectrum_matches_dense_oracle(self, solved_steps):
         # the certified contraction target and the searched ground state give
         # the same spectrum as the dense oracle and the same state
-        for name, (_, _, graph, tensors) in fixture_zoo.items():
-            for t in range(graph.num_vertices + 1):
-                h = assemble_step(graph, tensors, t)
-                target, _ = network.contract_partial(graph, tensors, t)
-                searched = ground_analysis(h)
-                certified = ground_analysis(h, kernel=target)
+        for name, steps in solved_steps.items():
+            for t, step in enumerate(steps):
+                h, searched = step.hamiltonian, step.searched
+                certified = ground_analysis(h, kernel=step.target)
                 assert _dense_free(h), (name, t)
-                lam = h.spectral.eigenvalues
+                lam = step.eigenvalues
                 for ga in (searched, certified):
                     assert ga.lambda0 == pytest.approx(lam[0], abs=1e-8), (name, t)
                     assert ga.lambda1 == pytest.approx(lam[1], abs=1e-8), (name, t)

@@ -9,9 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import CHAIN3, per_vertex_tensors, random_config, random_instance
+from _helpers import (
+    CHAIN3,
+    RING4,
+    count_pair_state_builds,
+    per_vertex_tensors,
+    random_config,
+    random_instance,
+)
 from peps_forge import harness
-from peps_forge.dynamics import PreparedInstance, run_algorithm
+from peps_forge.dynamics import PreparedInstance, run_algorithm, verify_lemma1
 from peps_forge.errors import CapacityError, ConfigError, InvalidInputError
 from peps_forge.limits import MAX_TRIALS, check_dim
 from peps_forge.harness import (
@@ -119,6 +126,17 @@ class TestConfigSchema:
                 id="zero_tol=0.9",
             ),
             (lambda d: d.__setitem__("tolerances", {"other": 1.0}), "/tolerances/other"),
+            # Python refuses to print an int past 4300 digits; the message
+            # must still be built
+            pytest.param(
+                lambda d: d.__setitem__("seed", -(10**5000)), "/seed", id="seed=-10**5000"
+            ),
+            pytest.param(lambda d: d.__setitem__("eps", 10**5000), "/eps", id="eps=10**5000"),
+            pytest.param(
+                lambda d: d.__setitem__("bond_dim", [10**5000]),
+                "/bond_dim",
+                id="bond_dim=[10**5000]",
+            ),
         ],
     )
     def test_schema_errors_carry_locations(self, mutate, location):
@@ -137,9 +155,15 @@ class TestConfigSchema:
             (("tolerances", "zero_tol"), "/tolerances/zero_tol"),
         ],
     )
-    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["Infinity", "-Infinity", "NaN", "1" + "0" * 400, "-1" + "0" * 400],
+        ids=["Infinity", "-Infinity", "NaN", "10**400", "-10**400"],
+    )
     def test_non_finite_numbers_rejected(self, tmp_path, path, location, literal):
-        # Python's json reads these literals; the schema must not
+        # Python's json reads these literals; the schema must not. An integer
+        # past the float range has no float to become and must not escape as
+        # an OverflowError
         doc = _minimal_doc()
         doc["tolerances"] = {"zero_tol": 1e-9}
         parent = doc
@@ -157,6 +181,13 @@ class TestConfigSchema:
         cfg, _ = load_fixture("chain2")
         doc = config_to_dict(cfg)
         doc["tensors"]["entries"][1][1][0] = [float("nan"), 0.0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.location == "/tensors/entries/1/1/0"
+
+    def test_explicit_entry_past_the_float_range_rejected(self):
+        doc = config_to_dict(load_fixture("chain2")[0])
+        doc["tensors"]["entries"][1][1][0] = [0.5, 10**400]
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
         assert err.value.location == "/tensors/entries/1/1/0"
@@ -455,6 +486,46 @@ class TestBuildInstance:
         assert "more than 10^4816" in str(info.value)
         assert len(str(info.value)) < 200
 
+    def test_one_shape_shares_one_graph(self, monkeypatch):
+        # two tensor seeds of one shape: one graph, and its pair state is
+        # built once across both Lemma 1 checks
+        builds = count_pair_state_builds(monkeypatch)
+        first, first_tensors = random_instance(RING4, 2.0, 11)
+        verify_lemma1(first, first_tensors)
+        second, second_tensors = random_instance(RING4, 2.0, 12)
+        verify_lemma1(second, second_tensors)
+        assert second is first
+        assert builds == [first]
+        assert not np.array_equal(first_tensors[0].matrix, second_tensors[0].matrix)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"order": (2, 0, 1)},
+            {"physical_dims": (3, 4, 2)},
+            {"bond_dim": 3},
+        ],
+        ids=["order", "physical_dims", "bond_dim"],
+    )
+    def test_another_shape_builds_another_graph(self, change):
+        base = random_config(CHAIN3, 2.0, 5)
+        graph, _ = build_instance(base)
+        other, _ = build_instance(random_config(CHAIN3, 2.0, 5, **change))
+        assert other != graph
+        # the memo keeps the last graph only
+        again, _ = build_instance(base)
+        assert again == graph and again is not graph
+        assert harness._shape_graph.cache_info().currsize == 1
+
+    def test_lowered_cap_fails_after_a_memo_hit(self, monkeypatch):
+        graph, _ = random_instance(RING4, 2.0, 1)
+        hits = harness._shape_graph.cache_info().hits
+        assert random_instance(RING4, 2.0, 2)[0] is graph
+        assert harness._shape_graph.cache_info().hits == hits + 1
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", str(graph.global_dim - 1))
+        with pytest.raises(CapacityError):
+            random_instance(RING4, 2.0, 3)
+
     def test_capacity_checked_for_explicit_entries(self, monkeypatch):
         cfg, _ = load_fixture("chain3")
         monkeypatch.setenv("PEPS_FORGE_DIM_CAP", "8")
@@ -629,7 +700,10 @@ class TestReports:
     # were recorded again when parent terms came to be built from an SVD,
     # and again when pair-edge terms came to be built without one (step 1's
     # energy of the target moved by 1.8e-16) and the Lanczos solve's
-    # recurrence went in place (step 3's lambda1 moved by 2.2e-16)
+    # recurrence went in place (step 3's lambda1 moved by 2.2e-16). A last
+    # gap digit can depend on the process's allocation history; these are
+    # the digits that a fresh `peps-forge run` (and `sweep --format csv`,
+    # for ROW_TAIL) prints, and they match this test session's
     GOLDEN_REPORT = """\
 {
   "alternation_cap": null,

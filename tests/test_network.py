@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -12,6 +11,7 @@ import pytest
 from _helpers import (
     CHAIN3,
     RING4,
+    count_pair_state_builds,
     einsum_apply,
     einsum_expand_pairs,
     einsum_pair_state,
@@ -166,16 +166,7 @@ class TestPairState:
 
     @pytest.mark.parametrize("consumer", ["verify_lemma1", "PreparedInstance"])
     def test_built_once_per_graph(self, consumer, monkeypatch):
-        builds = []
-        build = vars(InteractionGraph)["_pair_state"].func
-
-        def counting_build(self):
-            builds.append(self)
-            return build(self)
-
-        prop = functools.cached_property(counting_build)
-        prop.__set_name__(InteractionGraph, "_pair_state")
-        monkeypatch.setattr(InteractionGraph, "_pair_state", prop)
+        builds = count_pair_state_builds(monkeypatch)
         graph, tensors = random_instance(RING4, 2.0, 11)
         if consumer == "verify_lemma1":
             verify_lemma1(graph, tensors)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from _helpers import einsum_pair_state
 from peps_forge import network
 from peps_forge.dynamics import PreparedInstance, verify_lemma1
+from peps_forge.errors import ConfigError
 from peps_forge.hamiltonian import ground_analysis
 from peps_forge.harness import (
     GraphSpec,
@@ -187,3 +188,134 @@ def test_warm_started_gaps_match_cold_solves_on_two_components(cfg):
     for t, (h, warm) in enumerate(zip(prep.hamiltonians, prep.analyses)):
         cold = ground_analysis(h, kernel=prep.targets[t])
         assert warm.gap == pytest.approx(cold.gap, abs=1e-12), t
+
+
+#: values that sit on a schema bound or break a type: zeros, ones, integers
+#: past int64, the float range and Python's int-string limit, subnormals,
+#: the float below 1, non-finite floats, booleans, null, strings and
+#: containers
+BOUNDARY_VALUES = (
+    0,
+    1,
+    -1,
+    2**63,
+    2**64 + 1,
+    10**400,
+    -(10**400),
+    10**5000,
+    -(10**5000),
+    5e-324,
+    2.2250738585072014e-308,
+    1.0 - 2.0**-53,
+    0.0,
+    -0.0,
+    1.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    True,
+    False,
+    None,
+    "",
+    "ring",
+    [],
+    [0, 1],
+    [[0, 1]],
+    {},
+    {"zero_tol": 0.25},
+)
+
+
+@st.composite
+def valid_documents(draw):
+    """A config document that :func:`parse_config` accepts: any topology,
+    random or explicit tensors, and each optional field present or not."""
+    topology = draw(st.sampled_from(["chain", "ring", "grid", "custom"]))
+    if topology in ("chain", "ring"):
+        graph = {"topology": topology, "length": draw(st.integers(3, 6))}
+    elif topology == "grid":
+        graph = {
+            "topology": "grid",
+            "rows": draw(st.integers(1, 3)),
+            "cols": draw(st.integers(2, 3)),
+        }
+    else:
+        n = draw(st.integers(2, 4))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(list)
+        edges = draw(st.lists(pairs, min_size=1, max_size=3))
+        graph = {"topology": "custom", "num_vertices": n, "edges": edges}
+    if draw(st.booleans()):
+        tensors = {
+            "source": "random",
+            "kappa_max": draw(st.floats(1.0, 10.0)),
+            "seed": draw(st.integers(0, 2**64)),
+        }
+        if draw(st.booleans()):
+            tensors["physical_dims"] = draw(st.none() | st.lists(st.integers(1, 16), max_size=4))
+    else:
+        cell = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+        matrix = st.integers(1, 2).flatmap(
+            lambda width: st.lists(
+                st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=2
+            )
+        )
+        entries = draw(st.lists(matrix, min_size=1, max_size=2))
+        edge_order = [draw(st.lists(st.integers(0, 3), max_size=2)) for _ in entries]
+        tensors = {"source": "explicit", "entries": entries, "edge_order": edge_order}
+    doc = {
+        "graph": graph,
+        "bond_dim": draw(st.integers(2, 3)),
+        "tensors": tensors,
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    optional = {
+        "order": st.none() | st.lists(st.integers(0, 5), max_size=4),
+        "eps": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "c": st.floats(1e-3, 1e3),
+        "tolerances": st.fixed_dictionaries({}, optional={"zero_tol": st.floats(1e-12, 0.25)}),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    return doc
+
+
+def _positions(node):
+    """Every (container, key) position in a nested document, outermost first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _positions(value)
+
+
+def _parses_or_config_error(doc) -> None:
+    try:
+        cfg = parse_config(doc)
+    except ConfigError as exc:
+        assert exc.location == "" or exc.location.startswith("/"), exc.location
+    else:
+        assert isinstance(cfg, InstanceConfig)
+
+
+@settings(max_examples=30, deadline=1000, derandomize=True, database=None)
+@given(valid_documents())
+def test_parse_config_returns_or_raises_config_error(doc):
+    """A valid document, and each single edit of it, either parses or fails
+    with a located ``ConfigError``. The edits: every field or list entry set
+    to each of ``BOUNDARY_VALUES``, every key deleted, and an unknown key
+    added to every object."""
+    assert isinstance(parse_config(doc), InstanceConfig)
+    for node, key in list(_positions(doc)):
+        old = node[key]
+        for value in BOUNDARY_VALUES:
+            node[key] = value
+            _parses_or_config_error(doc)
+        if isinstance(node, dict):
+            del node[key]
+            _parses_or_config_error(doc)
+        node[key] = old
+    for node in [doc, *(node[key] for node, key in _positions(doc))]:
+        if isinstance(node, dict):
+            node["extra"] = 1
+            _parses_or_config_error(doc)
+            del node["extra"]

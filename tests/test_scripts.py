@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from peps_forge.harness import FIXTURE_NAMES, fixture_path
+from peps_forge.harness import FIXTURE_NAMES, fixture_path, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "generate_fixtures.py"
@@ -70,6 +70,38 @@ def test_output_drift_of_a_tree_against_itself_is_identical():
     commands = list(_load(DRIFT).COMMANDS)
     assert [line.split()[:2] for line in lines] == [[c, "chain2"] for c in commands]
     assert all(line.split()[2:] == ["identical"] for line in lines), proc.stdout
+
+
+def test_output_drift_generated_config_is_selectable_by_name(monkeypatch, capsys):
+    # no CLI process: each job records its arguments and reads its config
+    drift = _load(DRIFT)
+    seen = []
+
+    def fake_run_cli(src, args):
+        config = Path(args[args.index("--config") + 1])
+        cfg = parse_config(json.loads(config.read_text(encoding="utf-8")))
+        seen.append((args[0], args[args.index("--config") + 2 :], cfg))
+        return 0, "{}", ""
+
+    monkeypatch.setattr(drift, "run_cli", fake_run_cli)
+    src = str(ROOT / "src")
+    assert drift.main([src, src, "--fixture", "random-ring6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["verify-lemma1", "random-ring6", "identical"],
+        ["gap-scan", "random-ring6", "identical"],
+    ]
+    # both trees run each command on the same random-tensor ring (the jobs
+    # run on a thread pool, in any order)
+    assert sorted((command, extra) for command, extra, _ in seen) == [
+        ("gap-scan", []),
+        ("gap-scan", []),
+        ("verify-lemma1", ["--trials", "8"]),
+        ("verify-lemma1", ["--trials", "8"]),
+    ]
+    for _, _, cfg in seen:
+        assert (cfg.graph.topology, cfg.graph.length) == ("ring", 6)
+        assert cfg.tensors.source == "random"
 
 
 def test_output_drift_reports_each_moved_field():
