@@ -9,7 +9,9 @@ once with each ``src`` directory on ``PYTHONPATH``, both on the fixture file
 of ``OLD_SRC``. The fixtures hold explicit tensors; the random-tensor configs
 in ``GENERATED`` cover sampling too. Each is written to a temporary
 directory, selected by name like a fixture and run with its own commands
-(``random-ring6``: ``verify-lemma1 --trials 8`` and ``gap-scan``).
+(``random-ring6``: ``verify-lemma1 --trials 8`` and ``gap-scan``;
+``random-ring5``: ``run``, ``sweep --trials 100 --format csv`` and
+``gap-scan``).
 Prints one line per command and config: ``identical`` when the exit code
 and both output streams match exactly, otherwise the largest relative drift
 ``|a - b| / max(|a|, |b|)`` of each numeric field that moved, with the
@@ -54,6 +56,20 @@ GENERATED = {
         {
             "verify-lemma1": ("verify-lemma1", ["--trials", "8"]),
             "gap-scan": ("gap-scan", []),
+        },
+    ),
+    # the shape the benchmark prepares: sampling drift reaches the driver
+    "random-ring5": (
+        {
+            "graph": {"topology": "ring", "length": 5},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 0},
+            "seed": 0,
+        },
+        {
+            "run": COMMANDS["run"],
+            "sweep-csv": COMMANDS["sweep-csv"],
+            "gap-scan": COMMANDS["gap-scan"],
         },
     ),
 }

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, hamiltonian, harness
+from . import dynamics, hamiltonian, harness, limits
 from .dynamics import PreparedInstance, run_algorithm
 from .errors import (
     BoundViolationError,
@@ -88,6 +88,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify_lemma1(args) -> int:
     if args.trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {args.trials}")
+    limits.check_trials(args.trials)
     cfg = harness.load_config(args.config)
     instances = args.trials if cfg.tensors.source == "random" else 1
     min_p_margin = math.inf

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     BoundViolationError,
+    CapacityError,
     InvalidInputError,
     OrthogonalTargetsError,
 )
@@ -40,12 +41,11 @@ from .hamiltonian import (
     assemble_step,
     ground_analysis,
 )
-from .limits import check_dim, check_trials
+from .limits import MAX_CHAIN_ROUNDS, check_dim, check_trials
 from .linalg import ZERO_TOL
 from .network import (
     InteractionGraph,
     PepsTensor,
-    check_tensors,
     contract_partial,
     peps_state,
     restore_gauge,
@@ -323,6 +323,8 @@ def markov_trials(
 
     Returns boolean ``terminated`` and integer ``measurements`` arrays of
     length ``trials``, at most :data:`~peps_forge.limits.MAX_TRIALS`.
+    ``max_alternations * trials`` may not exceed
+    :data:`~peps_forge.limits.MAX_CHAIN_ROUNDS`, checked before any draw.
     Statistics match the scalar simulation; the draw order differs, so
     individual trajectories are not comparable.
     """
@@ -332,6 +334,8 @@ def markov_trials(
     check_trials(trials)
     if max_alternations < 0:
         raise InvalidInputError("max_alternations must be >= 0")
+    if max_alternations * trials > MAX_CHAIN_ROUNDS:
+        raise CapacityError(f"max_alternations * trials must be at most {MAX_CHAIN_ROUNDS}")
     terminated = rng.random(trials) < p
     used = np.ones(trials, dtype=np.int64)
     active = ~terminated
@@ -494,7 +498,6 @@ class PreparedInstance:
         # the reference state below needs the physical register product;
         # check it before any step is assembled or solved
         check_dim(math.prod(graph.physical_dims), "contracted state")
-        check_tensors(graph, tensors)
         self.graph = graph
         self.tensors = list(tensors)
         self.zero_tol = float(zero_tol)

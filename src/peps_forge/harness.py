@@ -35,7 +35,7 @@ from .dynamics import (
 from .errors import CapacityError, ConfigError, InvalidInputError
 from .limits import check_dim, check_trials, dim_cap
 from .linalg import ZERO_TOL
-from .network import InteractionGraph, PepsTensor, canonicalize, canonicalize_stack
+from .network import InteractionGraph, PepsTensor, canonicalize, polar_tensor
 from .streams import TENSORS, SeedStreams
 
 TOPOLOGIES = ("chain", "ring", "grid", "custom")
@@ -398,14 +398,14 @@ def random_tensors(
     isometries), then, in one ``standard_normal`` call split in this order,
     the real and the imaginary Gaussians of a Haar isometry ``left``
     (physical x virtual), then those of a Haar unitary ``right`` (virtual x
-    virtual). The map is ``left @ diag(sigma) @ right^dag``. All Haar
-    factors of one shape come from one stacked QR, all maps of one shape
-    from one stacked SVD.
+    virtual). The map is ``left @ diag(sigma) @ right^dag``, and these
+    drawn factors are its SVD: its polar factors come from them
+    (:func:`~peps_forge.network.polar_tensor`), with no decomposition of the
+    map. All Haar factors of one shape come from one stacked QR.
     """
     if kappa_max < 1.0:
         raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
-    n = graph.num_vertices
-    shapes = [(graph.physical_dims[v], graph.register_dim(v)) for v in range(n)]
+    shapes = list(zip(graph.physical_dims, graph.register_dims))
     streams = SeedStreams(seed, TENSORS)
     bitgen = np.random.PCG64(0)  # any seed: each vertex assigns its own state
     rng = np.random.Generator(bitgen)
@@ -422,15 +422,10 @@ def random_tensors(
         q, upper = np.linalg.qr(np.stack(zs))
         diag = np.diagonal(upper, axis1=1, axis2=2)
         haar[shape] = iter(q * (diag / np.abs(diag)).conj()[:, None, :])
-    maps: dict[tuple[int, int], list] = {}
+    tensors = []
     for v, (p, r) in enumerate(shapes):
-        left, right = next(haar[p, r]), next(haar[r, r])
-        maps.setdefault((p, r), []).append((v, (left * sigmas[v]) @ right.conj().T))
-    tensors = [None] * n
-    for members in maps.values():
-        vertices, stack = zip(*members)
-        for t in canonicalize_stack(vertices, np.stack(stack)):
-            tensors[t.vertex] = t
+        left, vh = next(haar[p, r]), next(haar[r, r]).conj().T
+        tensors.append(polar_tensor(v, (left * sigmas[v]) @ vh, left, sigmas[v], vh))
     return tensors
 
 
@@ -534,8 +529,10 @@ def to_explicit_config(
 ) -> InstanceConfig:
     """Pin a built instance into an explicit-entries configuration.
 
-    The resulting config reproduces the instance bit-exactly without any
-    random sampling, which is how fixtures are frozen.
+    The resulting config reproduces the instance's maps bit-exactly without
+    any random sampling, which is how fixtures are frozen. Its polar factors
+    come from an SVD of each map, so those of a random instance, which come
+    from the drawn factors, agree to rounding error (about 1e-15).
     """
     entries = tuple(
         tuple(

@@ -6,7 +6,9 @@ by term and never stored as matrices (the dense ``global_matrix`` is a test
 oracle), so memory grows with such vectors, up to the 65 of a Lanczos basis,
 not with their square. The default suits desk-scale experiments; set
 ``PEPS_FORGE_DIM_CAP`` to override. Batches of trials keep a record or a
-draw per trial, so their count is capped at :data:`MAX_TRIALS`.
+draw per trial, so their count is capped at :data:`MAX_TRIALS`, and a
+batch of repair chains may run up to ``m`` rounds per trial, so its rounds
+are capped at :data:`MAX_CHAIN_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ from .errors import CapacityError, InvalidInputError
 
 DEFAULT_DIM_CAP = 4096
 
-#: most trials one sweep or Lemma 2 batch runs
+#: most trials one sweep, Lemma 1 scan or Lemma 2 batch runs
 MAX_TRIALS = 10**6
+
+#: most chain rounds (alternation cap times trials) one Lemma 2 batch may
+#: run, about a second of draws when no chain lands
+MAX_CHAIN_ROUNDS = 10**8
 
 _ENV_VAR = "PEPS_FORGE_DIM_CAP"
 

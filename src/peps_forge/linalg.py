@@ -44,10 +44,7 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingularDecomposition:
-    """Thin SVD ``a = u @ diag(sigma) @ vh`` with ``sigma`` descending.
-
-    Of a stack, each field stacks its matrices' factors.
-    """
+    """Thin SVD ``a = u @ diag(sigma) @ vh`` with ``sigma`` descending."""
 
     u: np.ndarray
     sigma: np.ndarray
@@ -68,16 +65,12 @@ class SpectralDecomposition:
 
 
 def svd(m: np.ndarray) -> SingularDecomposition:
-    """Thin singular value decomposition of a matrix or a stack of matrices.
+    """Thin singular value decomposition of one finite matrix.
 
-    A stack of shape ``(k, rows, cols)`` is decomposed in one LAPACK sweep,
-    matrix by matrix, with the same results as ``k`` separate calls. Raises
-    :class:`NumericalFailureError` if the iterative solver does not
+    Raises :class:`NumericalFailureError` if the iterative solver does not
     converge (rare, but possible for pathological inputs).
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"SVD needs finite matrices, got shape {m.shape}")
+    m = as_matrix(m, "SVD input")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:

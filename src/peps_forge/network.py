@@ -18,9 +18,10 @@ significant (see :mod:`peps_forge.linalg`).
 Per-graph and per-map constants are computed once: a graph caches its
 incident edges, register dimensions and (read-only) pair state, and
 :func:`~peps_forge.harness.build_instance` builds one graph per instance
-shape, so instances of one shape share them. :func:`canonicalize_stack`
-takes the polar factors and singular values of same-shape maps from one
-stacked SVD (:func:`canonicalize` is its stack of one).
+shape, so instances of one shape share them. :func:`polar_tensor` builds
+a map's polar factors from its singular factors: :func:`canonicalize`
+takes them from one SVD of a given map, the random sampler hands over the
+factors it drew.
 :func:`apply_on_register` acts on one register with one matmul.
 Chosen edges' pair slots are one flat index, one diagonal per edge
 (:func:`pair_slots`, built once per edge set by its caller):
@@ -208,41 +209,37 @@ class PepsTensor:
 
 
 def canonicalize(vertex: int, matrix: np.ndarray) -> PepsTensor:
-    """Polar-decompose one vertex map; see :func:`canonicalize_stack`."""
+    """Polar-decompose one tall or square vertex map by one thin SVD
+    ``matrix = u @ diag(sigma) @ vh`` (see :func:`polar_tensor`)."""
     m = linalg.as_matrix(matrix, f"tensor at vertex {vertex}")
-    return canonicalize_stack((vertex,), m[None])[0]
-
-
-def canonicalize_stack(vertices: tuple[int, ...], maps: np.ndarray) -> list[PepsTensor]:
-    """Polar-decompose a stack of same-shape vertex maps and package them.
-
-    One stacked thin SVD ``maps[i] = u @ diag(sigma) @ vh`` gives all three
-    fields of ``vertices[i]``: the isometry ``u @ vh``, the positive factor
-    ``vh^dag @ diag(sigma) @ vh`` (symmetrized) and the singular values. The
-    maps must be tall or square; rank deficiency raises
-    :class:`InjectivityError`, since the whole construction relies on
-    left-invertibility.
-    """
-    maps = np.asarray(maps, dtype=complex)
-    rows, cols = maps.shape[1:]
+    rows, cols = m.shape
     if rows < cols:
         raise InvalidInputError(
-            f"tensor at vertex {vertices[0]} must have rows >= cols, got {rows}x{cols}"
+            f"tensor at vertex {vertex} must have rows >= cols, got {rows}x{cols}"
         )
-    dec = linalg.svd(maps)
-    for v, sigma in zip(vertices, dec.sigma):
-        if sigma[-1] <= linalg.RANK_RTOL * sigma[0] or sigma[0] == 0.0:
-            raise InjectivityError(
-                f"tensor at vertex {v} is rank deficient: "
-                f"sigma_min={sigma[-1]:.3e}, sigma_max={sigma[0]:.3e}"
-            )
-    psd = (dec.vh.conj().swapaxes(1, 2) * dec.sigma[:, None, :]) @ dec.vh
-    isometries = dec.u @ dec.vh
-    positive = (psd + psd.conj().swapaxes(1, 2)) / 2
-    return [
-        PepsTensor(v, maps[i], isometries[i], positive[i], dec.sigma[i])
-        for i, v in enumerate(vertices)
-    ]
+    dec = linalg.svd(m)
+    return polar_tensor(vertex, m, dec.u, dec.sigma, dec.vh)
+
+
+def polar_tensor(
+    vertex: int, matrix: np.ndarray, u: np.ndarray, sigma: np.ndarray, vh: np.ndarray
+) -> PepsTensor:
+    """Package a vertex map from its singular factors ``matrix = u @ diag(sigma) @ vh``.
+
+    ``u`` is an isometry, ``vh`` a unitary and ``sigma`` the singular values
+    in any order. The isometry is ``u @ vh``, the positive factor
+    ``vh^dag @ diag(sigma) @ vh`` (symmetrized), and the singular values are
+    stored descending. Rank deficiency raises :class:`InjectivityError`,
+    since the whole construction relies on left-invertibility.
+    """
+    desc = np.sort(sigma)[::-1]
+    if desc[-1] <= linalg.RANK_RTOL * desc[0] or desc[0] == 0.0:
+        raise InjectivityError(
+            f"tensor at vertex {vertex} is rank deficient: "
+            f"sigma_min={desc[-1]:.3e}, sigma_max={desc[0]:.3e}"
+        )
+    psd = (vh.conj().T * sigma) @ vh
+    return PepsTensor(vertex, matrix, u @ vh, (psd + psd.conj().T) / 2, desc)
 
 
 def check_tensors(g: InteractionGraph, tensors: list[PepsTensor]) -> None:

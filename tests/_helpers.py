@@ -132,9 +132,10 @@ def per_vertex_tensors(
 ) -> list[PepsTensor]:
     """Reference for ``harness.random_tensors``: each vertex on its own.
 
-    One generator, one QR per Haar factor and one SVD per map, drawn in the
-    documented order: singular values (only for ``kappa_max > 1``), then the
-    Gaussians of the left and the right factor.
+    One generator and one QR per Haar factor, drawn in the documented order:
+    singular values (only for ``kappa_max > 1``), then the Gaussians of the
+    left and the right factor. The polar factors come from these drawn
+    factors, with no SVD of the map.
     """
     tensors = []
     for v in range(graph.num_vertices):
@@ -146,10 +147,11 @@ def per_vertex_tensors(
             sigmas = rng.uniform(1.0 / kappa_max, 1.0, size=cols)
         left = haar_isometry(rows, cols, rng)
         right = haar_isometry(cols, cols, rng)
-        matrix = (left * sigmas) @ right.conj().T
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        psd = (vh.conj().T * s) @ vh
-        tensors.append(PepsTensor(v, matrix, u @ vh, (psd + psd.conj().T) / 2, s))
+        vh = right.conj().T
+        matrix = (left * sigmas) @ vh
+        psd = (right * sigmas) @ vh
+        descending = np.sort(sigmas)[::-1]
+        tensors.append(PepsTensor(v, matrix, left @ vh, (psd + psd.conj().T) / 2, descending))
     return tensors
 
 

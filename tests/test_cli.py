@@ -15,6 +15,7 @@ import pytest
 
 import peps_forge
 from peps_forge import cli, dynamics, harness, limits
+from peps_forge.errors import BoundViolationError
 from peps_forge.harness import fixture_path
 
 
@@ -26,6 +27,19 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
 
 CHAIN2 = str(fixture_path("chain2"))
 CHAIN3 = str(fixture_path("chain3"))
+
+RANDOM_RING6 = {
+    "graph": {"topology": "ring", "length": 6},
+    "bond_dim": 2,
+    "tensors": {"source": "random", "kappa_max": 2.0, "seed": 17},
+    "seed": 0,
+}
+
+
+def _one_error_line(captured, prefix: str) -> None:
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix)
 
 
 class TestRunCommand:
@@ -241,6 +255,15 @@ class TestVerifyCommands:
             cli.main(["verify-lemma1", "--config", str(path), "--trials", "1000"])
         assert len(built) <= 1
 
+    def test_lemma1_failure_exit_code(self, capsys, monkeypatch):
+        def violated(graph, tensors):
+            raise BoundViolationError("step 1: overlap below 1/kappa^2")
+
+        monkeypatch.setattr(dynamics, "verify_lemma1", violated)
+        code, out = run_cli(capsys, "verify-lemma1", "--config", CHAIN3)
+        assert code == 1
+        assert json.loads(out) == {"passed": False, "error": "step 1: overlap below 1/kappa^2"}
+
     def test_lemma2_passes(self, capsys):
         code, out = run_cli(
             capsys, "verify-lemma2", "--p", "0.5", "--m", "1", "--trials", "20000"
@@ -281,6 +304,17 @@ class TestVerifyCommands:
 
 
 class TestGapScan:
+    def test_custom_graph_labeled_in_sweep_and_gap_scan(self, capsys, tmp_path):
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({
+            **RANDOM_RING6,
+            "graph": {"topology": "custom", "num_vertices": 3, "edges": [[0, 1], [1, 2]]},
+        }))
+        for argv in (["sweep", "--trials", "2"], ["gap-scan"]):
+            code, out = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+            assert code == 0, argv
+            assert json.loads(out)["instance"] == "custom3v2e-D2-random", argv
+
     def test_json_table(self, capsys):
         code, out = run_cli(capsys, "gap-scan", "--config", CHAIN3)
         assert code == 0
@@ -490,15 +524,18 @@ class TestExitCodes:
             assert captured.err.startswith("capacity exceeded: ")
             assert len(captured.err) < 200
 
-    def test_trial_count_capped_before_allocating(self, capsys, monkeypatch):
+    def test_trial_count_capped_before_allocating(self, capsys, tmp_path, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("an instance was built for a sweep above the trial cap")
+            raise AssertionError("an instance was built for a batch above the trial cap")
 
         monkeypatch.setattr(harness, "build_instance", unreachable)
+        ring6 = tmp_path / "ring6.json"
+        ring6.write_text(json.dumps(RANDOM_RING6))
         for trials in (10**15, limits.MAX_TRIALS + 1):
             for argv in (
                 ["verify-lemma2", "--trials", str(trials)],
                 ["sweep", "--config", CHAIN2, "--trials", str(trials)],
+                ["verify-lemma1", "--config", str(ring6), "--trials", str(trials)],
             ):
                 code = cli.main(argv)
                 captured = capsys.readouterr()
@@ -506,6 +543,47 @@ class TestExitCodes:
                 assert captured.out == ""
                 assert captured.err.count("\n") == 1
                 assert captured.err.startswith("capacity exceeded: ")
+
+    def test_chain_work_capped_before_drawing(self, capsys, monkeypatch):
+        # at p = 1e-300 no chain lands: every trial would run all m rounds
+        class Undrawable:
+            def random(self, *args):
+                raise AssertionError("a uniform was drawn for a batch above the work cap")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Undrawable())
+        code = cli.main(
+            ["verify-lemma2", "--p", "1e-300", "--m", "1000000", "--trials", "1000000"]
+        )
+        assert code == 3
+        _one_error_line(capsys.readouterr(), "capacity exceeded: ")
+
+    @pytest.mark.parametrize("command", ["run", "gap-scan"])
+    def test_rank_deficient_map_is_an_error(self, capsys, tmp_path, command):
+        # InjectivityError is neither invalid input nor a capacity error
+        rank_one = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        config = {
+            "graph": {"topology": "chain", "length": 2},
+            "bond_dim": 2,
+            "tensors": {
+                "source": "explicit",
+                "entries": [rank_one, identity],
+                "edge_order": [[1], [0]],
+            },
+            "seed": 0,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(path)])
+        assert code == 2
+        _one_error_line(capsys.readouterr(), "error: tensor at vertex 0 is rank deficient")
+
+    @pytest.mark.parametrize("cap", ["lots", "0"])
+    def test_dim_cap_setting_invalid(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("PEPS_FORGE_DIM_CAP", cap)
+        code = cli.main(["run", "--config", CHAIN2])
+        assert code == 2
+        _one_error_line(capsys.readouterr(), "invalid input: PEPS_FORGE_DIM_CAP must be")
 
     def test_config_not_utf8(self, capsys, tmp_path):
         unreadable = [

@@ -17,7 +17,7 @@ from _helpers import (
     random_instance,
     vector_driver,
 )
-from peps_forge import dynamics, network
+from peps_forge import dynamics, hamiltonian, network
 from peps_forge.dynamics import (
     PreparedInstance,
     cost_model,
@@ -41,7 +41,7 @@ from peps_forge.errors import (
     OrthogonalTargetsError,
 )
 from peps_forge.harness import FIXTURE_NAMES, random_tensors
-from peps_forge.limits import MAX_TRIALS
+from peps_forge.limits import MAX_CHAIN_ROUNDS, MAX_TRIALS
 from peps_forge.network import InteractionGraph, canonicalize
 
 
@@ -146,6 +146,18 @@ class TestOverlap:
             assert p >= 1.0 / kappa**2 - 1e-10
 
 
+#: a chain2's two identity maps miscounted, mislabeled or of the wrong shape
+MISMATCHED_TENSORS = pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ts: ts[:1], "need 2 tensors, got 1"),
+        (lambda ts: ts[::-1], "tensor at position 0 is labeled 1"),
+        (lambda ts: [ts[0], canonicalize(1, np.eye(3, 2))], "tensor at vertex 1 has shape"),
+    ],
+    ids=["count", "label", "shape"],
+)
+
+
 class TestVerifyLemma1:
     def test_identity_maps_saturate(self):
         g = InteractionGraph.build(2, [(0, 1)])
@@ -161,15 +173,7 @@ class TestVerifyLemma1:
         assert check.kappa == pytest.approx(3.0)
         assert check.overlap_margin == pytest.approx(0.8 - 1.0 / 9.0, rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda ts: ts[:1], "need 2 tensors, got 1"),
-            (lambda ts: ts[::-1], "tensor at position 0 is labeled 1"),
-            (lambda ts: [ts[0], canonicalize(1, np.eye(3, 2))], "tensor at vertex 1 has shape"),
-        ],
-        ids=["count", "label", "shape"],
-    )
+    @MISMATCHED_TENSORS
     def test_mismatched_tensors_rejected_before_any_work(self, monkeypatch, edit, message):
         # the first prefix contraction validates the tensors before the pair
         # state is read
@@ -517,6 +521,19 @@ class TestMarkovChain:
         terminated, used = markov_trials(0.5, 3, MAX_TRIALS, rng)
         assert len(terminated) == len(used) == MAX_TRIALS
 
+    def test_chain_work_capped_before_drawing(self):
+        # at p = 1e-300 no chain lands: every trial would run all m rounds
+        class Undrawable:
+            def random(self, *args):
+                raise AssertionError("a uniform was drawn for a batch above the work cap")
+
+        for m, trials in ((10**6, 10**6), (MAX_CHAIN_ROUNDS + 1, 1)):
+            with pytest.raises(CapacityError, match=r"max_alternations \* trials"):
+                markov_trials(1e-300, m, trials, Undrawable())
+        # the cap itself runs; at p = 1/2 the chain lands within a few rounds
+        terminated, _ = markov_trials(0.5, MAX_CHAIN_ROUNDS, 1, np.random.default_rng(0))
+        assert terminated.all()
+
     def test_exact_distribution_consistency(self):
         for p in (0.2, 0.5, 0.8):
             for m in (0, 1, 3, 6):
@@ -830,6 +847,18 @@ class TestRepairLoopTrials:
 
 
 class TestPreparedInstance:
+    @MISMATCHED_TENSORS
+    def test_mismatched_tensors_rejected_before_any_work(self, monkeypatch, edit, message):
+        # the first step's assembly validates the tensors before any term is built
+        def unreachable(*args):
+            raise AssertionError("a term was built before the tensors were checked")
+
+        monkeypatch.setattr(hamiltonian, "parent_term", unreachable)
+        g = InteractionGraph.build(2, [(0, 1)])
+        tensors = [canonicalize(v, np.eye(2)) for v in range(2)]
+        with pytest.raises(InvalidInputError, match=message):
+            PreparedInstance(g, edit(tensors))
+
     def test_preflight_artifacts(self, prepared_zoo):
         prep = prepared_zoo["chain3"]
         n = prep.graph.num_vertices

@@ -16,6 +16,7 @@ from _helpers import (
     per_vertex_tensors,
     random_config,
     random_instance,
+    two_svd_polar,
 )
 from peps_forge import harness
 from peps_forge.dynamics import PreparedInstance, run_algorithm, verify_lemma1
@@ -355,10 +356,17 @@ class TestBatchedSampler:
         for got, want in zip(random_tensors(graph, 3.0, 512), fixture, strict=True):
             assert np.array_equal(got.matrix, want.matrix)
 
-    @pytest.mark.parametrize(
-        "case, qrs, svds", [("ring6", 1, 1), ("grid2x3-mixed-dims", 5, 5)]
-    )
-    def test_one_qr_and_one_svd_per_shape(self, case, qrs, svds, monkeypatch):
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_polar_factors_match_two_svd_reference(self, case):
+        for t in random_tensors(*SAMPLER_CASES[case]):
+            isometry, psd, sigma = two_svd_polar(t.matrix)
+            assert np.abs(t.isometry - isometry).max() <= 1e-13, (case, t.vertex)
+            assert np.abs(t.positive_factor - psd).max() <= 1e-13, (case, t.vertex)
+            assert np.abs(t.singular_values - sigma).max() <= 1e-13, (case, t.vertex)
+            assert np.all(np.diff(t.singular_values) <= 0), (case, t.vertex)
+
+    @pytest.mark.parametrize("case, qrs", [("ring6", 1), ("grid2x3-mixed-dims", 5)])
+    def test_one_qr_per_shape_and_no_svd(self, case, qrs, monkeypatch):
         calls = {"qr": 0, "svd": 0}
         for name in calls:
             real = getattr(np.linalg, name)
@@ -369,7 +377,7 @@ class TestBatchedSampler:
 
             monkeypatch.setattr(np.linalg, name, counting)
         random_tensors(*SAMPLER_CASES[case])
-        assert calls == {"qr": qrs, "svd": svds}
+        assert calls == {"qr": qrs, "svd": 0}
 
 
 class TestBuildInstance:

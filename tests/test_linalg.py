@@ -18,7 +18,7 @@ from _helpers import (
 )
 from peps_forge import linalg
 from peps_forge.errors import InjectivityError, InvalidInputError
-from peps_forge.network import canonicalize, canonicalize_stack
+from peps_forge.network import canonicalize
 
 
 def _kernel_projector(h: np.ndarray) -> np.ndarray:
@@ -55,6 +55,10 @@ class TestSvd:
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
             linalg.svd(bad)
+
+    def test_rejects_stack(self):
+        with pytest.raises(InvalidInputError, match="2-dimensional"):
+            linalg.svd(np.stack([np.eye(2), np.eye(2)]))
 
 
 class TestHermitianEig:
@@ -122,7 +126,7 @@ class TestPolarDecompose:
 
     def test_rank_deficient_rejected(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InjectivityError):
+        with pytest.raises(InjectivityError, match="vertex 0"):
             canonicalize(0, a)
 
     def test_wide_rejected(self):
@@ -151,25 +155,6 @@ class TestPolarDecompose:
         assert np.array_equal(t.isometry, isometry)
         assert np.array_equal(t.positive_factor, psd)
         assert np.array_equal(t.singular_values, sigma)
-
-    def test_stack_matches_single_maps(self):
-        rng = np.random.default_rng(12)
-        maps = np.stack([random_complex(6, 4, rng) for _ in range(3)])
-        stacked = canonicalize_stack((4, 0, 2), maps)
-        for t, v, m in zip(stacked, (4, 0, 2), maps, strict=True):
-            single = canonicalize(v, m)
-            assert t.vertex == v
-            for field in ("matrix", "isometry", "positive_factor", "singular_values"):
-                assert np.array_equal(getattr(t, field), getattr(single, field)), field
-
-    def test_stack_names_the_rank_deficient_vertex(self):
-        maps = np.stack([np.eye(3, 2), np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])])
-        with pytest.raises(InjectivityError, match="vertex 7"):
-            canonicalize_stack((5, 7), maps)
-
-    def test_wide_stack_rejected(self):
-        with pytest.raises(InvalidInputError):
-            canonicalize_stack((0, 1), np.ones((2, 2, 3)))
 
     def test_fixture_fields_match_two_svd_reference(self, fixture_zoo):
         for name, (_, _, _, tensors) in fixture_zoo.items():

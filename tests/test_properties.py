@@ -166,7 +166,12 @@ def test_contraction_invariants(instance):
 @PROPERTY_SETTINGS
 @given(configs())
 def test_config_round_trip_is_lossless(cfg):
-    """Random-source and explicit-source configs survive serialization."""
+    """Random-source and explicit-source configs survive serialization.
+
+    The maps are rebuilt exactly. A random instance's polar factors come
+    from its drawn factors, its explicit pin's from an SVD of each map, so
+    those two agree to rounding error only.
+    """
     graph, tensors = build_instance(cfg)
     explicit = to_explicit_config(cfg, graph, tensors)
     for c in (cfg, explicit):
@@ -175,9 +180,15 @@ def test_config_round_trip_is_lossless(cfg):
         again = parse_config(json.loads(json.dumps(doc)))
         assert again == c
         _, rebuilt = build_instance(again)
+        sampled_then_pinned = c is explicit and cfg.tensors.source == "random"
         for a, b in zip(tensors, rebuilt, strict=True):
-            for field in ("matrix", "isometry", "positive_factor", "singular_values"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert np.array_equal(a.matrix, b.matrix)
+            for field in ("isometry", "positive_factor", "singular_values"):
+                x, y = getattr(a, field), getattr(b, field)
+                if sampled_then_pinned:
+                    assert np.abs(x - y).max() <= 1e-13, field
+                else:
+                    assert np.array_equal(x, y), field
 
 
 @PROPERTY_SETTINGS
