@@ -11,7 +11,9 @@ in ``GENERATED`` cover sampling too. Each is written to a temporary
 directory, selected by name like a fixture and run with its own commands
 (``random-ring6``: ``verify-lemma1 --trials 8`` and ``gap-scan``;
 ``random-ring5``: ``run``, ``sweep --trials 100 --format csv`` and
-``gap-scan``).
+``gap-scan``; ``random-ring5-tall``, with three maps taller than their
+registers, and ``random-chain4-D3``: ``run`` and ``verify-lemma1 --trials
+3``).
 Prints one line per command and config: ``identical`` when the exit code
 and both output streams match exactly, otherwise the largest relative drift
 ``|a - b| / max(|a|, |b|)`` of each numeric field that moved, with the
@@ -70,6 +72,36 @@ GENERATED = {
             "run": COMMANDS["run"],
             "sweep-csv": COMMANDS["sweep-csv"],
             "gap-scan": COMMANDS["gap-scan"],
+        },
+    ),
+    # maps taller than their registers: restore_gauge and peps_state stack a
+    # tall product over a block of 5 at vertex 1
+    "random-ring5-tall": (
+        {
+            "graph": {"topology": "ring", "length": 5},
+            "bond_dim": 2,
+            "tensors": {
+                "source": "random", "kappa_max": 2.0, "physical_dims": [5, 6, 4, 4, 7], "seed": 0,
+            },
+            "seed": 0,
+        },
+        {
+            "run": COMMANDS["run"],
+            "verify-lemma1": COMMANDS["verify-lemma1"],
+        },
+    ),
+    # bond dimension 3: blocks of odd size after a register, which the
+    # register kernel keeps off its stacked product
+    "random-chain4-D3": (
+        {
+            "graph": {"topology": "chain", "length": 4},
+            "bond_dim": 3,
+            "tensors": {"source": "random", "kappa_max": 2.0, "seed": 3},
+            "seed": 0,
+        },
+        {
+            "run": COMMANDS["run"],
+            "verify-lemma1": COMMANDS["verify-lemma1"],
         },
     ),
 }
@@ -181,14 +213,14 @@ def main(argv: list[str] | None = None) -> int:
     for i, (label, name) in enumerate(cases):
         old, new = results[2 * i : 2 * i + 2]
         if old == new:
-            print(f"{label:14s} {name:12s} identical")
+            print(f"{label:14s} {name:17s} identical")
             continue
         identical = False
         lines = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
         lines += ["standard error differs"] if old[2] != new[2] else []
         if old[1] != new[1]:
             lines += drift(old[1], new[1]) or ["differs in layout only"]
-        print(f"{label:14s} {name:12s} " + "; ".join(lines))
+        print(f"{label:14s} {name:17s} " + "; ".join(lines))
     return 0 if identical else 1
 
 

@@ -90,10 +90,10 @@ def measure_zero_energy(
         zero = draw < p_zero
     if zero:
         return MeasurementOutcome(
-            label="zero", probability=p_zero, state=inside / math.sqrt(p_zero)
+            label="zero", probability=p_zero, state=inside * (1.0 / math.sqrt(p_zero))
         )
     return MeasurementOutcome(
-        label="nonzero", probability=p_nonzero, state=resid / math.sqrt(p_nonzero)
+        label="nonzero", probability=p_nonzero, state=resid * (1.0 / math.sqrt(p_nonzero))
     )
 
 

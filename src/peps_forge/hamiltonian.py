@@ -40,12 +40,13 @@ them back into the Ritz vector, all through one
 :class:`~peps_forge.network.PairSlots` index per step.
 Called without a state, it first finds one with a second solve, stopped at
 :data:`KRYLOV_TOL`, both on the full space, as an independent oracle. scipy
-(BLAS and LAPACK) is imported on first use of this layer. :func:`parent_term`
-contracts the two maps with one einsum and orthonormalises the result with one
-thin SVD; a pair form (no processed endpoint) needs none, its columns
-``omega (x) 1`` being orthonormal already. The dense ``global_matrix`` and its
-full eigensystem ``spectral``, the layer's only Hermitian eigensolve, remain as
-an oracle for tests at small dimension.
+(BLAS and LAPACK) is imported on first use of this layer. Vectors are
+normalised by the reciprocal of their norm, as in :mod:`~peps_forge.network`.
+:func:`parent_term` contracts the two maps with one einsum and orthonormalises
+the result with one thin SVD; a pair form (no processed endpoint) needs none,
+its columns ``omega (x) 1`` being orthonormal already. The dense
+``global_matrix`` and its full eigensystem ``spectral``, the layer's only
+Hermitian eigensolve, remain as an oracle for tests at small dimension.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ def _start_vector(dim: int, start=None) -> np.ndarray:
     r = _fixed_draw(dim)
     if start is None:
         return r.copy()
-    return start / np.linalg.norm(start) + START_NOISE * r / np.linalg.norm(r)
+    return start * (1.0 / np.linalg.norm(start)) + START_NOISE * r * (1.0 / np.linalg.norm(r))
 
 
 def _lowest_eigenpair(
@@ -449,7 +450,7 @@ def _lowest_eigenpair(
         return float(theta[0]), s[:, 0]
 
     v, norm = orthogonalize(v, locked)
-    basis[:, locked] = v / norm
+    basis[:, locked] = v * (1.0 / norm)
     k, scale = locked + 1, 0.0
     next_test, last = min(20, dim - locked), None  # last: (products, rho) of the last test
     for products in range(1, KRYLOV_MAX_PRODUCTS + 1):
@@ -468,7 +469,7 @@ def _lowest_eigenpair(
             tol = GAP_RESIDUAL_TOL if locked else KRYLOV_TOL * (theta + 1.0)
             if m == dim - locked or rho <= tol:
                 y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
-                return theta, y / dznrm2(y)
+                return theta, y * (1.0 / dznrm2(y))
             skip = 1
             if last is not None and rho < last[1]:
                 decay = math.log(rho / last[1]) / (products - last[0])  # log r
@@ -477,10 +478,10 @@ def _lowest_eigenpair(
         coupling = beta if beta > 1e-12 * scale else 0.0
         if not coupling:  # breakdown: go on from a fresh vector orthogonal to the basis
             w, beta = orthogonalize(next(fresh), k)
-        w /= beta
+        w *= 1.0 / beta
         if m == KRYLOV_BASIS:  # restart from the Ritz vector
             y = zgemv(1.0, basis[:, locked:k], s.astype(complex))
-            basis[:, locked] = y / dznrm2(y)
+            basis[:, locked] = y * (1.0 / dznrm2(y))
             diag[0], coupling, k, m = theta, coupling * s[-1], locked + 1, 1
         off[m - 1] = coupling
         basis[:, k] = w
@@ -551,7 +552,7 @@ def ground_analysis(
         pairs = ()
     else:
         psi = np.asarray(kernel, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
+        psi = psi * (1.0 / np.linalg.norm(psi))
         pairs = h.pair_edges
     h_psi = h.apply(psi)
     residual = float(np.linalg.norm(h_psi))
@@ -566,7 +567,7 @@ def ground_analysis(
         if pairs:
             op, slots = h.restricted, pair_slots(g, pairs)
             phi = slots.restrict(psi)
-            phi = phi / np.linalg.norm(phi)
+            phi = phi * (1.0 / np.linalg.norm(phi))
             if start is not None:
                 kept = slots.restrict(start)
                 start = kept if np.linalg.norm(kept) >= np.linalg.norm(start) / 2 else None
@@ -574,7 +575,7 @@ def ground_analysis(
         if pairs:
             excited = slots.expand(excited)
         excited = excited - np.vdot(psi, excited) * psi
-        excited = excited / np.linalg.norm(excited)
+        excited = excited * (1.0 / np.linalg.norm(excited))
     lambda1, gap = (1.0, 1.0) if pairs and theta >= 1.0 else (theta, theta - lambda0)
     if lambda1 < zero_tol:
         raise DegenerateGroundSpaceError(

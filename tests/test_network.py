@@ -265,18 +265,25 @@ class TestApplyOnRegister:
     """The register kernel against an einsum over the full register tensor."""
 
     @pytest.mark.parametrize(
-        "dims", [(4, 4, 4, 4, 4, 4), (2, 4, 2), (3, 6, 2), (2, 2)], ids=str
+        "dims", [(4, 4, 4, 4, 4, 4), (2, 4, 2), (3, 6, 2), (2, 3, 3), (2, 2)], ids=str
     )
     @pytest.mark.parametrize("extra_rows", [0, 3], ids=["square", "tall"])
     def test_every_position(self, dims, extra_rows):
+        # ring6's layout takes the stack at v = 0-2, the copies at v = 3, 4 and the
+        # last register's product at v = 5; (2, 3, 3) copies at b = 9. The input is
+        # read-only, like the shared pair state, and no output may alias it.
         rng = np.random.default_rng(len(dims) + extra_rows)
         state = random_complex(math.prod(dims), 1, rng)[:, 0]
+        state.setflags(write=False)
+        before = state.copy()
         for v, r in enumerate(dims):
             op = random_complex(r + extra_rows, r, rng)
             out, new_dims = network.apply_on_register(op, v, state, dims)
             assert new_dims == dims[:v] + (r + extra_rows,) + dims[v + 1 :]
             assert out.shape == (math.prod(new_dims),)
             assert np.abs(out - einsum_apply(op, v, state, dims)).max() <= 1e-12
+            assert not np.shares_memory(out, state), v
+        assert np.array_equal(state, before)
 
     @pytest.mark.parametrize("order", ["forward", "backward"])
     def test_rectangular_sweep(self, order):

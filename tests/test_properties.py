@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import einsum_pair_state
+from _helpers import einsum_apply, einsum_pair_state, random_complex
 from peps_forge import network
 from peps_forge.dynamics import PreparedInstance, verify_lemma1
 from peps_forge.errors import ConfigError
@@ -161,6 +161,24 @@ def test_contraction_invariants(instance):
     restored = network.restore_gauge(graph, tensors, psi_n)
     reference = network.peps_state(graph, tensors)
     assert abs(np.vdot(restored, reference)) ** 2 >= 1.0 - 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    st.sampled_from([0, 3]),
+    st.integers(0, 2**16),
+)
+def test_register_apply_matches_einsum_oracle(dims, extra_rows, seed):
+    """A square or tall map on every register of random dimensions, so that
+    the blocks before and after it split ``a < b``, ``a == b`` and ``a > b``."""
+    rng = np.random.default_rng(seed)
+    state = random_complex(math.prod(dims), 1, rng)[:, 0]
+    for v, r in enumerate(dims):
+        op = random_complex(r + extra_rows, r, rng)
+        out, new_dims = network.apply_on_register(op, v, state, dims)
+        assert new_dims == dims[:v] + (r + extra_rows,) + dims[v + 1 :]
+        assert np.abs(out - einsum_apply(op, v, state, dims)).max() <= 1e-12, v
 
 
 @PROPERTY_SETTINGS
