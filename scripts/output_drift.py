@@ -13,7 +13,8 @@ directory, selected by name like a fixture and run with its own commands
 ``random-ring5``: ``run``, ``sweep --trials 100 --format csv`` and
 ``gap-scan``; ``random-ring5-tall``, with three maps taller than their
 registers, and ``random-chain4-D3``: ``run`` and ``verify-lemma1 --trials
-3``).
+3``; ``random-chain7-restart``, whose largest gap solve restarts from its
+Ritz vector: ``gap-scan``).
 Prints one line per command and config: ``identical`` when the exit code
 and both output streams match exactly, otherwise the largest relative drift
 ``|a - b| / max(|a|, |b|)`` of each numeric field that moved, with the
@@ -103,6 +104,17 @@ GENERATED = {
             "run": COMMANDS["run"],
             "verify-lemma1": COMMANDS["verify-lemma1"],
         },
+    ),
+    # a gap solve that restarts: step 6 solves on dimension 4096 and takes 68
+    # products, four past a full basis of KRYLOV_BASIS = 64 vectors
+    "random-chain7-restart": (
+        {
+            "graph": {"topology": "chain", "length": 7},
+            "bond_dim": 2,
+            "tensors": {"source": "random", "kappa_max": 20.0, "seed": 12},
+            "seed": 0,
+        },
+        {"gap-scan": COMMANDS["gap-scan"]},
     ),
 }
 
@@ -213,14 +225,14 @@ def main(argv: list[str] | None = None) -> int:
     for i, (label, name) in enumerate(cases):
         old, new = results[2 * i : 2 * i + 2]
         if old == new:
-            print(f"{label:14s} {name:17s} identical")
+            print(f"{label:14s} {name:22s} identical")
             continue
         identical = False
         lines = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
         lines += ["standard error differs"] if old[2] != new[2] else []
         if old[1] != new[1]:
             lines += drift(old[1], new[1]) or ["differs in layout only"]
-        print(f"{label:14s} {name:17s} " + "; ".join(lines))
+        print(f"{label:14s} {name:22s} " + "; ".join(lines))
     return 0 if identical else 1
 
 

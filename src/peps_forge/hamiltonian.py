@@ -30,9 +30,13 @@ the absolute residual :data:`GAP_RESIDUAL_TOL` and optionally warm-started from
 the previous step's Ritz vector. The solve tests its Ritz pair on a schedule:
 from 20 products on, a failed test predicts from the residual's decay how many
 products the stop is away and runs :data:`RITZ_SKIP` of them before the next
-test. Its fixed random start vector is drawn once per dimension and kept
-read-only. An assembled step knows its edges with no processed endpoint, which
-still hold their bare pair terms; the solve runs on the
+test. Only a solve whose space fits in one basis of :data:`KRYLOV_BASIS`
+vectors orthogonalises each new vector against the whole basis; a larger one
+keeps the three-term recurrence and projects out the locked state alone, since
+the vectors lose orthogonality only along converged Ritz vectors (Paige 1980),
+and a gap solve stops there. Its fixed random start vector is drawn once per
+dimension and kept read-only. An assembled step knows its edges with no
+processed endpoint, which still hold their bare pair terms; the solve runs on the
 :attr:`LocalHamiltonian.restricted` Hamiltonian of the other edges (the same
 ``apply`` on a smaller register layout) and the free pairs enter in closed
 form: one gather takes them out of the state and the start, one scatter puts
@@ -389,8 +393,8 @@ def _lowest_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and unit eigenvector of a Hermitian operator.
 
-    Lanczos with full reorthogonalisation, in the orthogonal complement of
-    the unit vector ``lock`` if one is given, from :func:`_start_vector`.
+    Lanczos in the orthogonal complement of the unit vector ``lock`` if one
+    is given, from :func:`_start_vector`.
     The random part of the start gives every eigenvector a weight: a Krylov
     space never leaves an invariant subspace that holds its start, and a
     warm start can lie in one (an excitation of one component of a
@@ -398,6 +402,20 @@ def _lowest_eigenpair(
     the dimension, drawn once per dimension (:func:`_fixed_draw`); on a
     breakdown the solve goes on from the same generator's next vectors,
     built only then (:func:`_fresh_vectors`).
+
+    Only a space that fits in one basis (``dim - locked <= KRYLOV_BASIS``)
+    can be exhausted, and the exhaustion exit ``m == dim - locked`` needs an
+    orthonormal basis: there each new vector is orthogonalised against the
+    lock and the basis by classical Gram–Schmidt, two ``zgemv`` calls (a
+    second pass only when the first cancelled). A larger solve keeps the
+    three-term recurrence and projects out the lock alone, with one
+    ``zdotc`` and one ``zaxpy``: the lock is the lowest eigenvector, along
+    which rounding would grow. Without reorthogonalisation the Lanczos
+    vectors lose orthogonality only along Ritz vectors that have converged,
+    and the loss only repeats their Ritz values (Paige 1976, 1980; Parlett
+    1998, ch. 13); a gap solve stops at ``GAP_RESIDUAL_TOL``, where that loss
+    begins. A breakdown still orthogonalises its fresh vector against the
+    whole basis.
 
     From ``min(20, dim - locked)`` products on (ARPACK's ``ncv``), the solve
     tests the Ritz pair of the tridiagonal ``T``. A locked (gap) solve stops
@@ -424,6 +442,7 @@ def _lowest_eigenpair(
     v = _start_vector(dim, start)
     fresh = _fresh_vectors(dim)
     locked = int(lock is not None)
+    full = dim - locked <= KRYLOV_BASIS  # only such a basis can exhaust the space
     basis = np.empty((dim, locked + KRYLOV_BASIS), dtype=complex, order="F")
     if locked:
         basis[:, 0] = lock
@@ -433,8 +452,13 @@ def _lowest_eigenpair(
         """``w`` minus its part in the first ``k`` columns, and its norm."""
         norm = dznrm2(w)
         for _ in range(2 if k else 0):  # a second pass only if the first cancelled
-            q = basis[:, :k]
-            w = zgemv(-1.0, q, zgemv(1.0, q, w, trans=2), beta=1.0, y=w, overwrite_y=1)
+            # one column of a larger solve: one zdotc and one zaxpy; a small
+            # solve keeps zgemv, whose bits the chain3 report pins
+            if k == 1 and not full:
+                w = zaxpy(basis[:, 0], w, a=-zdotc(basis[:, 0], w))
+            else:
+                q = basis[:, :k]
+                w = zgemv(-1.0, q, zgemv(1.0, q, w, trans=2), beta=1.0, y=w, overwrite_y=1)
             before, norm = norm, dznrm2(w)
             if norm >= 0.7 * before:
                 break
@@ -462,7 +486,7 @@ def _lowest_eigenpair(
             w = zaxpy(basis[:, k - 2], w, a=-off[m - 2])
         diag[m - 1] = zdotc(v, w).real
         w = zaxpy(v, w, a=-diag[m - 1])
-        w, beta = orthogonalize(w, k)
+        w, beta = orthogonalize(w, k if full else locked)
         if products >= next_test or m in (KRYLOV_BASIS, dim - locked):
             theta, s = ritz(m)
             rho = beta * abs(s[-1])

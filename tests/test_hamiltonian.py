@@ -20,6 +20,7 @@ from peps_forge.errors import (
 )
 from peps_forge.hamiltonian import (
     GAP_RESIDUAL_TOL,
+    KRYLOV_BASIS,
     KRYLOV_TOL,
     START_NOISE,
     LocalHamiltonian,
@@ -773,30 +774,67 @@ class TestLanczos:
         np.testing.assert_array_equal(next(fresh), draws[1])
         np.testing.assert_array_equal(next(fresh), draws[2])
 
-    def test_clustered_levels(self):
+    # at 40 the basis can exhaust the space and is fully reorthogonalised;
+    # at 200 the solve keeps the three-term recurrence and the lock alone
+    @pytest.mark.parametrize("dim", [40, 200])
+    def test_clustered_levels(self, dim):
         # two levels 1e-7 apart above the locked level 0: the stop must still
         # land within 1e-8 of the lower one
         rng = np.random.default_rng(9)
-        levels = np.concatenate([[0.0, 0.3, 0.3 + 1e-7], rng.uniform(1.0, 3.0, 37)])
-        lock = np.eye(40, dtype=complex)[0]
-        theta, v = hamiltonian._lowest_eigenpair(40, lambda x: levels * x, lock=lock)
+        levels = np.concatenate([[0.0, 0.3, 0.3 + 1e-7], rng.uniform(1.0, 3.0, dim - 3)])
+        lock = np.eye(dim, dtype=complex)[0]
+        theta, v = hamiltonian._lowest_eigenpair(dim, lambda x: levels * x, lock=lock)
         assert theta == pytest.approx(0.3, abs=1e-8)
         assert abs(np.vdot(lock, v)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [40, 200])
     @pytest.mark.parametrize("locked", [False, True])
-    def test_start_inside_an_invariant_subspace(self, monkeypatch, locked):
+    def test_start_inside_an_invariant_subspace(self, monkeypatch, locked, dim):
         # without the random part, an eigenvector start breaks down at once:
         # its residual is exactly zero, and the solve goes on from fresh
         # vectors of the fixed generator
         monkeypatch.setattr(hamiltonian, "START_NOISE", 0.0)
-        levels = np.concatenate([[0.2, 0.5], np.random.default_rng(3).uniform(1.0, 3.0, 38)])
-        eye = np.eye(40, dtype=complex)
+        levels = np.concatenate([[0.2, 0.5], np.random.default_rng(3).uniform(1.0, 3.0, dim - 2)])
+        eye = np.eye(dim, dtype=complex)
         lock = eye[0] if locked else None
-        lam, v = hamiltonian._lowest_eigenpair(40, lambda x: levels * x, eye[39], lock)
+        lam, v = hamiltonian._lowest_eigenpair(dim, lambda x: levels * x, eye[dim - 1], lock)
         assert lam == pytest.approx(levels[int(locked)], abs=1e-12)
         assert abs(v[int(locked)]) == pytest.approx(1.0, abs=1e-10)
         if locked:
             assert abs(np.vdot(lock, v)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [40, 200])
+    def test_full_reorthogonalisation_only_where_the_space_can_be_exhausted(
+        self, monkeypatch, dim
+    ):
+        # a basis that can exhaust the space (dim - 1 <= KRYLOV_BASIS) is
+        # orthogonalised against itself by two zgemv calls per product; a
+        # larger locked solve with no breakdown and no restart calls zgemv
+        # once, for the Ritz vector, and projects out the lock alone
+        from scipy.linalg import blas
+
+        calls, products = [0], [0]
+        zgemv = blas.zgemv
+
+        def counted_zgemv(*args, **kwargs):
+            calls[0] += 1
+            return zgemv(*args, **kwargs)
+
+        def product(x):
+            products[0] += 1
+            return levels * x
+
+        monkeypatch.setattr(blas, "zgemv", counted_zgemv)
+        levels = np.concatenate([[0.0, 0.3], np.random.default_rng(5).uniform(1.0, 3.0, dim - 2)])
+        lock = np.eye(dim, dtype=complex)[0]
+        theta, v = hamiltonian._lowest_eigenpair(dim, product, lock=lock)
+        assert theta == pytest.approx(0.3, abs=1e-12)
+        assert abs(np.vdot(lock, v)) <= 1e-12
+        assert products[0] < KRYLOV_BASIS  # no restart
+        if dim - 1 <= KRYLOV_BASIS:
+            assert calls[0] >= 2 * products[0] + 1
+        else:
+            assert calls[0] == 1
 
 
 class TestTermCache:

@@ -285,6 +285,30 @@ class TestApplyOnRegister:
             assert not np.shares_memory(out, state), v
         assert np.array_equal(state, before)
 
+    @pytest.mark.parametrize("extra_rows", [0, 3], ids=["square", "tall"])
+    def test_every_branch_gives_the_wide_product_bits(self, fixture_zoo, extra_rows):
+        # the kernel's branches are chosen by shape so that each reproduces one
+        # wide op @ x over the (r, a * b) matrix bit for bit; checked at every
+        # register position of every prefix layout (processed registers at
+        # their physical dimension) of ring6 and of the five fixtures
+        graphs = [InteractionGraph.build(6, [(v, (v + 1) % 6) for v in range(6)])]
+        graphs += [graph for _, _, graph, _ in fixture_zoo.values()]
+        layouts = {
+            g.physical_dims[:t] + g.register_dims[t:]
+            for g in graphs
+            for t in range(g.num_vertices + 1)
+        }
+        rng = np.random.default_rng(extra_rows)
+        for dims in sorted(layouts):
+            state = random_complex(math.prod(dims), 1, rng)[:, 0]
+            for v, r in enumerate(dims):
+                op = random_complex(r + extra_rows, r, rng)
+                out, _ = network.apply_on_register(op, v, state, dims)
+                a, b = math.prod(dims[:v]), math.prod(dims[v + 1 :])
+                x = state.reshape(a, r, b).transpose(1, 0, 2).reshape(r, a * b)
+                wide = (op @ x).reshape(-1, a, b).transpose(1, 0, 2).reshape(-1)
+                assert np.array_equal(out, wide), (dims, v)
+
     @pytest.mark.parametrize("order", ["forward", "backward"])
     def test_rectangular_sweep(self, order):
         # every register grows in turn, as restore_gauge and peps_state apply maps
