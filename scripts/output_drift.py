@@ -12,7 +12,9 @@ directory, selected by name like a fixture and run with its own commands
 (``random-ring6``: ``verify-lemma1 --trials 8`` and ``gap-scan``;
 ``random-ring5``: ``run``, ``sweep --trials 100 --format csv`` and
 ``gap-scan``; ``random-ring5-tall``, with three maps taller than their
-registers, and ``random-chain4-D3``: ``run`` and ``verify-lemma1 --trials
+registers, ``random-ring5-interleaved``, whose same-shape maps are not
+neighbours and whose square maps share their QR stack with the right
+factors, and ``random-chain4-D3``: ``run`` and ``verify-lemma1 --trials
 3``; ``random-chain7-restart``, whose largest gap solve restarts from its
 Ritz vector: ``gap-scan``).
 Prints one line per command and config: ``identical`` when the exit code
@@ -83,6 +85,23 @@ GENERATED = {
             "bond_dim": 2,
             "tensors": {
                 "source": "random", "kappa_max": 2.0, "physical_dims": [5, 6, 4, 4, 7], "seed": 0,
+            },
+            "seed": 0,
+        },
+        {
+            "run": COMMANDS["run"],
+            "verify-lemma1": COMMANDS["verify-lemma1"],
+        },
+    ),
+    # three shape groups, each spread over vertices that are not neighbours;
+    # the sampler stacks each group and the square maps' left factors share
+    # one QR with every right factor
+    "random-ring5-interleaved": (
+        {
+            "graph": {"topology": "ring", "length": 5},
+            "bond_dim": 2,
+            "tensors": {
+                "source": "random", "kappa_max": 3.0, "physical_dims": [5, 4, 5, 4, 6], "seed": 23,
             },
             "seed": 0,
         },
@@ -225,14 +244,14 @@ def main(argv: list[str] | None = None) -> int:
     for i, (label, name) in enumerate(cases):
         old, new = results[2 * i : 2 * i + 2]
         if old == new:
-            print(f"{label:14s} {name:22s} identical")
+            print(f"{label:14s} {name:24s} identical")
             continue
         identical = False
         lines = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
         lines += ["standard error differs"] if old[2] != new[2] else []
         if old[1] != new[1]:
             lines += drift(old[1], new[1]) or ["differs in layout only"]
-        print(f"{label:14s} {name:22s} " + "; ".join(lines))
+        print(f"{label:14s} {name:24s} " + "; ".join(lines))
     return 0 if identical else 1
 
 

@@ -149,9 +149,11 @@ def verify_lemma1(
     and the squared-norm ratio is at least its smallest squared singular
     value. A violation beyond ``tol`` raises :class:`BoundViolationError`
     (it indicates an implementation bug, not a property of valid inputs).
-    The tensors are validated by the first prefix contraction, before any
-    work.
+    A ``tol`` below 0 or not finite is rejected, and the tensors validated
+    by the first prefix contraction, before any work.
     """
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInputError(f"tol must be finite and >= 0, got {tol}")
     _, zs, overlaps = _prefix_targets(g, tensors)
     checks = []
     for t, p in enumerate(overlaps):

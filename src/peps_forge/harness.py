@@ -399,34 +399,39 @@ def random_tensors(
     the real and the imaginary Gaussians of a Haar isometry ``left``
     (physical x virtual), then those of a Haar unitary ``right`` (virtual x
     virtual). The map is ``left @ diag(sigma) @ right^dag``, and these
-    drawn factors are its SVD: its polar factors come from them
-    (:func:`~peps_forge.network.polar_tensor`), with no decomposition of the
-    map. All Haar factors of one shape come from one stacked QR.
+    drawn factors are its SVD. All Haar factors of one shape come from one
+    stacked QR; the maps and their polar factors, one stacked
+    :func:`~peps_forge.network.polar_tensor` per vertex shape.
     """
-    if kappa_max < 1.0:
-        raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
-    shapes = list(zip(graph.physical_dims, graph.register_dims))
+    if not 1.0 <= kappa_max < math.inf:
+        raise InvalidInputError(f"kappa_max must be finite and >= 1, got {kappa_max}")
     streams = SeedStreams(seed, TENSORS)
     bitgen = np.random.PCG64(0)  # any seed: each vertex assigns its own state
     rng = np.random.Generator(bitgen)
-    sigmas, gaussians = [], {}
-    for v, (p, r) in enumerate(shapes):
+    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for v, (p, r) in enumerate(zip(graph.physical_dims, graph.register_dims)):
         streams.seed_bit_generator(bitgen, v)
+        vertices, sigmas, draws = groups.setdefault((p, r), ([], [], []))
+        vertices.append(v)
         sigmas.append(np.ones(r) if kappa_max == 1.0 else rng.uniform(1.0 / kappa_max, 1.0, r))
-        z = rng.standard_normal(2 * (p + r) * r)
-        left, right = z[: 2 * p * r].reshape(2, p, r), z[2 * p * r :].reshape(2, r, r)
-        gaussians.setdefault((p, r), []).append(left[0] + 1j * left[1])
-        gaussians.setdefault((r, r), []).append(right[0] + 1j * right[1])
+        draws.append(rng.standard_normal(2 * (p + r) * r))
+    gaussians = {}
+    for (p, r), (_, _, draws) in groups.items():
+        z = np.array(draws).reshape(-1, 2 * (p + r), r)  # rows: left re, im, right re, im
+        gaussians.setdefault((p, r), []).append(z[:, :p] + 1j * z[:, p : 2 * p])
+        gaussians.setdefault((r, r), []).append(z[:, 2 * p : 2 * p + r] + 1j * z[:, 2 * p + r :])
     haar = {}
     for shape, zs in gaussians.items():
-        q, upper = np.linalg.qr(np.stack(zs))
+        q, upper = np.linalg.qr(np.concatenate(zs))
         diag = np.diagonal(upper, axis1=1, axis2=2)
-        haar[shape] = iter(q * (diag / np.abs(diag)).conj()[:, None, :])
+        ends = np.cumsum([len(z) for z in zs])[:-1]
+        haar[shape] = iter(np.split(q * (diag / np.abs(diag)).conj()[:, None, :], ends))
     tensors = []
-    for v, (p, r) in enumerate(shapes):
-        left, vh = next(haar[p, r]), next(haar[r, r]).conj().T
-        tensors.append(polar_tensor(v, (left * sigmas[v]) @ vh, left, sigmas[v], vh))
-    return tensors
+    for (p, r), (vertices, sigmas, _) in groups.items():
+        sigma, left = np.array(sigmas), next(haar[p, r])
+        vh = next(haar[r, r]).conj().transpose(0, 2, 1)
+        tensors += polar_tensor(vertices, (left * sigma[:, None, :]) @ vh, left, sigma, vh)
+    return sorted(tensors, key=attrgetter("vertex"))
 
 
 def _check_spec_dim(cfg: InstanceConfig) -> None:

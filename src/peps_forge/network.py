@@ -19,9 +19,9 @@ Per-graph and per-map constants are computed once: a graph caches its
 incident edges, register dimensions and (read-only) pair state, and
 :func:`~peps_forge.harness.build_instance` builds one graph per instance
 shape, so instances of one shape share them. :func:`polar_tensor` builds
-a map's polar factors from its singular factors: :func:`canonicalize`
-takes them from one SVD of a given map, the random sampler hands over the
-factors it drew.
+a stack of maps' polar factors from their singular factors:
+:func:`canonicalize` takes them from one SVD of a given map, the random
+sampler hands over the factors it drew for all maps of one shape.
 :func:`apply_on_register` acts on one register with one matmul or a stack of
 them. Vectors are normalised by the reciprocal of their norm: numpy divides a
 complex array by a real scalar in its complex-division loop, ≈4× slower.
@@ -212,7 +212,7 @@ class PepsTensor:
 
 def canonicalize(vertex: int, matrix: np.ndarray) -> PepsTensor:
     """Polar-decompose one tall or square vertex map by one thin SVD
-    ``matrix = u @ diag(sigma) @ vh`` (see :func:`polar_tensor`)."""
+    ``matrix = u @ diag(sigma) @ vh`` (a stack of one for :func:`polar_tensor`)."""
     m = linalg.as_matrix(matrix, f"tensor at vertex {vertex}")
     rows, cols = m.shape
     if rows < cols:
@@ -220,28 +220,31 @@ def canonicalize(vertex: int, matrix: np.ndarray) -> PepsTensor:
             f"tensor at vertex {vertex} must have rows >= cols, got {rows}x{cols}"
         )
     dec = linalg.svd(m)
-    return polar_tensor(vertex, m, dec.u, dec.sigma, dec.vh)
+    return polar_tensor([vertex], m[None], dec.u[None], dec.sigma[None], dec.vh[None])[0]
 
 
 def polar_tensor(
-    vertex: int, matrix: np.ndarray, u: np.ndarray, sigma: np.ndarray, vh: np.ndarray
-) -> PepsTensor:
-    """Package a vertex map from its singular factors ``matrix = u @ diag(sigma) @ vh``.
+    vertices: list[int], matrices: np.ndarray, u: np.ndarray, sigma: np.ndarray, vh: np.ndarray
+) -> list[PepsTensor]:
+    """Package stacked vertex maps ``matrices[i] = u[i] @ diag(sigma[i]) @ vh[i]``.
 
-    ``u`` is an isometry, ``vh`` a unitary and ``sigma`` the singular values
-    in any order. The isometry is ``u @ vh``, the positive factor
-    ``vh^dag @ diag(sigma) @ vh`` (symmetrized), and the singular values are
-    stored descending. Rank deficiency raises :class:`InjectivityError`,
-    since the whole construction relies on left-invertibility.
+    ``u`` holds isometries, ``vh`` unitaries and ``sigma`` singular values in
+    any order. In stacked products, and bit for bit as each map alone, the
+    isometry is ``u @ vh``, the positive factor ``vh^dag @ diag(sigma) @ vh``
+    symmetrized by ``* 0.5`` (numpy divides complex by 2 in a slow loop), and
+    the singular values sorted descending. The first rank-deficient map raises
+    :class:`InjectivityError`: the construction needs left-invertibility.
     """
-    desc = np.sort(sigma)[::-1]
-    if desc[-1] <= linalg.RANK_RTOL * desc[0] or desc[0] == 0.0:
+    desc = np.sort(sigma)[:, ::-1]
+    if (deficient := desc[:, -1] <= linalg.RANK_RTOL * desc[:, 0]).any():
+        i = int(deficient.argmax())
         raise InjectivityError(
-            f"tensor at vertex {vertex} is rank deficient: "
-            f"sigma_min={desc[-1]:.3e}, sigma_max={desc[0]:.3e}"
+            f"tensor at vertex {vertices[i]} is rank deficient: "
+            f"sigma_min={desc[i, -1]:.3e}, sigma_max={desc[i, 0]:.3e}"
         )
-    psd = (vh.conj().T * sigma) @ vh
-    return PepsTensor(vertex, matrix, u @ vh, (psd + psd.conj().T) / 2, desc)
+    psd = (vh.conj().transpose(0, 2, 1) * sigma[:, None, :]) @ vh
+    positive = (psd + psd.conj().transpose(0, 2, 1)) * 0.5
+    return list(map(PepsTensor, vertices, matrices, u @ vh, positive, desc))
 
 
 def check_tensors(g: InteractionGraph, tensors: list[PepsTensor]) -> None:

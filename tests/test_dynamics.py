@@ -186,6 +186,18 @@ class TestVerifyLemma1:
         with pytest.raises(InvalidInputError, match=message):
             verify_lemma1(g, edit(tensors))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_tol_not_finite_or_negative_before_any_work(self, monkeypatch, tol):
+        # nan switches both bound checks off; a negative tol fails valid instances
+        def unreachable(*args):
+            raise AssertionError("a prefix contraction ran before tol was checked")
+
+        monkeypatch.setattr(dynamics, "_prefix_targets", unreachable)
+        g = InteractionGraph.build(2, [(0, 1)])
+        tensors = [canonicalize(v, np.eye(2)) for v in range(2)]
+        with pytest.raises(InvalidInputError, match="tol must be finite and >= 0"):
+            verify_lemma1(g, tensors, tol=tol)
+
     def test_steps_are_slotted(self):
         g = InteractionGraph.build(2, [(0, 1)])
         report = verify_lemma1(g, [canonicalize(v, np.eye(2)) for v in range(2)])

@@ -309,6 +309,16 @@ class TestRandomInjective:
         with pytest.raises(InvalidInputError):
             random_tensors(graph, 0.5, 5)
 
+    @pytest.mark.parametrize("kappa_max", [math.nan, math.inf])
+    def test_rejects_non_finite_kappa_before_any_draw(self, monkeypatch, kappa_max):
+        def unreachable(*args):
+            raise AssertionError("a stream was seeded before kappa_max was checked")
+
+        monkeypatch.setattr(harness, "SeedStreams", unreachable)
+        graph = InteractionGraph.build(2, [(0, 1)])
+        with pytest.raises(InvalidInputError, match="kappa_max must be finite and >= 1"):
+            random_tensors(graph, kappa_max, 5)
+
     def test_seeded_reproducibility(self):
         graph = InteractionGraph.build(3, [(0, 1), (1, 2)])
         a, b, c = (random_tensors(graph, 2.0, seed) for seed in (9, 9, 10))
@@ -332,6 +342,8 @@ SAMPLER_CASES = {
     "ring5-kappa1": (_ring(5), 1.0, 77),
     "ring4-order": (_ring(4, order=[2, 0, 3, 1]), 2.0, 6),
     "chain3-bonds32": (InteractionGraph.build(3, [(0, 1), (1, 2)], bond_dim=[3, 2]), 4.0, 2),
+    # same-shape vertices apart; the square ones share their QR with every right factor
+    "ring5-interleaved": (_ring(5, physical_dims=[5, 4, 5, 4, 6]), 3.0, 23),
     # seeds of two and three 32-bit words
     "ring4-seed-2w": (_ring(4), 3.0, 2**32 + 7),
     "grid2x3-mixed-dims-seed-3w": (_grid(2, 3, physical_dims=[5, 9, 4, 4, 8, 6]), 2.5, 2**70 + 3),
@@ -365,7 +377,9 @@ class TestBatchedSampler:
             assert np.abs(t.singular_values - sigma).max() <= 1e-13, (case, t.vertex)
             assert np.all(np.diff(t.singular_values) <= 0), (case, t.vertex)
 
-    @pytest.mark.parametrize("case, qrs", [("ring6", 1), ("grid2x3-mixed-dims", 5)])
+    @pytest.mark.parametrize(
+        "case, qrs", [("ring6", 1), ("grid2x3-mixed-dims", 5), ("ring5-interleaved", 3)]
+    )
     def test_one_qr_per_shape_and_no_svd(self, case, qrs, monkeypatch):
         calls = {"qr": 0, "svd": 0}
         for name in calls:

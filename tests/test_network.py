@@ -29,7 +29,7 @@ from peps_forge.errors import (
     InjectivityError,
     InvalidInputError,
 )
-from peps_forge.network import InteractionGraph, canonicalize
+from peps_forge.network import InteractionGraph, canonicalize, polar_tensor
 
 
 class TestInteractionGraph:
@@ -122,6 +122,35 @@ class TestCanonicalize:
     def test_rejects_rank_deficient(self):
         with pytest.raises(InjectivityError):
             canonicalize(0, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+class TestPolarTensor:
+    @staticmethod
+    def _factors(count: int, seed: int):
+        rng = np.random.default_rng(seed)
+        maps = rng.standard_normal((count, 6, 4)) + 1j * rng.standard_normal((count, 6, 4))
+        u, sigma, vh = np.linalg.svd(maps, full_matrices=False)
+        return maps, u, sigma, vh
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_matches_each_map_alone(self, seed):
+        maps, u, sigma, vh = self._factors(5, seed)
+        vertices = [3, 0, 4, 1, 2]
+        stacked = polar_tensor(vertices, maps, u, sigma, vh)
+        for i, got in enumerate(stacked):
+            (alone,) = polar_tensor(
+                [vertices[i]], maps[i : i + 1], u[i : i + 1], sigma[i : i + 1], vh[i : i + 1]
+            )
+            assert got.vertex == alone.vertex == vertices[i]
+            for field in ("matrix", "isometry", "positive_factor", "singular_values"):
+                a, b = getattr(got, field), getattr(alone, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, field)
+
+    def test_names_the_first_rank_deficient_map(self):
+        maps, u, sigma, vh = self._factors(4, 7)
+        sigma[[1, 3], -1] = 0.0
+        with pytest.raises(InjectivityError, match="tensor at vertex 11 is rank deficient"):
+            polar_tensor([10, 11, 12, 13], maps, u, sigma, vh)
 
 
 class TestPairState:
