@@ -3,12 +3,14 @@
 
     python scripts/output_drift.py OLD_SRC NEW_SRC [--fixture NAME ...]
 
-Runs ``run``, ``sweep`` (JSON and CSV), ``gap-scan``, ``verify-lemma1`` and
-``cost-model --config`` on each fixture through ``python -m peps_forge.cli``,
-once with each ``src`` directory on ``PYTHONPATH``, both on the fixture file
-of ``OLD_SRC``. The fixtures hold explicit tensors; the random-tensor configs
-in ``GENERATED`` cover sampling too. Each is written to a temporary
-directory, selected by name like a fixture and run with its own commands
+Runs ``run`` (at the config seed, at the two-word seed 4294967303 and in
+``until_success`` mode), ``sweep`` (JSON and CSV), ``gap-scan``,
+``verify-lemma1`` and ``cost-model --config`` on each fixture through
+``python -m peps_forge.cli``, once with each ``src`` directory on
+``PYTHONPATH``, both on the fixture file of ``OLD_SRC``. The fixtures hold
+explicit tensors; the random-tensor configs in ``GENERATED`` cover sampling
+too. Each is written to a temporary directory, selected by name like a
+fixture and run with its own commands
 (``random-ring6``: ``verify-lemma1 --trials 8`` and ``gap-scan``;
 ``random-ring5``: ``run``, ``sweep --trials 100 --format csv`` and
 ``gap-scan``; ``random-ring5-tall``, with three maps taller than their
@@ -41,6 +43,10 @@ from pathlib import Path
 #: command label -> subcommand and its arguments besides ``--config``
 COMMANDS = {
     "run": ("run", []),
+    # a seed of two 32-bit words, and chains whose first shots miss (chain3
+    # and ring4): with "run", every branch of run_algorithm's stream seeding
+    "run-wide-seed": ("run", ["--seed", "4294967303"]),
+    "run-until": ("run", ["--mode", "until_success"]),
     "sweep-json": ("sweep", ["--trials", "100"]),
     "sweep-csv": ("sweep", ["--trials", "100", "--format", "csv"]),
     "gap-scan": ("gap-scan", []),

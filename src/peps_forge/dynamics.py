@@ -24,6 +24,7 @@ cost accounting; the driver's per-vertex random streams come from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -50,7 +51,7 @@ from .network import (
     peps_state,
     restore_gauge,
 )
-from .streams import MEASUREMENTS, SeedStreams, StreamBatch
+from .streams import MEASUREMENTS, SeedStreams, StreamBatch, Uniforms
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -572,7 +573,12 @@ def _alternation_cap(
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"failure budget must be in (0, 1), got {eps}")
     if max_alternations is not None:
-        return int(max_alternations)
+        try:
+            return operator.index(max_alternations)
+        except TypeError:
+            raise InvalidInputError(
+                f"max_alternations must be an integer, got {max_alternations!r}"
+            ) from None
     if mode == "bounded":
         return required_alternations(prepared.kappa_max, prepared.graph.num_vertices, eps)[1]
     return None
@@ -598,42 +604,34 @@ def run_algorithm(
     each vertex is one :func:`markov_simulate` chain at the overlap
     ``prepared.overlaps[t]``; no state vector is built. A successful run
     ends in the last target and reports the instance constant
-    ``prepared.fidelity``. Deterministic given ``seed``, which must be
-    >= 0: vertex ``t`` of a run with seed ``s`` draws from numpy's PCG64
-    stream of ``SeedSequence(s, spawn_key=(0, t))``, reproduced bit for bit
-    by :class:`~peps_forge.streams.SeedStreams` with the seed's share
-    derived once per run.
+    ``prepared.fidelity``. Deterministic given ``seed``, an integer >= 0:
+    vertex ``t`` of a run with seed ``s`` draws from numpy's PCG64 stream
+    of ``SeedSequence(s, spawn_key=(0, t))``, reproduced bit for bit by
+    :class:`~peps_forge.streams.SeedStreams`. A run builds one SeedSequence,
+    for the seed's share of every stream; each vertex's
+    :class:`~peps_forge.streams.Uniforms` is seeded from it by one
+    :meth:`~peps_forge.streams.SeedStreams.pcg_state` call. A cap
+    ``max_alternations`` that is not an integer is rejected before any
+    stream is seeded.
     """
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     cap = _alternation_cap(prepared, eps, mode, max_alternations)
-    g = prepared.graph
-    streams = SeedStreams(seed, MEASUREMENTS)
+    pcg_state = SeedStreams(seed, MEASUREMENTS).pcg_state
+    order, kappas, gaps = prepared.graph.order, prepared.step_kappas, prepared.gaps
+    zero_tol = prepared.zero_tol
     records: list[VertexRecord] = []
     total = 0
-    success = True
-    for t in range(g.num_vertices):
-        p = prepared.overlaps[t]
-        outcomes = markov_simulate(p, cap, streams.uniforms(t), prepared.zero_tol)
-        vertex_ok = outcomes[-1] == "zero"
-        total += len(outcomes)
-        vertex = g.order[t]
+    for t, p in enumerate(prepared.overlaps):
+        outcomes = markov_simulate(p, cap, Uniforms(*pcg_state(t)), zero_tol)
+        count = len(outcomes)
+        total += count
+        success = outcomes[-1] == "zero"
         records.append(
             VertexRecord(
-                step=t,
-                vertex=vertex,
-                outcomes=outcomes,
-                measurements=len(outcomes),
-                alternations=(len(outcomes) - 1) // 2,
-                first_shot_probability=p,
-                overlap=p,
-                kappa=prepared.step_kappas[t],
-                gap=prepared.gaps[t + 1],
-                succeeded=vertex_ok,
+                t, order[t], outcomes, count, (count - 1) // 2,
+                p, p, kappas[t], gaps[t + 1], success,
             )
         )
-        if not vertex_ok:
-            success = False
+        if not success:
             break
     return RunReport(
         seed=int(seed),
@@ -642,7 +640,7 @@ def run_algorithm(
         alternation_cap=cap,
         kappa_max=prepared.kappa_max,
         min_gap=prepared.min_gap,
-        gaps=prepared.gaps,
+        gaps=gaps,
         success=success,
         fidelity=prepared.fidelity if success else None,
         total_measurements=total,

@@ -9,32 +9,36 @@ namespace keeps streams derived from one seed apart:
 * :data:`TENSORS` (1): the sampler's stream for vertex ``index`` (see
   :func:`peps_forge.harness.random_tensors`).
 
+A seed is an integer ``>= 0`` (anything :func:`operator.index` takes); a
+numpy integer gives the streams of the equal Python int.
+
 SeedSequence mixes its entropy (the seed's 32-bit words zero-padded to the
 pool size, then the spawn key's words) into its pool one word at a time.
 :class:`SeedStreams` therefore has numpy build the pool of the shared
-prefix ``[seed words, padding, namespace]`` once, and each stream only mixes
-in the words of its index and hashes the pool into PCG64's ``(state,
-inc)``: a dozen integer hash steps instead of a SeedSequence and a
-Generator per stream. Both algorithms are frozen by numpy's
+prefix ``[seed words, padding, namespace]`` once. Each stream then runs one
+kernel, :func:`_state_words`: it mixes the words of its index into the 4
+pool words and hashes those into the 8 words that PCG64 seeds its
+``(state, inc)`` from, unrolled on named words, instead of building a
+SeedSequence and a Generator. Both algorithms are frozen by numpy's
 stream-compatibility policy (NEP 19); the tests keep numpy as the oracle.
 
 :class:`StreamBatch` derives the streams of many seeds at once, for a
-sweep. Its pools and hash steps are ``uint64`` arrays with one element per
-seed. Its 32-bit steps (:func:`_hash`, :func:`_mix`) are the scalar path's
-own source. Under NEP 50 an int constant takes the array's dtype; a
-product may wrap modulo ``2**64``, but the wrap leaves the low 32 bits
-that the mask keeps. So ints and arrays give the same words. Seeds of one
-word count share every hash constant, and every seed below ``2**128`` pads
-to four words. numpy has no batched SeedSequence, so the batch builds its
-pools itself (:func:`_entropy_pool`); the scalar path keeps numpy's pool,
-which is faster for one seed. The batch takes each stream's first draw in
-32-bit limb arithmetic and leaves the rest of the stream to
-:class:`Uniforms`.
+sweep, through the same kernel: its pools and words are ``uint64`` arrays
+with one element per seed. Under NEP 50 an int constant takes the array's
+dtype; a product or sum may wrap modulo ``2**64``, but the wrap leaves the
+low 32 bits that the mask keeps. So ints and arrays give the same words.
+Seeds of one word count share every hash constant, and every seed below
+``2**128`` pads to four words. numpy has no batched SeedSequence, so the
+batch builds its pools itself (:func:`_entropy_pool`); the scalar path
+keeps numpy's pool, which is faster for one seed. The batch takes each
+stream's first draw in 32-bit limb arithmetic and leaves the rest of the
+stream to :class:`Uniforms`.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +62,17 @@ _MASK128 = (1 << 128) - 1
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int ``>= 0``; a numpy integer gives the equal Python int."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _uint32_words(n: int) -> list[int]:
     """Little-endian 32-bit words of ``n >= 0``, one zero word for 0."""
     words = [n & _MASK32]
@@ -66,25 +81,25 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hash_constants(const: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """``(xor, multiply)`` pairs of ``count`` successive SeedSequence hashes.
+def _hash_constants(const: int, mult: int, count: int) -> list[int]:
+    """The constants of ``count`` successive SeedSequence hashes.
 
-    Each hash XORs its word with the current constant, steps the constant
-    by ``mult`` and multiplies by the new one, whatever the data.
+    Hash ``i`` XORs its word with element ``i`` and multiplies it by element
+    ``i + 1``: each hash steps the constant by ``mult``, whatever the data.
     """
-    pairs = []
+    consts = [const]
     for _ in range(count):
-        pairs.append((const, const := (const * mult) & _MASK32))
-    return pairs
+        consts.append(const := (const * mult) & _MASK32)
+    return consts
 
 
-def _hash(words: list, consts: list[tuple[int, int]]) -> list:
-    """SeedSequence's hash of each word under its ``(xor, multiply)`` pair.
+def _hash(words: list, consts: list[int]) -> list:
+    """SeedSequence's hash of each word under the constants that start at ``consts[0]``.
 
     A word is a Python int or a ``uint64`` array of 32-bit values.
     """
     out = []
-    for x, (a, b) in zip(words, consts):
+    for x, a, b in zip(words, consts, consts[1:]):
         v = ((x ^ a) * b) & _MASK32
         out.append(v ^ (v >> 16))
     return out
@@ -103,24 +118,64 @@ def _mix(pool: list, hashes) -> list:
     return out
 
 
-#: ``generate_state(4, uint64)``: 8 words hashed from the cycled pool
-_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+#: ``generate_state(4, uint64)`` hashes the cycled pool into 8 words
+_STATE_CONSTS = tuple(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
 
 
 @functools.cache
-def _index_hashes(prefix_words: int, index: int) -> tuple[tuple[int, ...], ...]:
-    """Hashes that mix the words of ``index`` into a pool after ``prefix_words`` words.
+def _index_offsets(prefix_words: int, index: int) -> tuple[tuple[int, ...], ...]:
+    """What mixing each word of ``index`` into a pool after ``prefix_words`` words adds.
 
-    Past the pool size, SeedSequence hashes each entropy word once per pool
-    word; before it, the pool words and their all-pairs mixing take 16
-    hashes. Either way ``L >= 4`` words take ``4 L`` hashes, so the
-    constants that follow the prefix depend on its length only.
+    :func:`_mix` of a hashed word ``h`` into pool word ``x`` takes the low
+    32 bits of ``L x - R h``, so the offset is ``-R h`` modulo ``2**32``,
+    one per pool word. Past the pool size, SeedSequence hashes each entropy
+    word once per pool word; before it, the pool words and their all-pairs
+    mixing take 16 hashes. Either way ``L >= 4`` words take ``4 L``
+    hashes, so the constants that follow the prefix depend on its length
+    only.
     """
     words = _uint32_words(index)
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (prefix_words + len(words)))
-    return tuple(
-        tuple(_hash([w] * _POOL_SIZE, consts[_POOL_SIZE * i :]))
-        for i, w in enumerate(words, start=prefix_words)
+    offsets = []
+    for i, w in enumerate(words, start=prefix_words):
+        hashes = _hash([w] * _POOL_SIZE, consts[_POOL_SIZE * i :])
+        offsets.append(tuple(-_MIX_MULT_R * h & _MASK32 for h in hashes))
+    return tuple(offsets)
+
+
+def _state_words(pool, index_offsets) -> tuple:
+    """The 8 words of ``generate_state(4, uint64)`` once an index is mixed into ``pool``.
+
+    ``pool`` holds the 4 pool words of the shared prefix and
+    ``index_offsets`` the 4 offsets of each index word (see
+    :func:`_index_offsets`). This is every stream's seeding, unrolled: the
+    mixes of :func:`_mix` and the hashes of :func:`_hash` on named words,
+    with no list built per step. Each word is a Python int or a ``uint64``
+    array of 32-bit values; an array product or sum may wrap modulo
+    ``2**64``, which keeps the low 32 bits.
+    """
+    x0, x1, x2, x3 = pool
+    for k0, k1, k2, k3 in index_offsets:
+        x0 = (_MIX_MULT_L * x0 + k0) & _MASK32
+        x1 = (_MIX_MULT_L * x1 + k1) & _MASK32
+        x2 = (_MIX_MULT_L * x2 + k2) & _MASK32
+        x3 = (_MIX_MULT_L * x3 + k3) & _MASK32
+        x0 ^= x0 >> 16
+        x1 ^= x1 >> 16
+        x2 ^= x2 >> 16
+        x3 ^= x3 >> 16
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_CONSTS
+    w0 = ((x0 ^ c0) * c1) & _MASK32
+    w1 = ((x1 ^ c1) * c2) & _MASK32
+    w2 = ((x2 ^ c2) * c3) & _MASK32
+    w3 = ((x3 ^ c3) * c4) & _MASK32
+    w4 = ((x0 ^ c4) * c5) & _MASK32
+    w5 = ((x1 ^ c5) * c6) & _MASK32
+    w6 = ((x2 ^ c6) * c7) & _MASK32
+    w7 = ((x3 ^ c7) * c8) & _MASK32
+    return (
+        w0 ^ (w0 >> 16), w1 ^ (w1 >> 16), w2 ^ (w2 >> 16), w3 ^ (w3 >> 16),
+        w4 ^ (w4 >> 16), w5 ^ (w5 >> 16), w6 ^ (w6 >> 16), w7 ^ (w7 >> 16),
     )
 
 
@@ -190,28 +245,30 @@ class Uniforms:
 
 
 class SeedStreams:
-    """The streams ``SeedSequence(seed, spawn_key=(namespace, index))`` of one seed."""
+    """The streams ``SeedSequence(seed, spawn_key=(namespace, index))`` of one seed.
+
+    Construction builds the one SeedSequence, of the seed's shared prefix;
+    each stream is then one :func:`_state_words` call on the Python ints of
+    its pool and a few 128-bit steps.
+    """
 
     __slots__ = ("pool", "prefix_words")
 
     def __init__(self, seed: int, namespace: int):
-        if seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {seed}")
-        words = _uint32_words(seed)
+        words = _uint32_words(_check_seed(seed))
         words += [0] * (_POOL_SIZE - len(words)) + [namespace]
         self.prefix_words = len(words)
         self.pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
 
     def pcg_state(self, index: int) -> tuple[int, int]:
         """PCG64's ``(state, inc)`` right after seeding from stream ``index``."""
-        pool = self.pool
-        for hashes in _index_hashes(self.prefix_words, index):
-            pool = _mix(pool, hashes)
-        w = _hash(pool * 2, _STATE_HASHES)
-        # the 64-bit words (initstate, initseq) are little-endian word pairs
-        initstate = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
-        initseq = (w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]
-        inc = ((initseq << 1) | 1) & _MASK128
+        w0, w1, w2, w3, w4, w5, w6, w7 = _state_words(
+            self.pool, _index_offsets(self.prefix_words, index)
+        )
+        # the 64-bit words (initstate, initseq) are little-endian word pairs,
+        # and inc = (initseq << 1) | 1
+        initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
+        inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
         return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
 
     def uniforms(self, index: int) -> Uniforms:
@@ -250,8 +307,7 @@ class StreamBatch:
     __slots__ = ("pool", "groups")
 
     def __init__(self, seeds: Sequence[int], namespace: int):
-        if min(seeds, default=0) < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {min(seeds)}")
+        seeds = [_check_seed(s) for s in seeds]
         # seeds below 2**128 pad to the pool size
         counts = np.array([(s.bit_length() + 31) >> 5 if s >> 128 else _POOL_SIZE for s in seeds])
         self.pool = [np.empty(len(seeds), dtype=np.uint64) for _ in range(_POOL_SIZE)]
@@ -272,13 +328,10 @@ class StreamBatch:
         from seed ``k``'s stream; ``resume(k)`` is that stream past the
         draw, as :class:`Uniforms`.
         """
-        hashes = np.empty((len(_uint32_words(index)), _POOL_SIZE, len(self.pool[0])), np.uint64)
+        offsets = np.empty((len(_uint32_words(index)), _POOL_SIZE, len(self.pool[0])), np.uint64)
         for prefix_words, at in self.groups:
-            hashes[..., at] = np.array(_index_hashes(prefix_words, index), np.uint64)[..., None]
-        pool = self.pool
-        for word_hashes in hashes:
-            pool = _mix(pool, word_hashes)
-        w = _hash(pool * 2, _STATE_HASHES)
+            offsets[..., at] = np.array(_index_offsets(prefix_words, index), np.uint64)[..., None]
+        w = _state_words(self.pool, offsets)
         # initstate and initseq as limbs, then inc = (initseq << 1) | 1
         initstate, seq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
         inc = [((seq[0] << 1) | 1) & _MASK32]

@@ -647,8 +647,47 @@ class TestRunAlgorithm:
         assert report.alternation_cap is None
 
     def test_negative_seed_rejected(self, prepared_zoo):
-        with pytest.raises(InvalidInputError, match="seed"):
-            run_algorithm(prepared_zoo["chain2"], 0.1, seed=-1)
+        # and every seed that is not an integer, in run_algorithm and run_seeds
+        for seed in (-1, 3.0, 3.5, "3"):
+            with pytest.raises(InvalidInputError, match="seed"):
+                run_algorithm(prepared_zoo["chain2"], 0.1, seed=seed)
+            with pytest.raises(InvalidInputError, match="seed"):
+                dynamics.run_seeds(prepared_zoo["chain2"], 0.1, [4, seed])
+
+    def test_numpy_integer_seed_runs_like_the_equal_int(self, prepared_zoo):
+        prep = prepared_zoo["ring4"]
+        seeds = [np.int64(3), np.uint64(2**64 - 1), np.int32(7)]
+        for mode in ("bounded", "until_success"):
+            reports = [run_algorithm(prep, 0.1, int(seed), mode) for seed in seeds]
+            assert [run_algorithm(prep, 0.1, seed, mode) for seed in seeds] == reports
+            want = [r.success for r in reports], [r.total_measurements for r in reports]
+            assert dynamics.run_seeds(prep, 0.1, seeds, mode) == want
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, "2", math.nan])
+    def test_non_integer_cap_rejected_before_any_stream(self, prepared_zoo, monkeypatch, cap):
+        # int() would have run 2.5 and 2.0 with a cap of 2
+        def unreachable(*args):
+            raise AssertionError("a stream was seeded before the cap was checked")
+
+        monkeypatch.setattr(dynamics, "SeedStreams", unreachable)
+        with pytest.raises(InvalidInputError, match="max_alternations must be an integer"):
+            run_algorithm(prepared_zoo["chain2"], 0.1, 0, max_alternations=cap)
+
+    def test_one_seed_sequence_and_no_generator_per_run(self, prepared_zoo, monkeypatch):
+        made = []
+        for name in ("SeedSequence", "Generator", "PCG64"):
+
+            def counting(*args, _name=name, _cls=getattr(np.random, name), **kwargs):
+                made.append(_name)
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counting)
+        # ring4's last vertex misses its first shots at seed 0
+        for seed in (0, 2**32 + 7):
+            made.clear()
+            report = run_algorithm(prepared_zoo["ring4"], 0.1, seed, mode="until_success")
+            assert len(report.vertices) == 4
+            assert made == ["SeedSequence"], seed
 
     def test_deterministic_reports(self):
         graph, tensors = random_instance(RING4, 5.0, 408)

@@ -319,6 +319,15 @@ class TestRandomInjective:
         with pytest.raises(InvalidInputError, match="kappa_max must be finite and >= 1"):
             random_tensors(graph, kappa_max, 5)
 
+    def test_rejects_a_seed_that_is_not_an_integer(self):
+        graph = InteractionGraph.build(2, [(0, 1)])
+        for seed in (3.5, 3.0, -1):
+            with pytest.raises(InvalidInputError, match="seed"):
+                random_tensors(graph, 2.0, seed)
+        # a numpy integer samples like the equal int
+        a, b = random_tensors(graph, 2.0, np.int64(9)), random_tensors(graph, 2.0, 9)
+        assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
+
     def test_seeded_reproducibility(self):
         graph = InteractionGraph.build(3, [(0, 1), (1, 2)])
         a, b, c = (random_tensors(graph, 2.0, seed) for seed in (9, 9, 10))

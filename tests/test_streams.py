@@ -69,10 +69,12 @@ class TestSeededBitGenerator:
             assert rng.integers(0, 2**31, dtype=np.int32) == want.integers(0, 2**31, dtype=np.int32)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SeedStreams(-1, TENSORS)
-        with pytest.raises(InvalidInputError):
-            StreamBatch([3, -1], TENSORS)
+        # and every seed that is not an integer, whole floats included
+        for seed in (-1, np.int64(-1), 3.0, 3.5, "3", None):
+            with pytest.raises(InvalidInputError, match="seed"):
+                SeedStreams(seed, TENSORS)
+            with pytest.raises(InvalidInputError, match="seed"):
+                StreamBatch([3, seed], TENSORS)
 
 
 class TestStreamBatch:
@@ -80,13 +82,15 @@ class TestStreamBatch:
 
     @pytest.mark.parametrize("namespace", [MEASUREMENTS, TENSORS])
     def test_states_match_numpy(self, namespace):
-        # shuffled, so that each word count's seeds sit apart in the batch
-        seeds = random.Random(namespace).sample(SEEDS, len(SEEDS))
+        # shuffled, so that each word count's seeds sit apart in the batch;
+        # a numpy integer seeds the streams of the equal int
+        numpy_seeds = [np.int64(3), np.uint64(2**64 - 1), np.uint32(2**32 - 1)]
+        seeds = random.Random(namespace).sample(SEEDS + numpy_seeds, len(SEEDS) + 3)
         batch = StreamBatch(seeds, namespace)
         for index in INDICES:
             draws, resume = batch.first_draws(index)
             for k, seed in enumerate(seeds):
-                seq = np.random.SeedSequence(seed, spawn_key=(namespace, index))
+                seq = np.random.SeedSequence(int(seed), spawn_key=(namespace, index))
                 bitgen = np.random.PCG64(seq)
                 assert draws[k] == np.random.Generator(bitgen).random(), (seed, index)
                 rest = resume(k)
