@@ -4,7 +4,8 @@
     python scripts/output_drift.py OLD_SRC NEW_SRC [--fixture NAME ...]
 
 Runs ``run`` (at the config seed, at the two-word seed 4294967303 and in
-``until_success`` mode), ``sweep`` (JSON and CSV), ``gap-scan``,
+``until_success`` mode), ``sweep`` (JSON and CSV over 100 trials, 300
+trials in ``until_success`` mode and 2000 bounded trials), ``gap-scan``,
 ``verify-lemma1`` and ``cost-model --config`` on each fixture through
 ``python -m peps_forge.cli``, once with each ``src`` directory on
 ``PYTHONPATH``, both on the fixture file of ``OLD_SRC``. The fixtures hold
@@ -49,6 +50,10 @@ COMMANDS = {
     "run-until": ("run", ["--mode", "until_success"]),
     "sweep-json": ("sweep", ["--trials", "100"]),
     "sweep-csv": ("sweep", ["--trials", "100", "--format", "csv"]),
+    # many chains whose first shots miss, run to their end or to the cap;
+    # long ones continue their streams in blocks on numpy's generator
+    "sweep-until": ("sweep", ["--mode", "until_success", "--trials", "300"]),
+    "sweep-long": ("sweep", ["--trials", "2000"]),
     "gap-scan": ("gap-scan", []),
     "verify-lemma1": ("verify-lemma1", ["--trials", "3"]),
     "cost-model": ("cost-model", []),

@@ -10,10 +10,11 @@ single two-dimensional invariant plane (Jordan's lemma), the repair loop is
 a four-state Markov chain whose only parameter is the certified overlap
 ``p`` of the two targets, with closed-form termination statistics.
 
-The end-to-end driver runs that chain directly: one scalar
-:func:`markov_simulate` per vertex, with no state vectors.
-:func:`run_seeds` runs many seeds as one batch, drawing every first
-measurement in bulk and the rest of a chain with the same body. The
+The end-to-end driver runs that chain directly, with no state vectors:
+each vertex draws its first measurement, and one that misses runs the
+scalar :func:`markov_simulate` chain. :func:`run_seeds` runs many seeds as
+one batch, drawing every first measurement in bulk and each missed chain
+through the same function. The
 full-Hilbert-space measurement (:func:`measure_zero_energy`) and repair
 loop (:func:`repair_loop_trials`) stay as the independent oracle the chain
 is tested against. This module also provides the closed forms and the
@@ -52,6 +53,15 @@ from .network import (
     restore_gauge,
 )
 from .streams import MEASUREMENTS, SeedStreams, StreamBatch, Uniforms
+
+#: undo/retry rounds a chain draws one at a time before it continues its
+#: stream in blocks (see :meth:`~peps_forge.streams.Uniforms.doubles`):
+#: putting a numpy generator at the stream costs about four single draws
+SCALAR_ROUNDS = 2
+#: seeds :func:`run_seeds` draws the first shots of in one pass, so that
+#: its arrays grow with this block, not with the sweep
+SEED_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -118,7 +128,7 @@ def _prefix_targets(
 class Lemma1StepCheck:
     """Overlap and norm-ratio bound comparison at one step.
 
-    Slotted rather than frozen, like :class:`VertexRecord`: a report builds
+    Slotted rather than frozen, like :class:`RunReport`: a report builds
     one per step. Treat it as read-only.
     """
 
@@ -288,34 +298,40 @@ def markov_simulate(
     missed. Returns the outcome labels (``'zero'`` = landed,
     ``'nonzero'`` = missed), first measurement first.
 
-    Each measurement consumes exactly one ``rng.random()`` draw, the only
-    method ``rng`` needs, and follows the ``zero_tol`` rules of
-    :func:`measure_zero_energy`, so on the same stream the labels equal
-    those of the full-space loop on the two targets whose squared overlap is
-    ``p``. A chain with ``p <= zero_tol`` never lands, so it needs a finite
-    cap.
+    Each measurement consumes exactly one draw of ``rng`` and follows the
+    ``zero_tol`` rules of :func:`measure_zero_energy`, so on the same
+    stream the labels equal those of the full-space loop on the two targets
+    whose squared overlap is ``p``. A chain with ``p <= zero_tol`` never
+    lands, so it needs a finite cap. Any ``rng`` with ``random()`` serves
+    and is drawn once per measurement; a
+    :class:`~peps_forge.streams.Uniforms` stream is drawn so for the first
+    measurement and :data:`SCALAR_ROUNDS` undo/retry rounds, then through
+    its :meth:`~peps_forge.streams.Uniforms.doubles`, the same values in
+    blocks.
     """
     p = float(p)
     _check_chain(p, max_alternations, zero_tol)
-    if rng.random() < _threshold(p, zero_tol):
-        return ("zero",)
-    return _after_a_miss(p, max_alternations, rng, zero_tol)
-
-
-def _after_a_miss(
-    p: float, max_alternations: int | None, rng: UniformSource, zero_tol: float
-) -> tuple[str, ...]:
-    """The labels of a :func:`markov_simulate` chain whose first measurement
-    missed, that one included; ``rng`` is past the first draw."""
     land, stay = _threshold(p, zero_tol), _threshold(1.0 - p, zero_tol)
+    draw = rng.random
+    if draw() < land:
+        return ("zero",)
+    switch = SCALAR_ROUNDS if type(rng) is Uniforms else -1
     outcomes = ["nonzero"]
-    hit = False
     alternations = 0
-    while not hit and (max_alternations is None or alternations < max_alternations):
-        on_old_target = rng.random() < stay
-        hit = rng.random() < (land if on_old_target else stay)
-        outcomes += ["zero" if on_old_target else "nonzero", "zero" if hit else "nonzero"]
+    while max_alternations is None or alternations < max_alternations:
+        if alternations == switch:
+            draw = rng.doubles().__next__
         alternations += 1
+        if draw() < stay:  # the undo lands back on the old target
+            if draw() < land:
+                outcomes += ("zero", "zero")
+                break
+            outcomes += ("zero", "nonzero")
+        elif draw() < stay:
+            outcomes += ("nonzero", "zero")
+            break
+        else:
+            outcomes += ("nonzero", "nonzero")
     return tuple(outcomes)
 
 
@@ -483,7 +499,10 @@ class PreparedInstance:
     Every successful run ends in the last target, so its fidelity with the
     directly contracted state, ``|<restore_gauge(psi_n)|reference_state>|^2``,
     is computed here once as ``fidelity``. The preparation is reusable
-    across seeds.
+    across seeds, and keeps what every run shares: each step's landing
+    threshold, the :class:`VertexRecord` of a first shot that lands, the
+    bounded-mode cap of each ``eps`` and the caps every step's chain has
+    been checked against.
 
     ``c``, the paper's penalty weight, is accepted and ignored: in the
     canonical gauge its penalty terms are zero, and none is built (see
@@ -524,15 +543,25 @@ class PreparedInstance:
         self.reference_state: np.ndarray = peps_state(graph, tensors)
         restored = restore_gauge(graph, self.tensors, self.targets[n])
         self.fidelity: float = float(abs(np.vdot(restored, self.reference_state)) ** 2)
+        # what every run shares at each step: the threshold a first draw must
+        # fall below to land, and the record of a first shot that lands
+        self._lands = tuple(_threshold(p, zero_tol) for p in self.overlaps)
+        self._landed = tuple(
+            VertexRecord(t, v, ("zero",), 1, 0, p, p, kappa, gap, True)
+            for t, (v, p, kappa, gap) in enumerate(
+                zip(graph.order, self.overlaps, self.step_kappas, self.gaps[1:])
+            )
+        )
+        self._bounded_caps: dict[float, int] = {}
+        self._checked_caps: set[int | None] = set()
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class VertexRecord:
     """Measurement log for one processed vertex.
 
-    Slotted rather than frozen, like :class:`RunReport`: a run builds one
-    per vertex, and a frozen dataclass sets each field through
-    ``object.__setattr__``. Treat both as read-only.
+    Frozen, because the record of a first shot that lands is built once per
+    instance and shared by every report that holds it.
     """
 
     step: int
@@ -549,7 +578,11 @@ class VertexRecord:
 
 @dataclass(slots=True)
 class RunReport:
-    """Full account of one driver run, reproducible from (instance, seed)."""
+    """Full account of one driver run, reproducible from (instance, seed).
+
+    Slotted rather than frozen: a run builds one, and a frozen dataclass
+    sets each field through ``object.__setattr__``. Treat it as read-only.
+    """
 
     seed: int
     mode: str
@@ -567,21 +600,32 @@ class RunReport:
 def _alternation_cap(
     prepared: PreparedInstance, eps: float, mode: str, max_alternations: int | None
 ) -> int | None:
-    """The per-vertex alternation cap of a run: ``None`` means none."""
+    """The per-vertex alternation cap of a run (``None`` means none), with
+    every step's chain checked against it once per instance."""
     if mode not in ("bounded", "until_success"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"failure budget must be in (0, 1), got {eps}")
     if max_alternations is not None:
         try:
-            return operator.index(max_alternations)
+            cap = operator.index(max_alternations)
         except TypeError:
             raise InvalidInputError(
                 f"max_alternations must be an integer, got {max_alternations!r}"
             ) from None
-    if mode == "bounded":
-        return required_alternations(prepared.kappa_max, prepared.graph.num_vertices, eps)[1]
-    return None
+    elif mode == "bounded":
+        caps, eps = prepared._bounded_caps, float(eps)
+        cap = caps.get(eps)
+        if cap is None:
+            n = prepared.graph.num_vertices
+            cap = caps[eps] = required_alternations(prepared.kappa_max, n, eps)[1]
+    else:
+        cap = None
+    if cap not in prepared._checked_caps:
+        for p in prepared.overlaps:
+            _check_chain(p, cap, prepared.zero_tol)
+        prepared._checked_caps.add(cap)
+    return cap
 
 
 def run_algorithm(
@@ -610,29 +654,41 @@ def run_algorithm(
     :class:`~peps_forge.streams.SeedStreams`. A run builds one SeedSequence,
     for the seed's share of every stream; each vertex's
     :class:`~peps_forge.streams.Uniforms` is seeded from it by one
-    :meth:`~peps_forge.streams.SeedStreams.pcg_state` call. A cap
+    :meth:`~peps_forge.streams.SeedStreams.pcg_state` call and draws the
+    first shot. A first shot that lands takes the instance's shared record
+    of that step; one that misses runs :func:`markov_simulate` from the
+    stream's start, which continues a long chain in blocks on numpy's
+    generator. The cap, the chain checks and the landing thresholds come
+    from the instance (see :class:`PreparedInstance`). A cap
     ``max_alternations`` that is not an integer is rejected before any
     stream is seeded.
     """
     cap = _alternation_cap(prepared, eps, mode, max_alternations)
     pcg_state = SeedStreams(seed, MEASUREMENTS).pcg_state
-    order, kappas, gaps = prepared.graph.order, prepared.step_kappas, prepared.gaps
-    zero_tol = prepared.zero_tol
+    landed = prepared._landed
     records: list[VertexRecord] = []
     total = 0
-    for t, p in enumerate(prepared.overlaps):
-        outcomes = markov_simulate(p, cap, Uniforms(*pcg_state(t)), zero_tol)
+    for t, land in enumerate(prepared._lands):
+        start = pcg_state(t)
+        if Uniforms(*start).random() < land:
+            records.append(landed[t])
+            total += 1
+            continue
+        step, p = landed[t], prepared.overlaps[t]
+        outcomes = markov_simulate(p, cap, Uniforms(*start), prepared.zero_tol)
         count = len(outcomes)
         total += count
         success = outcomes[-1] == "zero"
         records.append(
             VertexRecord(
-                t, order[t], outcomes, count, (count - 1) // 2,
-                p, p, kappas[t], gaps[t + 1], success,
+                t, step.vertex, outcomes, count, (count - 1) // 2,
+                p, p, step.kappa, step.gap, success,
             )
         )
         if not success:
             break
+    else:
+        success = True
     return RunReport(
         seed=int(seed),
         mode=mode,
@@ -640,7 +696,7 @@ def run_algorithm(
         alternation_cap=cap,
         kappa_max=prepared.kappa_max,
         min_gap=prepared.min_gap,
-        gaps=gaps,
+        gaps=prepared.gaps,
         success=success,
         fidelity=prepared.fidelity if success else None,
         total_measurements=total,
@@ -654,26 +710,35 @@ def run_seeds(
     """The ``success`` and ``total_measurements`` of :func:`run_algorithm` at each seed.
 
     Runs the seeds as one batch, bit for bit like one :func:`run_algorithm`
-    per seed. At each vertex a :class:`~peps_forge.streams.StreamBatch`
-    takes the first draw of every seed's stream in bulk: a trial whose
-    first measurement lands is done with the vertex, and one that misses
-    runs the rest of its chain, as :func:`markov_simulate` would, from its
-    stream past that draw. A trial that spends the cap stops there.
+    per seed. For every :data:`SEED_BLOCK` seeds, one
+    :class:`~peps_forge.streams.StreamBatch` pass takes the first draw of
+    every (vertex, seed) stream in bulk. A trial whose first measurement
+    lands is done with the vertex; one that misses runs
+    :func:`markov_simulate` from its stream's start, as
+    :func:`run_algorithm` does. A trial that spends the cap stops there; a
+    stopped trial's later first draws are taken and never read.
     """
     cap = _alternation_cap(prepared, eps, mode, None)
-    zero_tol = prepared.zero_tol
-    streams = StreamBatch(seeds, MEASUREMENTS)
-    live = np.ones(len(seeds), dtype=bool)
-    totals = np.zeros(len(seeds), dtype=np.int64)
-    for t, p in enumerate(prepared.overlaps):
-        _check_chain(p, cap, zero_tol)
-        draws, resume = streams.first_draws(t)
-        totals += live
-        for k in np.flatnonzero(live & (draws >= _threshold(p, zero_tol))).tolist():
-            outcomes = _after_a_miss(p, cap, resume(k), zero_tol)
-            totals[k] += len(outcomes) - 1
-            live[k] = outcomes[-1] == "zero"
-    return live.tolist(), totals.tolist()
+    overlaps, zero_tol = prepared.overlaps, prepared.zero_tol
+    lands = np.array(prepared._lands)[:, None]
+    succeeded: list[bool] = []
+    measurements: list[int] = []
+    for lo in range(0, len(seeds), SEED_BLOCK):
+        draws, stream = StreamBatch(seeds[lo : lo + SEED_BLOCK], MEASUREMENTS).first_draws(
+            range(len(overlaps))
+        )
+        misses = draws >= lands
+        live = np.ones(draws.shape[1], dtype=bool)
+        totals = np.zeros(draws.shape[1], dtype=np.int64)
+        for t, p in enumerate(overlaps):
+            totals += live
+            for k in np.flatnonzero(live & misses[t]).tolist():
+                outcomes = markov_simulate(p, cap, stream(t, k), zero_tol)
+                totals[k] += len(outcomes) - 1
+                live[k] = outcomes[-1] == "zero"
+        succeeded += live.tolist()
+        measurements += totals.tolist()
+    return succeeded, measurements
 
 
 def repair_loop_trials(

@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -36,7 +37,7 @@ from .errors import CapacityError, ConfigError, InvalidInputError
 from .limits import check_dim, check_trials, dim_cap
 from .linalg import ZERO_TOL
 from .network import InteractionGraph, PepsTensor, canonicalize, polar_tensor
-from .streams import TENSORS, SeedStreams
+from .streams import TENSORS, SeedStreams, check_seed
 
 TOPOLOGIES = ("chain", "ring", "grid", "custom")
 TENSOR_SOURCES = ("random", "explicit")
@@ -391,9 +392,9 @@ def random_tensors(
     """Random injective vertex maps with condition number at most ``kappa_max``.
 
     Vertex ``v`` draws from numpy's stream of
-    ``SeedSequence(seed, spawn_key=(1, v))``, bit for bit, through one
-    generator that :class:`~peps_forge.streams.SeedStreams` puts at the
-    start of each vertex's stream: singular values uniform in
+    ``SeedSequence(seed, spawn_key=(1, v))``, bit for bit, through a
+    generator that :meth:`~peps_forge.streams.SeedStreams.generator` puts
+    at the start of that stream: singular values uniform in
     ``[1/kappa_max, 1]`` (no draw at ``kappa_max = 1``, which gives exact
     isometries), then, in one ``standard_normal`` call split in this order,
     the real and the imaginary Gaussians of a Haar isometry ``left``
@@ -406,11 +407,9 @@ def random_tensors(
     if not 1.0 <= kappa_max < math.inf:
         raise InvalidInputError(f"kappa_max must be finite and >= 1, got {kappa_max}")
     streams = SeedStreams(seed, TENSORS)
-    bitgen = np.random.PCG64(0)  # any seed: each vertex assigns its own state
-    rng = np.random.Generator(bitgen)
     groups: dict[tuple[int, int], tuple[list, list, list]] = {}
     for v, (p, r) in enumerate(zip(graph.physical_dims, graph.register_dims)):
-        streams.seed_bit_generator(bitgen, v)
+        rng = streams.generator(v)
         vertices, sigmas, draws = groups.setdefault((p, r), ([], [], []))
         vertices.append(v)
         sigmas.append(np.ones(r) if kappa_max == 1.0 else rng.uniform(1.0 / kappa_max, 1.0, r))
@@ -579,8 +578,8 @@ def report_to_json(report: RunReport) -> str:
 class SweepRow:
     """One trial of a sweep; reproducible bit-exactly from (config, seed).
 
-    Slotted rather than frozen, like the driver's records (see
-    :class:`~peps_forge.dynamics.VertexRecord`): one is built per trial.
+    Slotted rather than frozen, like the driver's reports (see
+    :class:`~peps_forge.dynamics.RunReport`): one is built per trial.
     Treat it as read-only.
     """
 
@@ -613,9 +612,10 @@ def sweep(
     """Run one instance across consecutive seeds and aggregate statistics.
 
     Trial ``i`` uses seed ``base_seed + i`` (default base: the config seed;
-    it must be >= 0), so any row can be reproduced with a single ``run`` at
-    its listed seed. At most :data:`~peps_forge.limits.MAX_TRIALS` trials
-    run, checked before the instance is built.
+    it must be an integer >= 0), so any row can be reproduced with a single
+    ``run`` at its listed seed. ``trials`` must be an integer; at most
+    :data:`~peps_forge.limits.MAX_TRIALS` trials run. Both are checked
+    before the instance is built.
     The trials run as one batch (see :func:`~peps_forge.dynamics.run_seeds`):
     the streams of every seed are derived in ``uint64`` arrays and every
     first measurement is drawn in bulk, so only a trial that misses a first
@@ -623,13 +623,17 @@ def sweep(
     must be >= 1 and has no effect; it stays only for the benchmark
     workloads, which pass ``jobs=1``.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise InvalidInputError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     check_trials(trials)
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
-    if base_seed is not None and base_seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {base_seed}")
+    if base_seed is not None:
+        base_seed = check_seed(base_seed)
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
     graph, tensors = build_instance(cfg)

@@ -30,18 +30,24 @@ low 32 bits that the mask keeps. So ints and arrays give the same words.
 Seeds of one word count share every hash constant, and every seed below
 ``2**128`` pads to four words. numpy has no batched SeedSequence, so the
 batch builds its pools itself (:func:`_entropy_pool`); the scalar path
-keeps numpy's pool, which is faster for one seed. The batch takes each
-stream's first draw in 32-bit limb arithmetic and leaves the rest of the
-stream to :class:`Uniforms`.
+keeps numpy's pool, which is faster for one seed. The batch takes the
+first draw of each (index, seed) stream in 32-bit limb arithmetic and
+leaves the rest of the stream to :class:`Uniforms`.
+
+:class:`Uniforms` draws a stream's doubles one at a time in integer
+arithmetic, and continues it in blocks on a numpy ``Generator`` put at its
+state by :func:`pcg64`, the one way this package makes a numpy ``PCG64``.
+Both take the top 53 bits of the same PCG64 outputs, so the doubles agree.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError
 
@@ -56,13 +62,14 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 # numpy's PCG64: a 128-bit LCG with the XSL-RR output function
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 #: a draw's top 53 bits as a double in [0, 1)
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 
 
-def _check_seed(seed) -> int:
+def check_seed(seed) -> int:
     """``seed`` as an int ``>= 0``; a numpy integer gives the equal Python int."""
     try:
         seed = operator.index(seed)
@@ -226,8 +233,52 @@ _FIRST_STATE_MULT = _limbs(_PCG_MULT**2 & _MASK128)
 _FIRST_INC_MULT = _limbs((_PCG_MULT**2 + _PCG_MULT + 1) & _MASK128)
 
 
+def _seeded_state(w0, w1, w2, w3, w4, w5, w6, w7) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` right after seeding from the 8 words of a stream."""
+    # the 64-bit words (initstate, initseq) are little-endian word pairs,
+    # and inc = (initseq << 1) | 1
+    initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
+    inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class _SeedWords(ISeedSequence):
+    """A stand-in seed sequence that hands PCG64 fixed ``(initstate, initseq)`` words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def pcg64(state: int, inc: int) -> np.random.PCG64:
+    """numpy's ``PCG64`` at ``(state, inc)``, ``inc`` odd.
+
+    Seeding sets the state to ``(inc + initstate) * M + inc`` with
+    ``inc = (initseq << 1) | 1``, so the stand-in seed sequence hands over
+    the ``initstate`` that solves this for ``state``. That costs no
+    SeedSequence and no state assignment. The result's ``seed_seq`` is the
+    stand-in, which cannot spawn.
+    """
+    initstate = ((state - inc) * _PCG_MULT_INV - inc) & _MASK128
+    initseq = inc >> 1
+    words = [initstate >> 64, initstate & _MASK64, initseq >> 64, initseq & _MASK64]
+    return np.random.PCG64(_SeedWords(np.array(words, dtype=np.uint64)))
+
+
+#: doubles a missed chain draws at once from numpy's generator
+BLOCK = 32
+
+
 class Uniforms:
-    """numpy's ``PCG64`` from a seeded ``(state, inc)``; draws only ``random()``."""
+    """numpy's ``PCG64`` from a seeded ``(state, inc)``; draws ``random()`` one at a time.
+
+    One draw in integer arithmetic costs a fraction of a numpy call, so
+    short runs of draws, and every first shot of the driver, stay here.
+    :meth:`doubles` continues the stream in blocks on numpy's own
+    generator, for long runs.
+    """
 
     __slots__ = ("state", "inc")
 
@@ -243,6 +294,19 @@ class Uniforms:
         x = ((x >> rot) | (x << (64 - rot))) & _MASK64
         return (x >> 11) * _DOUBLE_UNIT
 
+    def doubles(self) -> Iterator[float]:
+        """The doubles that follow, as an endless iterator.
+
+        A new numpy ``Generator`` is put at this stream's state and draws
+        them :data:`BLOCK` at a time; ``Generator.random(n)`` gives the
+        doubles of ``n`` calls of :meth:`random`, since both take a PCG64
+        output's top 53 bits. The generator belongs to the iterator alone,
+        and this object does not advance with it.
+        """
+        rng = np.random.Generator(pcg64(self.state, self.inc))
+        while True:
+            yield from rng.random(BLOCK).tolist()
+
 
 class SeedStreams:
     """The streams ``SeedSequence(seed, spawn_key=(namespace, index))`` of one seed.
@@ -255,35 +319,18 @@ class SeedStreams:
     __slots__ = ("pool", "prefix_words")
 
     def __init__(self, seed: int, namespace: int):
-        words = _uint32_words(_check_seed(seed))
+        words = _uint32_words(check_seed(seed))
         words += [0] * (_POOL_SIZE - len(words)) + [namespace]
         self.prefix_words = len(words)
         self.pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
 
     def pcg_state(self, index: int) -> tuple[int, int]:
         """PCG64's ``(state, inc)`` right after seeding from stream ``index``."""
-        w0, w1, w2, w3, w4, w5, w6, w7 = _state_words(
-            self.pool, _index_offsets(self.prefix_words, index)
-        )
-        # the 64-bit words (initstate, initseq) are little-endian word pairs,
-        # and inc = (initseq << 1) | 1
-        initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
-        inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
-        return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+        return _seeded_state(*_state_words(self.pool, _index_offsets(self.prefix_words, index)))
 
-    def uniforms(self, index: int) -> Uniforms:
-        """Stream ``index`` as a source of ``random()`` doubles."""
-        return Uniforms(*self.pcg_state(index))
-
-    def seed_bit_generator(self, bitgen: np.random.PCG64, index: int) -> None:
-        """Put numpy's ``bitgen`` at the start of stream ``index``."""
-        state, inc = self.pcg_state(index)
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    def generator(self, index: int) -> np.random.Generator:
+        """A new numpy ``Generator`` at the start of stream ``index``."""
+        return np.random.Generator(pcg64(*self.pcg_state(index)))
 
 
 def _seed_words(seeds: list[int], count: int) -> list[np.ndarray]:
@@ -298,16 +345,18 @@ def _seed_words(seeds: list[int], count: int) -> list[np.ndarray]:
 class StreamBatch:
     """The streams ``SeedSequence(seed, spawn_key=(namespace, index))`` of many seeds.
 
-    Element ``k`` of every array belongs to ``seeds[k]``. Seeds of one word
-    count (at least the pool size, after padding) build their pools in one
-    pass of :func:`_entropy_pool` and share the hashes of every index mixed
-    into them.
+    Column ``k`` of every array belongs to ``seeds[k]``; the rows of
+    :meth:`first_draws` are stream indices. Seeds of one word count (at
+    least the pool size, after padding) build their pools in one pass of
+    :func:`_entropy_pool` and share the hashes of every index mixed into
+    them. A missed chain goes back to its stream's start as
+    :class:`Uniforms`, as in the single-seed driver.
     """
 
     __slots__ = ("pool", "groups")
 
     def __init__(self, seeds: Sequence[int], namespace: int):
-        seeds = [_check_seed(s) for s in seeds]
+        seeds = [check_seed(s) for s in seeds]
         # seeds below 2**128 pad to the pool size
         counts = np.array([(s.bit_length() + 31) >> 5 if s >> 128 else _POOL_SIZE for s in seeds])
         self.pool = [np.empty(len(seeds), dtype=np.uint64) for _ in range(_POOL_SIZE)]
@@ -321,17 +370,29 @@ class StreamBatch:
                 row[at] = x
             self.groups.append((count + 1, at))
 
-    def first_draws(self, index: int) -> tuple[np.ndarray, Callable[[int], Uniforms]]:
-        """Each seed's first ``random()`` from stream ``index``, and the rest of the stream.
+    def first_draws(
+        self, indices: Sequence[int]
+    ) -> tuple[np.ndarray, Callable[[int, int], Uniforms]]:
+        """Each seed's first ``random()`` from each stream in ``indices``, in one pass.
 
-        ``draws[k]`` is the double that ``Generator.random()`` draws first
-        from seed ``k``'s stream; ``resume(k)`` is that stream past the
-        draw, as :class:`Uniforms`.
+        ``draws[i, k]`` is the double that ``Generator.random()`` draws
+        first from seed ``k``'s stream ``indices[i]``; ``stream(i, k)`` is
+        that stream from its start, as :class:`Uniforms`. Indices of one
+        word count share one pass of :func:`_state_words` on ``(index,
+        seed)`` arrays.
         """
-        offsets = np.empty((len(_uint32_words(index)), _POOL_SIZE, len(self.pool[0])), np.uint64)
-        for prefix_words, at in self.groups:
-            offsets[..., at] = np.array(_index_offsets(prefix_words, index), np.uint64)[..., None]
-        w = _state_words(self.pool, offsets)
+        size = (len(indices), len(self.pool[0]))
+        w = np.empty((8, *size), np.uint64)
+        word_counts = np.array([len(_uint32_words(index)) for index in indices])
+        for count in np.unique(word_counts).tolist():
+            rows = np.flatnonzero(word_counts == count)
+            offsets = np.empty((count, _POOL_SIZE, len(rows), size[1]), np.uint64)
+            for prefix_words, at in self.groups:
+                table = [_index_offsets(prefix_words, indices[i]) for i in rows.tolist()]
+                # (row, word, pool word) -> (word, pool word, row), one column per seed
+                offsets[..., at] = np.array(table, np.uint64).transpose(1, 2, 0)[..., None]
+            for out, x in zip(w, _state_words(self.pool, offsets)):
+                out[rows] = x
         # initstate and initseq as limbs, then inc = (initseq << 1) | 1
         initstate, seq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
         inc = [((seq[0] << 1) | 1) & _MASK32]
@@ -345,11 +406,7 @@ class StreamBatch:
         x = (x >> rot) | (x << ((64 - rot) & 63))
         draws = (x >> 11) * _DOUBLE_UNIT
 
-        def resume(k: int) -> Uniforms:
-            state_k, inc_k = (
-                sum(int(limb[k]) << (32 * i) for i, limb in enumerate(limbs))
-                for limbs in (state, inc)
-            )
-            return Uniforms(state_k, inc_k)
+        def stream(i: int, k: int) -> Uniforms:
+            return Uniforms(*_seeded_state(*w[:, i, k].tolist()))
 
-        return draws, resume
+        return draws, stream

@@ -17,7 +17,7 @@ from _helpers import (
     random_instance,
     vector_driver,
 )
-from peps_forge import dynamics, hamiltonian, network
+from peps_forge import dynamics, hamiltonian, network, streams
 from peps_forge.dynamics import (
     PreparedInstance,
     cost_model,
@@ -662,6 +662,19 @@ class TestRunAlgorithm:
             assert [run_algorithm(prep, 0.1, seed, mode) for seed in seeds] == reports
             want = [r.success for r in reports], [r.total_measurements for r in reports]
             assert dynamics.run_seeds(prep, 0.1, seeds, mode) == want
+
+    @pytest.mark.parametrize("name", ["ring4", "grid2x2"])
+    def test_run_seeds_until_success_equals_single_runs(self, prepared_zoo, monkeypatch, name):
+        # seed blocks of 64 and a short last one; enough seeds that some
+        # chains continue in blocks and some cross a block boundary
+        monkeypatch.setattr(dynamics, "SEED_BLOCK", 64)
+        prep = prepared_zoo[name]
+        seeds = range(2**32 - 100, 2**32 + 500)
+        reports = [run_algorithm(prep, 0.1, seed, "until_success") for seed in seeds]
+        want = [r.success for r in reports], [r.total_measurements for r in reports]
+        assert dynamics.run_seeds(prep, 0.1, seeds, "until_success") == want
+        longest = max(v.measurements for r in reports for v in r.vertices)
+        assert longest > 1 + 2 * dynamics.SCALAR_ROUNDS + streams.BLOCK, longest
 
     @pytest.mark.parametrize("cap", [2.5, 2.0, "2", math.nan])
     def test_non_integer_cap_rejected_before_any_stream(self, prepared_zoo, monkeypatch, cap):

@@ -605,6 +605,28 @@ class TestSweep:
             with pytest.raises(CapacityError, match="trials"):
                 sweep(cfg, trials=trials)
 
+    @pytest.mark.parametrize(
+        "trials,base_seed,match",
+        [
+            (2.5, None, "trials must be an integer"),
+            (math.nan, None, "trials must be an integer"),
+            (3, 3.5, "seed must be an integer"),
+            (3, math.nan, "seed must be an integer"),
+            (3, -1, "seed must be >= 0"),
+        ],
+    )
+    def test_non_integer_counts_rejected_before_the_instance_is_built(
+        self, fixture_zoo, monkeypatch, trials, base_seed, match
+    ):
+        # range() would have raised a raw TypeError after the preparation
+        def unreachable(*args):
+            raise AssertionError("an instance was built for a sweep with invalid counts")
+
+        monkeypatch.setattr(harness, "build_instance", unreachable)
+        cfg, _, _, _ = fixture_zoo["chain2"]
+        with pytest.raises(InvalidInputError, match=match):
+            sweep(cfg, trials=trials, base_seed=base_seed)
+
     def test_rows_reproducible_from_seed(self, fixture_zoo):
         cfg, _, graph, tensors = fixture_zoo["chain2"]
         result = sweep(cfg, trials=4, base_seed=11)

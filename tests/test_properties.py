@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 
 from _helpers import einsum_apply, einsum_pair_state, random_complex
 from peps_forge import network
-from peps_forge.dynamics import PreparedInstance, verify_lemma1
-from peps_forge.errors import ConfigError
+from peps_forge.dynamics import (
+    SCALAR_ROUNDS,
+    PreparedInstance,
+    markov_simulate,
+    verify_lemma1,
+)
+from peps_forge.errors import ConfigError, OrthogonalTargetsError
 from peps_forge.hamiltonian import ground_analysis
 from peps_forge.harness import (
     GraphSpec,
@@ -26,6 +31,8 @@ from peps_forge.harness import (
     to_explicit_config,
     topology_edges,
 )
+from peps_forge.linalg import ZERO_TOL
+from peps_forge.streams import BLOCK, MEASUREMENTS, SeedStreams, StreamBatch, Uniforms
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
@@ -348,3 +355,58 @@ def test_parse_config_returns_or_raises_config_error(doc):
             node["extra"] = 1
             _parses_or_config_error(doc)
             del node["extra"]
+
+
+class _OneDrawAtATime:
+    """numpy's own stream of a driver vertex, drawn and counted one double per call."""
+
+    def __init__(self, seed: int, step: int):
+        seq = np.random.SeedSequence(seed, spawn_key=(MEASUREMENTS, step))
+        self.rng = np.random.Generator(np.random.PCG64(seq))
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.rng.random()
+
+
+# caps around the switch to blocks, around a block's worth of block draws
+# (2 (cap - SCALAR_ROUNDS) = BLOCK) and around a block's worth of rounds
+CHAIN_CAPS = [0, 1, SCALAR_ROUNDS, SCALAR_ROUNDS + 1, BLOCK // 2 + SCALAR_ROUNDS]
+CHAIN_CAPS += [BLOCK - 1, BLOCK, BLOCK + 1, None]
+#: consecutive steps, so streams, each example runs
+CHAIN_STEPS = 16
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.one_of(
+        st.floats(0.0, ZERO_TOL),  # never lands: every chain runs to its cap
+        st.floats(1.0 - ZERO_TOL / 2, 1.0),  # always lands at once
+        st.floats(0.45, 0.55),
+        st.floats(0.01, 0.1),  # most first shots miss; long chains cross blocks
+    ),
+    seed=st.integers(0, 2**70),
+    first_step=st.integers(0, 2**40),
+)
+def test_driver_chains_match_one_draw_at_a_time(p, seed, first_step):
+    """Both drivers' chains, which continue their streams in blocks, give the
+    outcomes and measurement count of the chain on numpy's own stream drawn
+    one double per measurement, at each of ``CHAIN_STEPS`` steps and each
+    cap of ``CHAIN_CAPS``."""
+    steps = range(first_step, first_step + CHAIN_STEPS)
+    pcg_state = SeedStreams(seed, MEASUREMENTS).pcg_state
+    batched = StreamBatch([seed], MEASUREMENTS).first_draws(steps)[1]
+    for i, step in enumerate(steps):
+        for cap in CHAIN_CAPS:
+            oracle = _OneDrawAtATime(seed, step)
+            sources = [oracle, Uniforms(*pcg_state(step)), batched(i, 0)]
+            if cap is None and p <= ZERO_TOL:
+                for rng in sources:
+                    with pytest.raises(OrthogonalTargetsError):
+                        markov_simulate(p, cap, rng)
+                continue
+            want = markov_simulate(p, cap, oracle)
+            assert len(want) == oracle.draws
+            got = [markov_simulate(p, cap, rng) for rng in sources[1:]]
+            assert got == [want, want], (step, cap)

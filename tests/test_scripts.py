@@ -59,7 +59,7 @@ def test_make_fixture_reproduces_the_shipped_fixture(generator, name):
 
 
 def test_output_drift_of_a_tree_against_itself_is_identical():
-    # one fixture keeps the twelve CLI processes to a few seconds
+    # one fixture keeps the twenty CLI processes to a few seconds
     src = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, str(DRIFT), src, src, "--fixture", "chain2"],

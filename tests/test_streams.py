@@ -9,7 +9,15 @@ import pytest
 
 from _helpers import vertex_rng
 from peps_forge.errors import InvalidInputError
-from peps_forge.streams import MEASUREMENTS, TENSORS, SeedStreams, StreamBatch
+from peps_forge.streams import (
+    BLOCK,
+    MEASUREMENTS,
+    TENSORS,
+    SeedStreams,
+    StreamBatch,
+    Uniforms,
+    pcg64,
+)
 
 SEEDS = [0, 1, 7, 123, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64]
 SEEDS += [2**64 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**160 + 1, 2**200]
@@ -25,7 +33,7 @@ class TestMeasurementStreams:
         for seed in seeds:
             streams = SeedStreams(seed, MEASUREMENTS)
             for step in INDICES:
-                stream = streams.uniforms(step)
+                stream = Uniforms(*streams.pcg_state(step))
                 ours = [stream.random() for _ in range(8)]
                 assert ours == vertex_rng(seed, step).random(8).tolist(), (seed, step)
 
@@ -39,12 +47,12 @@ class TestMeasurementStreams:
 
     @pytest.mark.parametrize("seed,step,draws", GOLDEN_DRAWS)
     def test_golden_draws(self, seed, step, draws):
-        stream = SeedStreams(seed, MEASUREMENTS).uniforms(step)
+        stream = Uniforms(*SeedStreams(seed, MEASUREMENTS).pcg_state(step))
         assert [stream.random() for _ in draws] == draws
 
 
 class TestSeededBitGenerator:
-    """One reused numpy generator, put at the start of each stream in turn."""
+    """numpy generators put at the start of a stream, or anywhere in it."""
 
     @pytest.mark.parametrize("namespace", [MEASUREMENTS, TENSORS])
     def test_states_match_numpy(self, namespace):
@@ -56,17 +64,41 @@ class TestSeededBitGenerator:
                 assert want.state["state"] == {"state": state, "inc": inc}, (seed, index)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 7, 2**70 + 3])
-    def test_reused_generator_draws_like_a_fresh_one(self, seed):
+    def test_generator_draws_like_a_fresh_one(self, seed):
         streams = SeedStreams(seed, TENSORS)
-        bitgen = np.random.PCG64(0)
-        rng = np.random.Generator(bitgen)
         for index in [0, 1, 5, 2**40 + 5]:
-            streams.seed_bit_generator(bitgen, index)
+            rng = streams.generator(index)
             want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(TENSORS, index)))
+            assert rng.bit_generator.state == want.bit_generator.state, index
             assert np.array_equal(rng.uniform(0.25, 1.0, 3), want.uniform(0.25, 1.0, 3))
             assert np.array_equal(rng.standard_normal((2, 3)), want.standard_normal((2, 3)))
-            # a 32-bit draw leaves half a word buffered, which reseeding must drop
             assert rng.integers(0, 2**31, dtype=np.int32) == want.integers(0, 2**31, dtype=np.int32)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**130 + 1])
+    def test_doubles_continue_the_stream_in_blocks(self, seed):
+        # from the stream's start and from past a few single draws, across
+        # several blocks
+        streams = SeedStreams(seed, MEASUREMENTS)
+        for index in [0, 3, 2**32]:
+            for skip in [0, 1, 5]:
+                stream = Uniforms(*streams.pcg_state(index))
+                want = vertex_rng(seed, index).random(skip + 3 * BLOCK + 1)
+                assert [stream.random() for _ in range(skip)] == want[:skip].tolist()
+                doubles = stream.doubles()
+                assert [next(doubles) for _ in want[skip:]] == want[skip:].tolist(), (index, skip)
+
+    def test_pcg64_puts_numpy_at_any_state(self):
+        rand = random.Random(5)
+        for _ in range(200):
+            state, inc = rand.getrandbits(128), rand.getrandbits(128) | 1
+            want = np.random.PCG64(0)
+            want.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            assert pcg64(state, inc).state == want.state
 
     def test_negative_seed_rejected(self):
         # and every seed that is not an integer, whole floats included
@@ -82,17 +114,19 @@ class TestStreamBatch:
 
     @pytest.mark.parametrize("namespace", [MEASUREMENTS, TENSORS])
     def test_states_match_numpy(self, namespace):
-        # shuffled, so that each word count's seeds sit apart in the batch;
-        # a numpy integer seeds the streams of the equal int
+        # shuffled, so that each word count's seeds and indices sit apart in
+        # the batch; a numpy integer seeds the streams of the equal int
         numpy_seeds = [np.int64(3), np.uint64(2**64 - 1), np.uint32(2**32 - 1)]
         seeds = random.Random(namespace).sample(SEEDS + numpy_seeds, len(SEEDS) + 3)
+        indices = random.Random(namespace).sample(INDICES, len(INDICES))
         batch = StreamBatch(seeds, namespace)
-        for index in INDICES:
-            draws, resume = batch.first_draws(index)
+        draws, stream = batch.first_draws(indices)
+        assert draws.shape == (len(indices), len(seeds))
+        for i, index in enumerate(indices):
             for k, seed in enumerate(seeds):
                 seq = np.random.SeedSequence(int(seed), spawn_key=(namespace, index))
                 bitgen = np.random.PCG64(seq)
-                assert draws[k] == np.random.Generator(bitgen).random(), (seed, index)
-                rest = resume(k)
-                want = {"state": rest.state, "inc": rest.inc}
+                start = stream(i, k)
+                want = {"state": start.state, "inc": start.inc}
                 assert bitgen.state["state"] == want, (seed, index)
+                assert draws[i, k] == np.random.Generator(bitgen).random(), (seed, index)
