@@ -6,9 +6,9 @@
 Runs ``run`` (at the config seed, at the two-word seed 4294967303 and in
 ``until_success`` mode), ``sweep`` (JSON and CSV over 100 trials, 300
 trials in ``until_success`` mode and 2000 bounded trials), ``gap-scan``,
-``verify-lemma1`` and ``cost-model --config`` on each fixture through
-``python -m peps_forge.cli``, once with each ``src`` directory on
-``PYTHONPATH``, both on the fixture file of ``OLD_SRC``. The fixtures hold
+``verify-lemma1`` and ``cost-model --config`` on each fixture through the
+CLI, once with each ``src`` directory on ``PYTHONPATH``, both on the
+fixture file of ``OLD_SRC``. The fixtures hold
 explicit tensors; the random-tensor configs in ``GENERATED`` cover sampling
 too. Each is written to a temporary directory, selected by name like a
 fixture and run with its own commands
@@ -25,12 +25,24 @@ and both output streams match exactly, otherwise the largest relative drift
 ``|a - b| / max(|a|, |b|)`` of each numeric field that moved, with the
 largest absolute drift for fields near zero (list positions and CSV rows
 folded into one field), and any field that differs in anything but its
-number. Exits 0 when every output is identical and 1 otherwise.
+number.
+
+Each tree runs all its commands through ``cli.main`` in one interpreter
+(:func:`run_tree`), the two trees at once: first in order, then again in
+reverse order, and every command must give the same bytes both times. A
+cache that carries state from one command into the next (the sampler's
+per-shape graph, the edge-term cache) shows up there, as a line ending in
+``differs when run after the others``. The first command also runs as
+``python -m peps_forge.cli`` in a process of its own, which must match its
+in-process run (else its line ends in ``differs as python -m
+peps_forge.cli``), so module entry and exit codes stay covered. Exits 0 when
+every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -38,6 +50,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -148,9 +162,6 @@ GENERATED = {
     ),
 }
 
-#: CLI processes run at once; each loads numpy and scipy
-WORKERS = 2
-
 
 def run_cli(src: Path, args: list[str]) -> tuple[int, str, str]:
     """Exit code, standard output and standard error of ``python -m
@@ -161,6 +172,67 @@ def run_cli(src: Path, args: list[str]) -> tuple[int, str, str]:
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, check=False,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _run_in_process(args: list[str]) -> tuple[int, str, str]:
+    """What :func:`run_cli` gives for ``args``, from ``cli.main`` in this interpreter.
+
+    ``main``'s return value or ``SystemExit`` code becomes the exit code
+    the way the interpreter makes it: ``None`` is 0, an int is taken
+    modulo 256, and anything else is printed to standard error and gives
+    1. Each job runs under its own ``warnings.catch_warnings()``, which
+    clears the record of warnings already shown, so a warning prints once
+    per job as it would once per process. What stays apart from a real
+    process: an uncaught exception's traceback has other frames, and a
+    warning attributed to ``__main__`` follows the filters of a module
+    that is not ``__main__``.
+    """
+    from peps_forge import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            try:
+                status = cli.main(args)
+            except SystemExit as exc:  # argparse's usage errors
+                status = exc.code
+            except Exception:
+                traceback.print_exc()
+                status = 1
+        if status is None:
+            code = 0
+        elif isinstance(status, int):
+            code = status % 256
+        else:
+            print(status, file=sys.stderr)
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def serve() -> None:
+    """Read a JSON list of argument lists from standard input and print
+    their results, run in order and then in reverse order, as JSON."""
+    jobs = json.load(sys.stdin)
+    forward = [_run_in_process(args) for args in jobs]
+    backward = [_run_in_process(args) for args in reversed(jobs)][::-1]
+    json.dump([forward, backward], sys.stdout)
+
+
+def run_tree(src: Path, jobs: list[list[str]]) -> tuple[list, list, tuple[int, str, str]]:
+    """Each job's exit code and output streams on ``src``: in order, in
+    reverse order (both from one interpreter, see :func:`serve`), and the
+    first job's as ``python -m peps_forge.cli`` (:func:`run_cli`)."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    here = str(Path(__file__).resolve().parent)
+    serve_jobs = f"import sys; sys.path.append({here!r}); import output_drift; output_drift.serve()"
+    proc = subprocess.run(
+        [sys.executable, "-c", serve_jobs],
+        input=json.dumps(jobs), env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"the command runner on {src} failed:\n{proc.stderr}")
+    forward, backward = ([tuple(r) for r in results] for results in json.loads(proc.stdout))
+    return forward, backward, run_cli(src, jobs[0])
 
 
 def fields(text: str) -> dict[str, list]:
@@ -247,13 +319,22 @@ def main(argv: list[str] | None = None) -> int:
         for label, name in cases:
             path, commands = configs[name]
             command, extra = commands[label]
-            for src in (args.old_src.resolve(), args.new_src.resolve()):
-                jobs.append((src, [command, "--config", str(path), *extra]))
-        with ThreadPoolExecutor(WORKERS) as pool:
-            results = list(pool.map(lambda job: run_cli(*job), jobs))
+            jobs.append([command, "--config", str(path), *extra])
+        trees = (args.old_src.resolve(), args.new_src.resolve())
+        with ThreadPoolExecutor(len(trees)) as pool:
+            runs = list(pool.map(lambda src: run_tree(src, jobs), trees))
     identical = True
-    for i, (label, name) in enumerate(cases):
-        old, new = results[2 * i : 2 * i + 2]
+    for tree, (forward, backward, module) in zip(trees, runs):
+        for (label, name), a, b in zip(cases, forward, backward):
+            if a != b:
+                identical = False
+                print(f"{label:14s} {name:24s} differs when run after the others on {tree}")
+        if module != forward[0]:
+            identical = False
+            label, name = cases[0]
+            print(f"{label:14s} {name:24s} differs as python -m peps_forge.cli on {tree}")
+    (olds, _, _), (news, _, _) = runs
+    for (label, name), old, new in zip(cases, olds, news):
         if old == new:
             print(f"{label:14s} {name:24s} identical")
             continue

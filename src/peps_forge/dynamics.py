@@ -25,7 +25,6 @@ cost accounting; the driver's per-vertex random streams come from
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -43,7 +42,7 @@ from .hamiltonian import (
     assemble_step,
     ground_analysis,
 )
-from .limits import MAX_CHAIN_ROUNDS, check_dim, check_trials
+from .limits import MAX_CHAIN_ROUNDS, as_count, check_dim, check_trials
 from .linalg import ZERO_TOL
 from .network import (
     InteractionGraph,
@@ -307,9 +306,13 @@ def markov_simulate(
     :class:`~peps_forge.streams.Uniforms` stream is drawn so for the first
     measurement and :data:`SCALAR_ROUNDS` undo/retry rounds, then through
     its :meth:`~peps_forge.streams.Uniforms.doubles`, the same values in
-    blocks.
+    blocks. A cap that is not an ``int`` goes through
+    :func:`~peps_forge.limits.as_count`; the drivers pass the ``int`` that
+    :func:`_alternation_cap` checked once per run, which is taken as it is.
     """
     p = float(p)
+    if type(max_alternations) is not int and max_alternations is not None:
+        max_alternations = as_count(max_alternations, "max_alternations")
     _check_chain(p, max_alternations, zero_tol)
     land, stay = _threshold(p, zero_tol), _threshold(1.0 - p, zero_tol)
     draw = rng.random
@@ -348,6 +351,8 @@ def markov_trials(
     individual trajectories are not comparable.
     """
     p = _check_p(p)
+    max_alternations = as_count(max_alternations, "max_alternations")
+    trials = as_count(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     check_trials(trials)
@@ -384,7 +389,7 @@ def markov_exact_distribution(
     one terminating alternation.
     """
     p = _check_p(p)
-    m = int(max_alternations)
+    m = as_count(max_alternations, "max_alternations")
     stay = p**2 + (1.0 - p) ** 2
     cats = [1] + [2 * j + 1 for j in range(1, m + 1)] + [-1]
     probs = [p]
@@ -406,6 +411,7 @@ def required_alternations(
     """
     if not 1.0 <= kappa < math.inf:
         raise InvalidInputError(f"condition number must be finite and >= 1, got {kappa}")
+    num_vertices = as_count(num_vertices, "num_vertices")
     if num_vertices < 2:
         raise InvalidInputError(f"need at least 2 vertices, got {num_vertices}")
     if not 0.0 < eps < 1.0:
@@ -442,9 +448,14 @@ def cost_model(
     ``measurement_bound`` is ``kappa^2 |V|^2 / (e eps) + |V|``; the runtime
     bound evaluates ``|V|^2 |E|^2 kappa^2 / (eps gap) + |V| k d^6`` with the
     polylogarithmic factor of the energy-measurement subroutine set to 1,
-    so it is an order-of-magnitude figure, not a promise. A bound past the
-    float range raises :class:`~peps_forge.errors.InvalidInputError`.
+    so it is an order-of-magnitude figure, not a promise. A size that is not
+    an integer, or a bound past the float range, raises
+    :class:`~peps_forge.errors.InvalidInputError`.
     """
+    num_vertices = as_count(num_vertices, "num_vertices")
+    num_edges = as_count(num_edges, "num_edges")
+    phys_dim = as_count(phys_dim, "phys_dim")
+    degree = as_count(degree, "degree")
     for name, val in [
         ("num_vertices", num_vertices),
         ("num_edges", num_edges),
@@ -607,12 +618,7 @@ def _alternation_cap(
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"failure budget must be in (0, 1), got {eps}")
     if max_alternations is not None:
-        try:
-            cap = operator.index(max_alternations)
-        except TypeError:
-            raise InvalidInputError(
-                f"max_alternations must be an integer, got {max_alternations!r}"
-            ) from None
+        cap = as_count(max_alternations, "max_alternations")
     elif mode == "bounded":
         caps, eps = prepared._bounded_caps, float(eps)
         cap = caps.get(eps)

@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -34,7 +33,7 @@ from .dynamics import (
     run_seeds,
 )
 from .errors import CapacityError, ConfigError, InvalidInputError
-from .limits import check_dim, check_trials, dim_cap
+from .limits import as_count, check_dim, check_trials, dim_cap
 from .linalg import ZERO_TOL
 from .network import InteractionGraph, PepsTensor, canonicalize, polar_tensor
 from .streams import TENSORS, SeedStreams, check_seed
@@ -403,34 +402,60 @@ def random_tensors(
     drawn factors are its SVD. All Haar factors of one shape come from one
     stacked QR; the maps and their polar factors, one stacked
     :func:`~peps_forge.network.polar_tensor` per vertex shape.
+
+    The vertex shape groups are the graph's cached
+    :attr:`~peps_forge.network.InteractionGraph.shape_groups`. Each group
+    draws into one array, whose real and imaginary halves are copied once
+    into the complex array of each factor shape. Each group takes its
+    factors as slices of the QR stacks, and a graph of one shape group gets
+    its tensors in vertex order, unsorted.
+    Nothing that depends on the seed is kept between calls.
     """
     if not 1.0 <= kappa_max < math.inf:
         raise InvalidInputError(f"kappa_max must be finite and >= 1, got {kappa_max}")
     streams = SeedStreams(seed, TENSORS)
-    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
-    for v, (p, r) in enumerate(zip(graph.physical_dims, graph.register_dims)):
-        rng = streams.generator(v)
-        vertices, sigmas, draws = groups.setdefault((p, r), ([], [], []))
-        vertices.append(v)
-        sigmas.append(np.ones(r) if kappa_max == 1.0 else rng.uniform(1.0 / kappa_max, 1.0, r))
-        draws.append(rng.standard_normal(2 * (p + r) * r))
-    gaussians = {}
-    for (p, r), (_, _, draws) in groups.items():
-        z = np.array(draws).reshape(-1, 2 * (p + r), r)  # rows: left re, im, right re, im
-        gaussians.setdefault((p, r), []).append(z[:, :p] + 1j * z[:, p : 2 * p])
-        gaussians.setdefault((r, r), []).append(z[:, 2 * p : 2 * p + r] + 1j * z[:, 2 * p + r :])
-    haar = {}
+    groups = graph.shape_groups
+    sigmas, gaussians = [], {}
+    for (p, r), vertices in groups:
+        k = len(vertices)
+        sigma = np.ones((k, r)) if kappa_max == 1.0 else np.empty((k, r))
+        draws = np.empty((k, 2 * (p + r), r))  # rows: left re, im, right re, im
+        for i, v in enumerate(vertices):
+            rng = streams.generator(v)
+            if kappa_max != 1.0:
+                sigma[i] = rng.uniform(1.0 / kappa_max, 1.0, r)
+            rng.standard_normal(out=draws[i])
+        sigmas.append(sigma)
+        gaussians.setdefault((p, r), []).append(_complex(draws[:, : 2 * p].reshape(k, 2, p, r)))
+        gaussians.setdefault((r, r), []).append(_complex(draws[:, 2 * p :].reshape(k, 2, r, r)))
+    haar, taken = {}, {}
     for shape, zs in gaussians.items():
         q, upper = np.linalg.qr(np.concatenate(zs))
-        diag = np.diagonal(upper, axis1=1, axis2=2)
-        ends = np.cumsum([len(z) for z in zs])[:-1]
-        haar[shape] = iter(np.split(q * (diag / np.abs(diag)).conj()[:, None, :], ends))
+        diag = upper.diagonal(0, 1, 2)
+        q *= (diag / np.abs(diag)).conj()[:, None, :]
+        haar[shape], taken[shape] = q, 0
+
+    def take(shape: tuple[int, int], k: int) -> np.ndarray:
+        start = taken[shape]
+        taken[shape] = start + k
+        return haar[shape][start : start + k]
+
     tensors = []
-    for (p, r), (vertices, sigmas, _) in groups.items():
-        sigma, left = np.array(sigmas), next(haar[p, r])
-        vh = next(haar[r, r]).conj().transpose(0, 2, 1)
+    for ((p, r), vertices), sigma in zip(groups, sigmas):
+        left, right = take((p, r), len(vertices)), take((r, r), len(vertices))
+        vh = right.conj().transpose(0, 2, 1)
         tensors += polar_tensor(vertices, (left * sigma[:, None, :]) @ vh, left, sigma, vh)
-    return sorted(tensors, key=attrgetter("vertex"))
+    if len(groups) > 1:
+        tensors.sort(key=attrgetter("vertex"))
+    return tensors
+
+
+def _complex(z: np.ndarray) -> np.ndarray:
+    """``z[:, 0] + 1j * z[:, 1]`` as one copy into a new array."""
+    k, _, rows, cols = z.shape
+    out = np.empty((k, rows, cols), dtype=complex)
+    out.view(float).reshape(k, rows, cols, 2)[...] = z.transpose(0, 2, 3, 1)
+    return out
 
 
 def _check_spec_dim(cfg: InstanceConfig) -> None:
@@ -623,10 +648,7 @@ def sweep(
     must be >= 1 and has no effect; it stays only for the benchmark
     workloads, which pass ``jobs=1``.
     """
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise InvalidInputError(f"trials must be an integer, got {trials!r}") from None
+    trials = as_count(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     check_trials(trials)

@@ -8,12 +8,15 @@ not with their square. The default suits desk-scale experiments; set
 ``PEPS_FORGE_DIM_CAP`` to override. Batches of trials keep a record or a
 draw per trial, so their count is capped at :data:`MAX_TRIALS`, and a
 batch of repair chains may run up to ``m`` rounds per trial, so its rounds
-are capped at :data:`MAX_CHAIN_ROUNDS`.
+are capped at :data:`MAX_CHAIN_ROUNDS`. The chain, budget and cost
+functions, sweeps and runs take their counts through :func:`as_count`
+before they use them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 from .errors import CapacityError, InvalidInputError
@@ -66,3 +69,13 @@ def check_trials(trials: int) -> None:
     """Raise :class:`CapacityError` when ``trials`` exceeds :data:`MAX_TRIALS`."""
     if trials > MAX_TRIALS:
         raise CapacityError(f"trials must be at most {MAX_TRIALS}")
+
+
+def as_count(value, name: str) -> int:
+    """``value`` through :func:`operator.index`: an int, a bool or a numpy
+    integer passes; a float, even an integral one, NaN or a string raises
+    :class:`InvalidInputError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None

@@ -16,12 +16,14 @@ id. Global states flatten registers in vertex order, vertex 0 most
 significant (see :mod:`peps_forge.linalg`).
 
 Per-graph and per-map constants are computed once: a graph caches its
-incident edges, register dimensions and (read-only) pair state, and
+incident edges, register dimensions, each vertex map's shape, the vertices
+of each map shape and the (read-only) pair state, and
 :func:`~peps_forge.harness.build_instance` builds one graph per instance
-shape, so instances of one shape share them. :func:`polar_tensor` builds
-a stack of maps' polar factors from their singular factors:
-:func:`canonicalize` takes them from one SVD of a given map, the random
-sampler hands over the factors it drew for all maps of one shape.
+shape, so instances of one shape share them. :func:`check_tensors` compares
+each tensor with the cached map shapes. :func:`polar_tensor` builds a stack
+of maps' polar factors from their singular factors: :func:`canonicalize`
+takes them from one SVD of a given map, the random sampler hands over the
+factors it drew for all maps of one cached shape group.
 :func:`apply_on_register` acts on one register with one matmul or a stack of
 them. Vectors are normalised by the reciprocal of their norm: numpy divides a
 complex array by a real scalar in its complex-division loop, ≈4× slower.
@@ -174,6 +176,19 @@ class InteractionGraph:
         )
 
     @cached_property
+    def tensor_shapes(self) -> tuple[tuple[int, int], ...]:
+        """Each vertex map's shape ``(physical_dims[v], register_dims[v])``."""
+        return tuple(zip(self.physical_dims, self.register_dims))
+
+    @cached_property
+    def shape_groups(self) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+        """The vertices of each map shape, ``(shape, vertices)`` in order of first vertex."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for v, shape in enumerate(self.tensor_shapes):
+            groups.setdefault(shape, []).append(v)
+        return tuple((shape, tuple(vertices)) for shape, vertices in groups.items())
+
+    @cached_property
     def global_dim(self) -> int:
         return math.prod(self.register_dims)
 
@@ -231,9 +246,13 @@ def polar_tensor(
     ``u`` holds isometries, ``vh`` unitaries and ``sigma`` singular values in
     any order. In stacked products, and bit for bit as each map alone, the
     isometry is ``u @ vh``, the positive factor ``vh^dag @ diag(sigma) @ vh``
-    symmetrized by ``* 0.5`` (numpy divides complex by 2 in a slow loop), and
-    the singular values sorted descending. The first rank-deficient map raises
+    symmetrized in place by ``+=`` its conjugate transpose and ``*= 0.5``
+    (numpy divides complex by 2 in a slow loop), and the singular values
+    sorted descending. The first rank-deficient map raises
     :class:`InjectivityError`: the construction needs left-invertibility.
+    Nothing is cached: the random sampler calls it once per entry of the
+    graph's cached :attr:`~InteractionGraph.shape_groups`, with that group's
+    share of each stacked factor.
     """
     desc = np.sort(sigma)[:, ::-1]
     if (deficient := desc[:, -1] <= linalg.RANK_RTOL * desc[:, 0]).any():
@@ -243,23 +262,30 @@ def polar_tensor(
             f"sigma_min={desc[i, -1]:.3e}, sigma_max={desc[i, 0]:.3e}"
         )
     psd = (vh.conj().transpose(0, 2, 1) * sigma[:, None, :]) @ vh
-    positive = (psd + psd.conj().transpose(0, 2, 1)) * 0.5
-    return list(map(PepsTensor, vertices, matrices, u @ vh, positive, desc))
+    psd += psd.conj().transpose(0, 2, 1)
+    psd *= 0.5
+    return list(map(PepsTensor, vertices, matrices, u @ vh, psd, desc))
 
 
 def check_tensors(g: InteractionGraph, tensors: list[PepsTensor]) -> None:
-    """Validate that ``tensors[v]`` matches vertex ``v``'s dimensions."""
+    """Validate that ``tensors[v]`` is labeled ``v`` and has vertex ``v``'s
+    map shape.
+
+    The shapes are the graph's cached :attr:`~InteractionGraph.tensor_shapes`,
+    so each vertex costs a label check and one tuple comparison; every
+    contraction entry point calls this before any work.
+    """
     if len(tensors) != g.num_vertices:
         raise InvalidInputError(
             f"need {g.num_vertices} tensors, got {len(tensors)}"
         )
+    shapes = g.tensor_shapes
     for v, t in enumerate(tensors):
         if t.vertex != v:
             raise InvalidInputError(f"tensor at position {v} is labeled {t.vertex}")
-        expected = (g.physical_dims[v], g.register_dim(v))
-        if t.matrix.shape != expected:
+        if t.matrix.shape != shapes[v]:
             raise InvalidInputError(
-                f"tensor at vertex {v} has shape {t.matrix.shape}, expected {expected}"
+                f"tensor at vertex {v} has shape {t.matrix.shape}, expected {shapes[v]}"
             )
 
 
@@ -281,8 +307,8 @@ def apply_on_register(
 
     Returns the new state vector and the updated register dimensions.
     """
-    dims = list(register_dims)
-    a, r, b = math.prod(dims[:v]), dims[v], math.prod(dims[v + 1 :])
+    head, r, tail = register_dims[:v], register_dims[v], register_dims[v + 1 :]
+    a, b = math.prod(head), math.prod(tail)
     if b == 1:
         out = (op @ state.reshape(a, r).T).T
     elif a < b and b % 4 == 0:
@@ -290,8 +316,7 @@ def apply_on_register(
     else:
         x = state.reshape(a, r, b).transpose(1, 0, 2).reshape(r, a * b)
         out = (op @ x).reshape(-1, a, b).transpose(1, 0, 2)
-    dims[v] = op.shape[0]
-    return out.reshape(-1), tuple(dims)
+    return out.reshape(-1), head + (op.shape[0],) + tail
 
 
 def pair_state(g: InteractionGraph) -> np.ndarray:

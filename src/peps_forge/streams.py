@@ -17,7 +17,7 @@ pool size, then the spawn key's words) into its pool one word at a time.
 :class:`SeedStreams` therefore has numpy build the pool of the shared
 prefix ``[seed words, padding, namespace]`` once. Each stream then runs one
 kernel, :func:`_state_words`: it mixes the words of its index into the 4
-pool words and hashes those into the 8 words that PCG64 seeds its
+pool words and hashes those into the 4 words that PCG64 seeds its
 ``(state, inc)`` from, unrolled on named words, instead of building a
 SeedSequence and a Generator. Both algorithms are frozen by numpy's
 stream-compatibility policy (NEP 19); the tests keep numpy as the oracle.
@@ -36,8 +36,10 @@ leaves the rest of the stream to :class:`Uniforms`.
 
 :class:`Uniforms` draws a stream's doubles one at a time in integer
 arithmetic, and continues it in blocks on a numpy ``Generator`` put at its
-state by :func:`pcg64`, the one way this package makes a numpy ``PCG64``.
-Both take the top 53 bits of the same PCG64 outputs, so the doubles agree.
+state by :func:`pcg64`. Both take the top 53 bits of the same PCG64
+outputs, so the doubles agree. :meth:`SeedStreams.generator` hands a
+stream's seeding words to PCG64 as they are. Both go through
+:func:`_seeded_pcg64`, the one way this package makes a numpy ``PCG64``.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def _index_offsets(prefix_words: int, index: int) -> tuple[tuple[int, ...], ...]
 
 
 def _state_words(pool, index_offsets) -> tuple:
-    """The 8 words of ``generate_state(4, uint64)`` once an index is mixed into ``pool``.
+    """The 4 words of ``generate_state(4, uint64)`` once an index is mixed into ``pool``.
 
     ``pool`` holds the 4 pool words of the shared prefix and
     ``index_offsets`` the 4 offsets of each index word (see
@@ -159,7 +161,10 @@ def _state_words(pool, index_offsets) -> tuple:
     mixes of :func:`_mix` and the hashes of :func:`_hash` on named words,
     with no list built per step. Each word is a Python int or a ``uint64``
     array of 32-bit values; an array product or sum may wrap modulo
-    ``2**64``, which keeps the low 32 bits.
+    ``2**64``, which keeps the low 32 bits. The 8 hashed words are paired
+    last into the 64-bit words that PCG64 takes, ``(initstate, initseq)``
+    with each value's high word first: each is a little-endian pair, as in
+    the ``uint64`` view of SeedSequence's 32-bit words.
     """
     x0, x1, x2, x3 = pool
     for k0, k1, k2, k3 in index_offsets:
@@ -181,8 +186,10 @@ def _state_words(pool, index_offsets) -> tuple:
     w6 = ((x2 ^ c6) * c7) & _MASK32
     w7 = ((x3 ^ c7) * c8) & _MASK32
     return (
-        w0 ^ (w0 >> 16), w1 ^ (w1 >> 16), w2 ^ (w2 >> 16), w3 ^ (w3 >> 16),
-        w4 ^ (w4 >> 16), w5 ^ (w5 >> 16), w6 ^ (w6 >> 16), w7 ^ (w7 >> 16),
+        (w1 ^ (w1 >> 16)) << 32 | w0 ^ (w0 >> 16),
+        (w3 ^ (w3 >> 16)) << 32 | w2 ^ (w2 >> 16),
+        (w5 ^ (w5 >> 16)) << 32 | w4 ^ (w4 >> 16),
+        (w7 ^ (w7 >> 16)) << 32 | w6 ^ (w6 >> 16),
     )
 
 
@@ -233,12 +240,11 @@ _FIRST_STATE_MULT = _limbs(_PCG_MULT**2 & _MASK128)
 _FIRST_INC_MULT = _limbs((_PCG_MULT**2 + _PCG_MULT + 1) & _MASK128)
 
 
-def _seeded_state(w0, w1, w2, w3, w4, w5, w6, w7) -> tuple[int, int]:
-    """PCG64's ``(state, inc)`` right after seeding from the 8 words of a stream."""
-    # the 64-bit words (initstate, initseq) are little-endian word pairs,
-    # and inc = (initseq << 1) | 1
-    initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
-    inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
+def _seeded_state(s_hi, s_lo, q_hi, q_lo) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` right after seeding from the 4 words of a
+    stream, ``(initstate, initseq)`` with each value's high word first."""
+    initstate = s_hi << 64 | s_lo
+    inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128  # inc = (initseq << 1) | 1
     return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
 
 
@@ -252,6 +258,12 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _seeded_pcg64(words: tuple[int, int, int, int]) -> np.random.PCG64:
+    """numpy's ``PCG64`` seeded from ``(initstate, initseq)``, given as the
+    four 64-bit words a seed sequence hands it, each value's high word first."""
+    return np.random.PCG64(_SeedWords(np.array(words, dtype=np.uint64)))
+
+
 def pcg64(state: int, inc: int) -> np.random.PCG64:
     """numpy's ``PCG64`` at ``(state, inc)``, ``inc`` odd.
 
@@ -263,8 +275,7 @@ def pcg64(state: int, inc: int) -> np.random.PCG64:
     """
     initstate = ((state - inc) * _PCG_MULT_INV - inc) & _MASK128
     initseq = inc >> 1
-    words = [initstate >> 64, initstate & _MASK64, initseq >> 64, initseq & _MASK64]
-    return np.random.PCG64(_SeedWords(np.array(words, dtype=np.uint64)))
+    return _seeded_pcg64((initstate >> 64, initstate & _MASK64, initseq >> 64, initseq & _MASK64))
 
 
 #: doubles a missed chain draws at once from numpy's generator
@@ -329,8 +340,14 @@ class SeedStreams:
         return _seeded_state(*_state_words(self.pool, _index_offsets(self.prefix_words, index)))
 
     def generator(self, index: int) -> np.random.Generator:
-        """A new numpy ``Generator`` at the start of stream ``index``."""
-        return np.random.Generator(pcg64(*self.pcg_state(index)))
+        """A new numpy ``Generator`` at the start of stream ``index``.
+
+        Its PCG64 is seeded from the stream's words as
+        :func:`_state_words` gives them, with no 128-bit state to compute
+        and invert.
+        """
+        words = _state_words(self.pool, _index_offsets(self.prefix_words, index))
+        return np.random.Generator(_seeded_pcg64(words))
 
 
 def _seed_words(seeds: list[int], count: int) -> list[np.ndarray]:
@@ -382,7 +399,7 @@ class StreamBatch:
         seed)`` arrays.
         """
         size = (len(indices), len(self.pool[0]))
-        w = np.empty((8, *size), np.uint64)
+        w = np.empty((4, *size), np.uint64)
         word_counts = np.array([len(_uint32_words(index)) for index in indices])
         for count in np.unique(word_counts).tolist():
             rows = np.flatnonzero(word_counts == count)
@@ -393,8 +410,9 @@ class StreamBatch:
                 offsets[..., at] = np.array(table, np.uint64).transpose(1, 2, 0)[..., None]
             for out, x in zip(w, _state_words(self.pool, offsets)):
                 out[rows] = x
-        # initstate and initseq as limbs, then inc = (initseq << 1) | 1
-        initstate, seq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
+        # initstate and initseq as little-endian limbs, then inc = (initseq << 1) | 1
+        initstate = [w[1] & _MASK32, w[1] >> 32, w[0] & _MASK32, w[0] >> 32]
+        seq = [w[3] & _MASK32, w[3] >> 32, w[2] & _MASK32, w[2] >> 32]
         inc = [((seq[0] << 1) | 1) & _MASK32]
         inc += [((hi << 1) | (lo >> 31)) & _MASK32 for lo, hi in zip(seq, seq[1:])]
         state = _mul_add(initstate, _FIRST_STATE_MULT, _mul_add(inc, _FIRST_INC_MULT, [0] * 4))

@@ -158,6 +158,30 @@ MISMATCHED_TENSORS = pytest.mark.parametrize(
 )
 
 
+@MISMATCHED_TENSORS
+@pytest.mark.parametrize(
+    "contract",
+    [
+        network.peps_state,
+        lambda g, ts: network.restore_gauge(g, ts, np.full(4, 0.5)),
+        lambda g, ts: network.contract_partial(g, ts, 2),
+    ],
+    ids=["peps_state", "restore_gauge", "contract_partial"],
+)
+def test_mismatched_tensors_rejected_before_any_contraction(monkeypatch, contract, edit, message):
+    # every network entry point validates the tensors before it reads the
+    # pair state or applies a register
+    def unreachable(*args):
+        raise AssertionError("a contraction ran before the tensors were checked")
+
+    monkeypatch.setattr(network, "pair_state", unreachable)
+    monkeypatch.setattr(network, "apply_on_register", unreachable)
+    g = InteractionGraph.build(2, [(0, 1)])
+    tensors = [canonicalize(v, np.eye(2)) for v in range(2)]
+    with pytest.raises(InvalidInputError, match=message):
+        contract(g, edit(tensors))
+
+
 class TestVerifyLemma1:
     def test_identity_maps_saturate(self):
         g = InteractionGraph.build(2, [(0, 1)])
@@ -546,6 +570,40 @@ class TestMarkovChain:
         terminated, _ = markov_trials(0.5, MAX_CHAIN_ROUNDS, 1, np.random.default_rng(0))
         assert terminated.all()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda rng: markov_simulate(0.5, 2.5, rng), "max_alternations"),
+            (lambda rng: markov_trials(0.5, 2.5, 3, rng), "max_alternations"),
+            (lambda rng: markov_trials(0.5, 2, 2.5, rng), "trials"),
+            (lambda rng: markov_trials(0.5, math.nan, 3, rng), "max_alternations"),
+            (lambda rng: markov_exact_distribution(0.5, 2.5), "max_alternations"),
+            (lambda rng: markov_exact_distribution(0.5, 2.0), "max_alternations"),
+        ],
+        ids=["simulate-cap", "trials-cap", "trials-count", "trials-nan-cap", "exact-cap",
+             "exact-integral-float-cap"],
+    )
+    def test_non_integer_counts_rejected_before_any_draw(self, call, name):
+        # a cap of 2.5 ran as 2.5 rounds, or raised a raw TypeError from
+        # range() or from the generator, and the exact law had four bins
+        class Undrawable:
+            def random(self, *args):
+                raise AssertionError("a uniform was drawn before the counts were checked")
+
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            call(Undrawable())
+
+    def test_numpy_integer_counts_run_like_ints(self):
+        got = markov_trials(0.5, np.int64(3), np.int64(50), np.random.default_rng(4))
+        want = markov_trials(0.5, 3, 50, np.random.default_rng(4))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert markov_simulate(0.5, np.int32(2), np.random.default_rng(5)) == markov_simulate(
+            0.5, 2, np.random.default_rng(5)
+        )
+        cats, probs = markov_exact_distribution(0.5, np.int64(3))
+        assert cats == [1, 3, 5, 7, -1]
+        assert np.array_equal(probs, markov_exact_distribution(0.5, 3)[1])
+
     def test_exact_distribution_consistency(self):
         for p in (0.2, 0.5, 0.8):
             for m in (0, 1, 3, 6):
@@ -568,6 +626,12 @@ class TestRequiredAlternations:
             required_alternations(1.0, 1, 0.1)
         with pytest.raises(InvalidInputError):
             required_alternations(1.0, 4, 0.0)
+
+    @pytest.mark.parametrize("num_vertices", [4.5, 4.0, math.nan, "4"])
+    def test_non_integer_vertex_count_rejected(self, num_vertices):
+        # 4.5 gave the budget (9, 34)
+        with pytest.raises(InvalidInputError, match="num_vertices must be an integer"):
+            required_alternations(2.0, num_vertices, 0.1)
 
     @pytest.mark.parametrize(
         "kappa, num_vertices, eps",
@@ -608,6 +672,21 @@ class TestCostModel:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
             cost_model(0, 1, 1.0, 0.1, 1.0, 2, 2)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((4.5, 3, 2.0, 0.1, 0.5, 2, 2), "num_vertices"),
+            ((4, 3.0, 2.0, 0.1, 0.5, 2, 2), "num_edges"),
+            ((4, 3, 2.0, 0.1, 0.5, math.nan, 2), "phys_dim"),
+            ((4, 3, 2.0, 0.1, 0.5, 2, "2"), "degree"),
+        ],
+        ids=["num_vertices", "num_edges", "phys_dim", "degree"],
+    )
+    def test_non_integer_sizes_rejected(self, args, name):
+        # (4.5, 3, ...) returned a CostModel
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            cost_model(*args)
 
     @pytest.mark.parametrize(
         "args",
@@ -695,12 +774,18 @@ class TestRunAlgorithm:
                 return _cls(*args, **kwargs)
 
             monkeypatch.setattr(np.random, name, counting)
-        # ring4's last vertex misses its first shots at seed 0
-        for seed in (0, 2**32 + 7):
+        # ring4's chains: every first shot lands at seed 0; vertex 0 misses
+        # once at seed 1 (1 alternation), three times at seed 2 (3); vertex 3
+        # takes 10 alternations at seeds 4 and 7. A chain past SCALAR_ROUNDS
+        # continues in blocks on one PCG64 and one Generator.
+        blocked_chains = {0: 0, 1: 0, 2: 1, 4: 1, 7: 1}
+        for seed, blocked in blocked_chains.items():
             made.clear()
             report = run_algorithm(prepared_zoo["ring4"], 0.1, seed, mode="until_success")
             assert len(report.vertices) == 4
-            assert made == ["SeedSequence"], seed
+            rounds = [v.alternations for v in report.vertices]
+            assert sum(a > dynamics.SCALAR_ROUNDS for a in rounds) == blocked, (seed, rounds)
+            assert made == ["SeedSequence"] + ["PCG64", "Generator"] * blocked, seed
 
     def test_deterministic_reports(self):
         graph, tensors = random_instance(RING4, 5.0, 408)

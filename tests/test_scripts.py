@@ -59,7 +59,8 @@ def test_make_fixture_reproduces_the_shipped_fixture(generator, name):
 
 
 def test_output_drift_of_a_tree_against_itself_is_identical():
-    # one fixture keeps the twenty CLI processes to a few seconds
+    # one fixture: each tree runs its ten commands in one interpreter, twice,
+    # and the first once more as a CLI process of its own
     src = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, str(DRIFT), src, src, "--fixture", "chain2"],
@@ -73,17 +74,20 @@ def test_output_drift_of_a_tree_against_itself_is_identical():
 
 
 def test_output_drift_generated_config_is_selectable_by_name(monkeypatch, capsys):
-    # no CLI process: each job records its arguments and reads its config
+    # no CLI process: each tree's runner records every job's arguments and
+    # reads its config
     drift = _load(DRIFT)
     seen = []
 
-    def fake_run_cli(src, args):
-        config = Path(args[args.index("--config") + 1])
-        cfg = parse_config(json.loads(config.read_text(encoding="utf-8")))
-        seen.append((args[0], args[args.index("--config") + 2 :], cfg))
-        return 0, "{}", ""
+    def fake_run_tree(src, jobs):
+        for args in jobs:
+            config = Path(args[args.index("--config") + 1])
+            cfg = parse_config(json.loads(config.read_text(encoding="utf-8")))
+            seen.append((args[0], args[args.index("--config") + 2 :], cfg))
+        results = [(0, "{}", "")] * len(jobs)
+        return results, results, results[0]
 
-    monkeypatch.setattr(drift, "run_cli", fake_run_cli)
+    monkeypatch.setattr(drift, "run_tree", fake_run_tree)
     src = str(ROOT / "src")
     assert drift.main([src, src, "--fixture", "random-ring6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -91,7 +95,7 @@ def test_output_drift_generated_config_is_selectable_by_name(monkeypatch, capsys
         ["verify-lemma1", "random-ring6", "identical"],
         ["gap-scan", "random-ring6", "identical"],
     ]
-    # both trees run each command on the same random-tensor ring (the jobs
+    # both trees run each command on the same random-tensor ring (the trees
     # run on a thread pool, in any order)
     assert sorted((command, extra) for command, extra, _ in seen) == [
         ("gap-scan", []),
@@ -102,6 +106,53 @@ def test_output_drift_generated_config_is_selectable_by_name(monkeypatch, capsys
     for _, _, cfg in seen:
         assert (cfg.graph.topology, cfg.graph.length) == ("ring", 6)
         assert cfg.tensors.source == "random"
+
+
+#: body of a stand-in ``cli.main`` -> how it ends
+EXITS = {
+    "return-none": "return None",
+    "exit-message": "raise SystemExit('no such config')",
+    "exit-wide-code": "raise SystemExit(258)",
+    "warn": "import warnings; warnings.warn('drift', RuntimeWarning); return 3",
+}
+
+
+def test_output_drift_in_process_runner_exits_like_the_interpreter():
+    # each stand-in main runs as the script of a real process and twice
+    # through the in-process runner, which must give the same code and
+    # bytes both times (a warning prints again in the second job)
+    def source(body):
+        return f"def main(args):\n    {body}\n"
+
+    real = []
+    for body in EXITS.values():
+        proc = subprocess.run(
+            [sys.executable, "-c", source(body) + "import sys\nsys.exit(main([]))\n"],
+            capture_output=True, text=True, check=False,
+        )
+        real.append([proc.returncode, proc.stdout, proc.stderr])
+    runner = (
+        "import json, sys\n"
+        f"sys.path.append({str(DRIFT.parent)!r})\n"
+        "import output_drift\n"
+        "from peps_forge import cli\n"
+        "results = []\n"
+        "for source in json.loads(sys.argv[1]):\n"
+        "    namespace = {}\n"
+        "    exec(compile(source, '<string>', 'exec'), namespace)\n"
+        "    cli.main = namespace['main']\n"
+        "    results.append([output_drift._run_in_process([]) for _ in range(2)])\n"
+        "json.dump(results, sys.stdout)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", runner, json.dumps([source(body) for body in EXITS.values()])],
+        capture_output=True, text=True, check=True,
+    )
+    for name, expected, runs in zip(EXITS, real, json.loads(proc.stdout)):
+        assert runs == [expected, expected], name
+    assert [code for code, _, _ in real] == [0, 1, 2, 3]
+    assert real[1][2] == "no such config\n"
+    assert "RuntimeWarning: drift" in real[3][2]
 
 
 def test_output_drift_reports_each_moved_field():
